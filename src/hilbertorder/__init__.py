@@ -54,9 +54,7 @@ from .gene import (
     GeneEntry,
     GeneTable,
     GeneValidationReport,
-    cache_path,
     cached_gene_table,
-    default_cache_dir,
     entry_exit,
     format_table_text,
     gene_table,
@@ -96,14 +94,12 @@ __all__ = [
     "ResourceLimitError",
     "StepCounter",
     "benchmark_records",
-    "cache_path",
     "cached_gene_table",
     "coord_xor",
     "decode_arith",
     "decode_arith_fast",
     "decode_bits",
     "decode_bits_fast",
-    "default_cache_dir",
     "effective_level",
     "encode_arith",
     "encode_arith_fast",

@@ -27,15 +27,9 @@ from .core_bits import (
     integer_to_index,
 )
 from .decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
-from .encode import encode_arith, encode_arith_fast, encode_bits, encode_bits_fast
+from .encode import ENCODERS, encode_bits, encode_bits_fast
 from .errors import DomainError, HilbertError, PointFileError
-from .gene import (
-    cache_path,
-    cached_gene_table,
-    format_table_text,
-    gene_table,
-    validate_gene_table,
-)
+from .gene import format_table_text, gene_table, validate_gene_table
 from .oracle import (
     benchmark_records,
     enumerate_recursive,
@@ -47,10 +41,14 @@ POINT_MAGIC = b"HPTS"
 POINT_FORMAT_VERSION = 1
 _POINT_HEADER = len(POINT_MAGIC) + 1 + 2 + 8
 
-_ENCODERS = {1: encode_arith, 2: encode_bits, 3: encode_arith_fast, 4: encode_bits_fast}
+_ENCODERS = {algo: encoder for algo, (_, encoder) in enumerate(ENCODERS, start=1)}
 _DECODERS = {1: decode_arith, 2: decode_bits, 3: decode_arith_fast, 4: decode_bits_fast}
 
 DIGIT_PREFIX = "digits:"
+
+# CPython's cap on decimal digits per int <-> str conversion; 0 means no
+# cap, as on interpreters that predate it.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -77,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--input", type=Path, help="point file (text or binary)")
     encode.add_argument("--digits", action="store_true",
                         help="also print the radix 2**n digit form")
-    encode.add_argument("coords", nargs="*", type=int, metavar="X",
+    encode.add_argument("coords", nargs="*", metavar="X",
                         help="one point, written x_n .. x_1")
     encode.set_defaults(func=_cmd_encode)
 
@@ -96,12 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     sort.add_argument("output", type=Path, help="destination, same format as the input")
     sort.set_defaults(func=_cmd_sort)
 
-    gene = sub.add_parser("gene", help="build, cache and dump gene tables")
+    gene = sub.add_parser("gene", help="build and dump gene tables")
     gene.add_argument("--dim", "-n", type=int, required=True)
     gene.add_argument("--dump-text", action="store_true", help="print the per-quadrant commands")
-    gene.add_argument("--cache-dir", type=Path, help="override the cache directory")
-    gene.add_argument("--rebuild", action="store_true", help="ignore any cached file")
-    gene.add_argument("--no-cache", action="store_true", help="build in memory only")
     gene.set_defaults(func=_cmd_gene)
 
     validate = sub.add_parser("validate", help="check gene table and curve properties")
@@ -141,8 +136,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"expected {params.n} components, got {len(args.coords)}"
             )
-        points = [tuple(reversed(args.coords))]
-    table = cached_gene_table(params.n)
+        points = [tuple(reversed([_parse_decimal(c, "component") for c in args.coords]))]
+    table = gene_table(params.n)
     encoder = _ENCODERS[args.algo]
     for point in points:
         idx, _ = encoder(point, params, table)
@@ -154,11 +149,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
     if bool(args.indices) == (args.input is not None):
         raise DomainError("give index values as arguments or use --input")
+    limit = _int_max_str_digits()
+    top = (10**limit).bit_length() - 1  # highest m with 2**m - 1 < 10**limit
+    if limit and params.m > top:
+        raise DomainError(
+            f"level {params.m} is above {top}: coordinates below 2**{params.m} can exceed "
+            f"the {limit}-digit limit of sys.get_int_max_str_digits()"
+        )
     if args.input is not None:
         tokens = _read_index_tokens(args.input)
     else:
         tokens = list(args.indices)
-    table = cached_gene_table(params.n)
+    table = gene_table(params.n)
     decoder = _DECODERS[args.algo]
     for token in tokens:
         idx = _parse_index_token(token, params)
@@ -178,7 +180,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             )
     else:
         labelled = _read_points(args.input, params.n)
-    table = cached_gene_table(params.n)
+    table = gene_table(params.n)
     keyed = []
     for point, label in labelled:
         try:
@@ -196,21 +198,17 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_gene(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        table = gene_table(args.dim)
-    else:
-        table = cached_gene_table(args.dim, cache_dir=args.cache_dir, rebuild=args.rebuild)
+    table = gene_table(args.dim)
     if args.dump_text:
         print(format_table_text(table))
     else:
-        location = "memory only" if args.no_cache else str(cache_path(args.dim, args.cache_dir))
-        print(f"gene table for dimension {args.dim}: {len(table.entries)} quadrants ({location})")
+        print(f"gene table for dimension {args.dim}: {len(table.entries)} quadrants")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     params_check = CurveParams(args.dim, max(args.max_level, 0))
-    table = cached_gene_table(params_check.n)
+    table = gene_table(params_check.n)
     results = []
     report = validate_gene_table(table)
     for check in report.checks:
@@ -252,14 +250,16 @@ def _check_line(name: str, passed: bool, detail: str = "") -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    display = [int(part) for part in args.point.split(",") if part != ""]
+    display = [_parse_decimal(part, "--point component")
+               for part in args.point.split(",") if part != ""]
     if len(display) < 2:
         raise DomainError(f"point needs at least 2 components, got {args.point!r}")
     point = tuple(reversed(display))
-    levels = [int(part) for part in args.levels.split(",") if part != ""]
+    levels = [_parse_decimal(part, "--levels entry")
+              for part in args.levels.split(",") if part != ""]
     if not levels:
         raise DomainError("no levels given")
-    table = cached_gene_table(len(point))
+    table = gene_table(len(point))
     report = run_counter_benchmark(point, levels, table, repeats=args.repeats)
     if args.records:
         for record in benchmark_records(report):
@@ -286,23 +286,30 @@ def _format_index_line(idx: HilbertIndex, force_digits: bool) -> str:
     return " ".join(parts)
 
 
+def _parse_decimal(token: str, what: str) -> int:
+    """Read ``token`` as ASCII digits 0-9 only; ``what`` names it in errors."""
+    if not (token.isascii() and token.isdigit()):
+        raise DomainError(f"bad {what} {token!r}: not a decimal integer (digits 0-9 only)")
+    try:
+        return int(token)
+    except ValueError:  # plain digits fail only on the digit-count cap
+        raise DomainError(
+            f"bad {what}: {len(token)} digits is too long, the limit is "
+            f"{_int_max_str_digits()} (sys.get_int_max_str_digits())"
+        ) from None
+
+
 def _parse_index_token(token: str, params: CurveParams) -> HilbertIndex:
     if token.startswith(DIGIT_PREFIX):
         body = token[len(DIGIT_PREFIX):]
-        try:
-            digits = tuple(int(part) for part in body.split(".")) if body else ()
-        except ValueError as exc:
-            raise DomainError(f"bad digit string {token!r}") from exc
+        parts = body.split(".") if body else []
+        digits = tuple(_parse_decimal(part, "index digit") for part in parts)
         if len(digits) != params.m:
             raise DomainError(
                 f"index has {len(digits)} digits, curve level is {params.m}"
             )
         return HilbertIndex(params.n, digits)
-    try:
-        z = int(token)
-    except ValueError as exc:
-        raise DomainError(f"bad index value {token!r}") from exc
-    return integer_to_index(z, params)
+    return integer_to_index(_parse_decimal(token, "index value"), params)
 
 
 def _read_index_tokens(path: Path) -> list[str]:
@@ -342,11 +349,9 @@ def _read_points_text(path: Path, n: int) -> list[tuple[Coordinate, str]]:
                 f"{path}: line {lineno}: expected {n} components, found {len(parts)}"
             )
         try:
-            display = [int(part) for part in parts]
-        except ValueError:
-            raise PointFileError(f"{path}: line {lineno}: non-integer component")
-        if any(c < 0 for c in display):
-            raise PointFileError(f"{path}: line {lineno}: negative component")
+            display = [_parse_decimal(part, "component") for part in parts]
+        except DomainError as exc:
+            raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
         points.append((tuple(reversed(display)), f"line {lineno}"))
     return points
 

@@ -135,10 +135,7 @@ def _check_index(idx: HilbertIndex, params: CurveParams, table: GeneTable) -> No
         raise DimensionMismatchError(
             f"index is for dimension {idx.n}, curve dimension is {params.n}"
         )
-    if table.n != params.n:
-        raise DimensionMismatchError(
-            f"gene table is for dimension {table.n}, curve dimension is {params.n}"
-        )
+    table.check_dimension(params.n)
     if len(idx.digits) != params.m:
         raise DomainError(
             f"index has {len(idx.digits)} digits, curve level is {params.m}"

@@ -75,6 +75,16 @@ def encode_bits_fast(
     return _encode_fast(p, params, table, _digits_bits)
 
 
+# The four variants in --algo order; the CLI and the counter benchmark
+# both read this list.
+ENCODERS = (
+    ("arith", encode_arith),
+    ("bits", encode_bits),
+    ("arith-fast", encode_arith_fast),
+    ("bits-fast", encode_bits_fast),
+)
+
+
 def _encode_fast(
     p: Sequence[int],
     params: CurveParams,
@@ -147,13 +157,10 @@ def _check_point(p: Sequence[int], params: CurveParams, table: GeneTable) -> Non
         raise DimensionMismatchError(
             f"point has {len(p)} components, curve dimension is {params.n}"
         )
-    if table.n != params.n:
-        raise DimensionMismatchError(
-            f"gene table is for dimension {table.n}, curve dimension is {params.n}"
-        )
+    table.check_dimension(params.n)
     limit = 1 << params.m
     for i, c in enumerate(p):
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise DomainError(f"component {i + 1} is not an integer: {c!r}")
         if not 0 <= c < limit:
             raise DomainError(

@@ -19,8 +19,10 @@ The corner assignment itself uses Gray-code closed forms: quadrant 0
 enters at the origin, ``entry(i) = gray_code(2 * ((i - 1) // 2))`` for
 ``i >= 1``, and ``exit(i) = entry(2**n - 1 - i) ^ top``.  Other corner
 assignments also produce valid curves in three or more dimensions; this
-package pins the orientation generated by these forms and accepts it
-only through :func:`validate_gene_table`.
+package pins the orientation generated by these forms.  Every table is
+built from them; :func:`validate_gene_table` checks a table's structure
+and walks its curves, and :func:`load_table` accepts a stored table only
+if it equals the one these forms build.
 
 Bit vectors here are component-indexed: tuple slot ``i`` flags
 component ``i + 1``.  Rendering reverses the tuple (component ``n``
@@ -30,14 +32,13 @@ first), matching coordinate output.
 from __future__ import annotations
 
 import os
-import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Union
 
 from .core_bits import BitVec, CurveParams, gray_code, integer_to_index
 from .errors import (
+    DimensionMismatchError,
     DomainError,
     GeneTableFormatError,
     GeneTableValidationError,
@@ -98,6 +99,13 @@ class GeneTable:
             slots.append(tuple(i for i, bit in enumerate(entry.reverse) if bit))
         object.__setattr__(self, "swap_pairs", tuple(pairs))
         object.__setattr__(self, "reverse_slots", tuple(slots))
+
+    def check_dimension(self, n: int) -> None:
+        """Raise :class:`DimensionMismatchError` unless the table is for dimension ``n``."""
+        if self.n != n:
+            raise DimensionMismatchError(
+                f"gene table is for dimension {self.n}, curve dimension is {n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -192,22 +200,21 @@ def save_table(table: GeneTable, sink: PathOrStream) -> None:
     by the reverse vector, each packed least position first and padded
     to whole bytes.
     """
-    nbytes = (table.n + 7) // 8
-    blob = bytearray()
-    blob += CACHE_MAGIC
-    blob.append(CACHE_FORMAT_VERSION)
-    blob += table.n.to_bytes(2, "little")
-    for entry in table.entries:
-        blob += _bits_to_mask(entry.exchange).to_bytes(nbytes, "little")
-        blob += _bits_to_mask(entry.reverse).to_bytes(nbytes, "little")
+    blob = _table_bytes(table)
     if hasattr(sink, "write"):
-        sink.write(bytes(blob))
+        sink.write(blob)
     else:
-        Path(sink).write_bytes(bytes(blob))
+        Path(sink).write_bytes(blob)
 
 
 def load_table(source: PathOrStream) -> GeneTable:
-    """Read a serialized gene table and re-validate it before returning."""
+    """Read a serialized gene table and return it if it is the pinned one.
+
+    The orientation is pinned, so after the header checks the payload
+    must equal the bytes of ``gene_table(n)`` exactly: an O(2**n)
+    comparison, stricter than :func:`validate_gene_table` and without
+    its curve walks.
+    """
     if hasattr(source, "read"):
         blob = source.read()
     else:
@@ -229,83 +236,21 @@ def load_table(source: PathOrStream) -> GeneTable:
         raise ResourceLimitError(
             f"gene table declares dimension {n}, above the cap of {GENE_DIMENSION_CAP}"
         )
-    nbytes = (n + 7) // 8
-    expected = header + (1 << n) * 2 * nbytes
+    expected = header + (1 << n) * 2 * ((n + 7) // 8)
     if len(blob) != expected:
         raise GeneTableFormatError(
             f"gene table payload has {len(blob)} bytes, expected {expected}"
         )
-    top = 1 << (n - 1)
-    entries = []
-    corners = []
-    offset = header
-    for _ in range(1 << n):
-        exchange = int.from_bytes(blob[offset : offset + nbytes], "little")
-        reverse = int.from_bytes(blob[offset + nbytes : offset + 2 * nbytes], "little")
-        offset += 2 * nbytes
-        if exchange >= (1 << n) or reverse >= (1 << n):
-            raise GeneTableFormatError("gene vector has bits beyond the dimension")
-        entries.append(GeneEntry(_mask_to_bits(exchange, n), _mask_to_bits(reverse, n)))
-        # Corners are not persisted; invert the command identities.
-        corners.append(
-            EntryExit(_mask_to_bits(reverse, n), _mask_to_bits(reverse ^ exchange ^ top, n))
-        )
-    table = GeneTable(n, tuple(entries), tuple(corners))
-    report = validate_gene_table(table)
-    if not report.passed:
-        failed = ", ".join(check.name for check in report.failures())
-        error = GeneTableValidationError(f"loaded gene table failed checks: {failed}")
-        error.report = report
-        raise error
-    return table
-
-
-def default_cache_dir() -> Path:
-    """Cache directory: ``HILBERT_CACHE_DIR`` if set, else the platform default."""
-    env = os.environ.get("HILBERT_CACHE_DIR")
-    if env:
-        return Path(env)
-    if sys.platform == "win32":
-        base = Path(os.environ.get("LOCALAPPDATA", "~/AppData/Local")).expanduser()
-    elif sys.platform == "darwin":
-        base = Path("~/Library/Caches").expanduser()
-    else:
-        base = Path(os.environ.get("XDG_CACHE_HOME", "~/.cache")).expanduser()
-    return base / "hilbertorder"
-
-
-def cache_path(n: int, cache_dir: Union[str, os.PathLike, None] = None) -> Path:
-    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    return base / f"gene-v{CACHE_FORMAT_VERSION}-n{n}.bin"
-
-
-def cached_gene_table(
-    n: int,
-    cache_dir: Union[str, os.PathLike, None] = None,
-    rebuild: bool = False,
-) -> GeneTable:
-    """Load the table for ``n`` from the on-disk cache, building it on demand.
-
-    An unreadable or invalid cache file triggers a warning and a
-    rebuild rather than an error.
-    """
-    path = cache_path(n, cache_dir)
-    if not rebuild and path.exists():
-        try:
-            return load_table(path)
-        except (GeneTableFormatError, GeneTableValidationError, ResourceLimitError, OSError) as exc:
-            warnings.warn(
-                f"gene cache {path} is unusable ({exc}); rebuilding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     table = gene_table(n)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_table(table, path)
-    except OSError as exc:
-        warnings.warn(f"could not write gene cache {path}: {exc}", RuntimeWarning, stacklevel=2)
+    if blob != _table_bytes(table):
+        raise GeneTableValidationError(
+            f"loaded gene table differs from the pinned table for dimension {n}"
+        )
     return table
+
+
+# Every table is built from the closed form; the old cached name stays public.
+cached_gene_table = gene_table
 
 
 def format_table_text(table: GeneTable) -> str:
@@ -318,6 +263,17 @@ def format_table_text(table: GeneTable) -> str:
             f"{i:<8}  {_render_bits(entry.exchange):<{width}}  {_render_bits(entry.reverse)}"
         )
     return "\n".join(lines)
+
+
+def _table_bytes(table: GeneTable) -> bytes:
+    nbytes = (table.n + 7) // 8
+    blob = bytearray(CACHE_MAGIC)
+    blob.append(CACHE_FORMAT_VERSION)
+    blob += table.n.to_bytes(2, "little")
+    for entry in table.entries:
+        blob += _bits_to_mask(entry.exchange).to_bytes(nbytes, "little")
+        blob += _bits_to_mask(entry.reverse).to_bytes(nbytes, "little")
+    return bytes(blob)
 
 
 def _render_bits(bits: BitVec) -> str:

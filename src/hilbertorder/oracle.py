@@ -16,25 +16,13 @@ from time import perf_counter
 from typing import Sequence
 
 from .core_bits import Coordinate, CurveParams, gray_code
-from .encode import (
-    effective_level,
-    encode_arith,
-    encode_arith_fast,
-    encode_bits,
-    encode_bits_fast,
-)
-from .errors import DimensionMismatchError, DomainError, ResourceLimitError
+from .encode import ENCODERS, effective_level
+from .errors import DomainError, ResourceLimitError
 from .gene import GeneTable
 
 # 2**bits total cells; keeps a full enumeration near desk scale.
 ENUMERATION_MAX_BITS = 24
 
-_ENCODERS = (
-    ("arith", encode_arith),
-    ("bits", encode_bits),
-    ("arith-fast", encode_arith_fast),
-    ("bits-fast", encode_bits_fast),
-)
 _LINEAR_VARIANTS = frozenset({"arith", "bits"})
 
 
@@ -86,10 +74,7 @@ def enumerate_recursive(
         raise ResourceLimitError(
             f"enumerating 2**{params.n * params.m} points exceeds the guard of 2**{cap}"
         )
-    if table.n != params.n:
-        raise DimensionMismatchError(
-            f"gene table is for dimension {table.n}, curve dimension is {params.n}"
-        )
+    table.check_dimension(params.n)
     n = params.n
     points = [(0,) * n]
     for level in range(1, params.m + 1):
@@ -154,7 +139,7 @@ def run_counter_benchmark(
     rows = []
     for m in levels:
         params = CurveParams(len(point), m)
-        for name, encoder in _ENCODERS:
+        for name, encoder in ENCODERS:
             _, counter = encoder(point, params, table)
             times = []
             for _ in range(repeats):

@@ -1,22 +1,26 @@
-import os
 import random
 import subprocess
 import sys
 
 import pytest
 
-from hilbertorder import cli
+from hilbertorder import cli, gene
 from hilbertorder.cli import main
 from hilbertorder.core_bits import CurveParams, index_to_integer
 from hilbertorder.encode import encode_bits
-from hilbertorder.gene import GeneEntry, GeneTable, cache_path, gene_table
+from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
+
+DIGIT_CAP = 4300  # CPython's default int_max_str_digits
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("HILBERT_CACHE_DIR", str(cache))
-    return cache
+@pytest.fixture
+def digit_cap():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no cap on decimal digits")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_CAP)
+    yield DIGIT_CAP
+    sys.set_int_max_str_digits(saved)
 
 
 def run(capsys, *argv):
@@ -158,6 +162,50 @@ class TestDecodeCommand:
         assert code == 2
         assert "bad index" in err
 
+    def test_level_beyond_printable_coordinates(self, capsys, digit_cap):
+        # 2**14284 - 1 has 4300 decimal digits, 2**14285 - 1 has 4301.
+        for level, expected in ((14284, 0), (14285, 2)):
+            token = "digits:" + ".".join(["3"] + ["0"] * (level - 1))
+            code, out, err = run(capsys, "decode", "--dim", "2", "--level", str(level), token)
+            assert code == expected
+        assert "level 14285 is above 14284" in err
+
+
+# Each entry point that reads a number, as argv for one bad token.
+NUMBER_ENTRY_POINTS = {
+    "encode-args": lambda tok, path: ["encode", "--dim", "2", "--level", "4", "1", tok],
+    "point-file": lambda tok, path: ["encode", "--dim", "2", "--level", "4", "--input", path],
+    "decode-value": lambda tok, path: ["decode", "--dim", "2", "--level", "4", tok],
+    "decode-digits": lambda tok, path: ["decode", "--dim", "2", "--level", "2", f"digits:1.{tok}"],
+    "bench-point": lambda tok, path: ["bench", "--point", f"1,{tok}", "--levels", "2"],
+    "bench-levels": lambda tok, path: ["bench", "--point", "1,1", "--levels", f"2,{tok}"],
+}
+BAD_TOKENS = {
+    "underscore": "1_0",
+    "arabic-indic": "\u0661",
+    "fullwidth": "\uff11",
+    "superscript": "\u00b2",
+    "plus": "+1",
+    "minus": "-1",
+    "hex": "0x1",
+    "too-long": "1" * (DIGIT_CAP + 1),
+}
+
+
+class TestStrictDecimals:
+    @pytest.mark.parametrize("entry", sorted(NUMBER_ENTRY_POINTS))
+    @pytest.mark.parametrize("kind", sorted(BAD_TOKENS))
+    def test_rejected_with_one_line(self, capsys, tmp_path, digit_cap, entry, kind):
+        token = BAD_TOKENS[kind]
+        path = tmp_path / "points.txt"
+        path.write_text(f"1 {token}\n", encoding="utf-8")
+        code, out, err = run(capsys, *NUMBER_ENTRY_POINTS[entry](token, str(path)))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if kind == "too-long":
+            assert "too long" in err
+
 
 class TestRoundTripThroughText:
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
@@ -266,26 +314,10 @@ class TestGeneCommand:
             "3 (1, 1) (1, 1)",
         ]
 
-    def test_cache_file_created_under_env_dir(self, capsys, isolated_cache):
+    def test_summary_line_names_no_location(self, capsys):
         code, out, _ = run(capsys, "gene", "--dim", "3")
         assert code == 0
-        assert cache_path(3, isolated_cache).exists()
-        assert str(cache_path(3, isolated_cache)) in out
-
-    def test_corrupt_cache_regenerates_with_warning(self, capsys, isolated_cache):
-        run(capsys, "gene", "--dim", "2")
-        path = cache_path(2, isolated_cache)
-        path.write_bytes(b"junk")
-        with pytest.warns(RuntimeWarning, match="rebuilding"):
-            code, _, _ = run(capsys, "gene", "--dim", "2")
-        assert code == 0
-        assert path.read_bytes()[:4] == b"HGEN"
-
-    def test_no_cache_skips_writing(self, capsys, isolated_cache):
-        code, out, _ = run(capsys, "gene", "--dim", "4", "--no-cache")
-        assert code == 0
-        assert "memory only" in out
-        assert not cache_path(4, isolated_cache).exists()
+        assert out == "gene table for dimension 3: 8 quadrants\n"
 
 
 class TestValidateCommand:
@@ -308,11 +340,25 @@ class TestValidateCommand:
         entries = list(table.entries)
         entries[0] = GeneEntry(entries[0].exchange, (1, 1))
         broken = GeneTable(2, tuple(entries), table.corners)
-        monkeypatch.setattr(cli, "cached_gene_table", lambda n, **kw: broken)
+        monkeypatch.setattr(cli, "gene_table", lambda n: broken)
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
         assert any(line.startswith("FAIL gene-quadrant-zero") for line in out.splitlines())
+
+    def test_validates_the_table_once_per_run(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(table):
+            calls.append(table.n)
+            return validate_gene_table(table)
+
+        monkeypatch.setattr(cli, "validate_gene_table", counting)
+        monkeypatch.setattr(gene, "validate_gene_table", counting)
+        for _ in range(2):
+            code, _, _ = run(capsys, "validate", "--dim", "3", "--max-level", "1")
+            assert code == 0
+        assert calls == [3, 3]
 
 
 class TestBenchCommand:
@@ -340,14 +386,19 @@ class TestBenchCommand:
         assert code == 2
         assert "at least 2 components" in err
 
+    @pytest.mark.parametrize("option,value", [("--point", "1,x"), ("--levels", "4,y")])
+    def test_rejects_non_integer(self, capsys, option, value):
+        code, _, err = run(capsys, "bench", option, value)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self, tmp_path):
-        env = dict(os.environ, HILBERT_CACHE_DIR=str(tmp_path / "cache"))
+    def test_python_dash_m(self):
         result = subprocess.run(
             [sys.executable, "-m", "hilbertorder",
              "encode", "--dim", "2", "--level", "2", "1", "1"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert result.returncode == 0
         assert result.stdout == "2\n"

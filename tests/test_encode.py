@@ -168,6 +168,8 @@ class TestDegenerateAndErrors:
     def test_negative_component(self, encoder):
         with pytest.raises(DomainError):
             encoder((-1, 0), CurveParams(2, 2), TABLES[2])
+        with pytest.raises(DomainError):  # bool is an int subclass, not a component
+            encoder((True, False), CurveParams(2, 2), TABLES[2])
 
     def test_wrong_point_length(self):
         with pytest.raises(DimensionMismatchError):

@@ -10,13 +10,11 @@ from hilbertorder.errors import (
     GeneTableValidationError,
     ResourceLimitError,
 )
+from hilbertorder import gene
 from hilbertorder.gene import (
     CACHE_MAGIC,
     GeneEntry,
     GeneTable,
-    cache_path,
-    cached_gene_table,
-    default_cache_dir,
     entry_exit,
     format_table_text,
     gene_table,
@@ -222,6 +220,28 @@ class TestPersistence:
         with pytest.raises(GeneTableValidationError):
             load_table(target)
 
+    def test_every_payload_bit_is_checked(self):
+        # Padding bits included: the payload must equal the pinned table.
+        buffer = io.BytesIO()
+        save_table(gene_table(3), buffer)
+        blob = buffer.getvalue()
+        header = len(CACHE_MAGIC) + 1 + 2
+        for bit in range(8 * header, 8 * len(blob)):
+            edited = bytearray(blob)
+            edited[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(GeneTableValidationError):
+                load_table(io.BytesIO(bytes(edited)))
+
+    def test_load_runs_no_curve_walk(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("load_table called validate_gene_table")
+
+        monkeypatch.setattr(gene, "validate_gene_table", refuse)
+        buffer = io.BytesIO()
+        save_table(gene_table(5), buffer)
+        buffer.seek(0)
+        assert load_table(buffer) == gene_table(5)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         table = gene_table(2)
         target = tmp_path / "table.bin"
@@ -229,34 +249,6 @@ class TestPersistence:
         target.write_bytes(target.read_bytes() + b"\x00")
         with pytest.raises(GeneTableFormatError):
             load_table(target)
-
-
-class TestCache:
-    def test_build_then_load(self, tmp_path):
-        first = cached_gene_table(3, cache_dir=tmp_path)
-        assert cache_path(3, tmp_path).exists()
-        second = cached_gene_table(3, cache_dir=tmp_path)
-        assert first == second
-
-    def test_corrupt_cache_rebuilds_with_warning(self, tmp_path):
-        cached_gene_table(2, cache_dir=tmp_path)
-        path = cache_path(2, tmp_path)
-        path.write_bytes(b"garbage")
-        with pytest.warns(RuntimeWarning, match="rebuilding"):
-            table = cached_gene_table(2, cache_dir=tmp_path)
-        assert table == gene_table(2)
-        assert load_table(path) == table  # cache repaired
-
-    def test_rebuild_flag_overwrites(self, tmp_path):
-        cached_gene_table(2, cache_dir=tmp_path)
-        table = cached_gene_table(2, cache_dir=tmp_path, rebuild=True)
-        assert table == gene_table(2)
-
-    def test_env_var_controls_location(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HILBERT_CACHE_DIR", str(tmp_path / "via-env"))
-        assert default_cache_dir() == tmp_path / "via-env"
-        cached_gene_table(2)
-        assert (tmp_path / "via-env" / cache_path(2, tmp_path / "via-env").name).exists()
 
 
 class TestTextDump:
