@@ -34,6 +34,7 @@ from .decode import (
 )
 from .encode import (
     StepCounter,
+    curve_key,
     effective_level,
     encode_arith,
     encode_arith_fast,
@@ -96,6 +97,7 @@ __all__ = [
     "benchmark_records",
     "cached_gene_table",
     "coord_xor",
+    "curve_key",
     "decode_arith",
     "decode_arith_fast",
     "decode_bits",

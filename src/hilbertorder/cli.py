@@ -1,11 +1,11 @@
 """Command-line front end: encode, decode, sort, gene, validate, bench.
 
 Points are written with component ``n`` first (``x_n ... x_1``), both
-on the command line and in files.  Text point files hold one point per
-line, components separated by whitespace or commas, with ``#`` comment
-lines.  Binary point files start with magic ``HPTS``, a version byte,
-the dimension as two little-endian bytes and the record count as eight,
-followed by 64-bit little-endian components per record.
+on the command line and in files.  Text point files are UTF-8 and hold
+one point per line, components separated by whitespace or commas, with
+``#`` comment lines.  Binary point files start with magic ``HPTS``, a
+version byte, the dimension as two little-endian bytes and the record
+count as eight, followed by 64-bit little-endian components per record.
 
 Indices print in decimal while ``n * m <= 64`` and as a marked digit
 string (``digits:3.2.1``, most significant first) beyond that;
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,7 +28,7 @@ from .core_bits import (
     integer_to_index,
 )
 from .decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
-from .encode import ENCODERS, encode_bits, encode_bits_fast
+from .encode import ENCODERS, curve_key, encode_bits
 from .errors import DomainError, HilbertError, PointFileError
 from .gene import format_table_text, gene_table, validate_gene_table
 from .oracle import (
@@ -171,26 +172,17 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
-    binary = _looks_binary(args.input)
-    if binary:
-        file_n, labelled = _read_points_binary(args.input)
-        if file_n != params.n:
-            raise PointFileError(
-                f"{args.input}: file is {file_n}-dimensional, --dim is {params.n}"
-            )
-    else:
-        labelled = _read_points(args.input, params.n)
-    table = gene_table(params.n)
+    labelled = _read_points(args.input, params.n)
+    key = curve_key(params, gene_table(params.n))
     keyed = []
     for point, label in labelled:
         try:
-            idx, _ = encode_bits_fast(point, params, table)
+            keyed.append((key(point), point))
         except DomainError as exc:
             raise PointFileError(f"{args.input}: {label}: {exc}") from exc
-        keyed.append((idx.digits, point))
-    keyed.sort(key=lambda pair: pair[0])  # stable: ties keep input order
+    keyed.sort(key=itemgetter(0))  # stable: ties keep input order
     ordered = [point for _, point in keyed]
-    if binary:
+    if _looks_binary(args.input):
         _write_points_binary(args.output, params.n, ordered)
     else:
         _write_points_text(args.output, ordered)
@@ -314,12 +306,21 @@ def _parse_index_token(token: str, params: CurveParams) -> HilbertIndex:
 
 def _read_index_tokens(path: Path) -> list[str]:
     tokens = []
-    for raw in path.read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens.append(line)
     return tokens
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PointFileError(
+            f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded"
+        ) from None
 
 
 def _looks_binary(path: Path) -> bool:
@@ -339,7 +340,7 @@ def _read_points(path: Path, n: int) -> list[tuple[Coordinate, str]]:
 
 def _read_points_text(path: Path, n: int) -> list[tuple[Coordinate, str]]:
     points = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

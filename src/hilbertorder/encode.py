@@ -9,7 +9,12 @@ Four variants compute the same index:
   zero the only effect per level is a swap of components 1 and ``n``,
   so the skipped levels collapse to at most one up-front swap.
 
-Each encoder walks levels top down.  Per level it reads the current
+These four are the reference code the paper studies.  The production
+encoder behind ``hilbert sort`` is :func:`curve_key`, which computes
+the same index as one ``int`` with per-level work that does not grow
+with ``n``.
+
+Each variant walks levels top down.  Per level it reads the current
 top bit of every component (giving the quadrant digit through the
 Gray-rank map), strips that bit, then applies the quadrant's reverse
 and exchange commands to the remaining low bits.
@@ -83,6 +88,79 @@ ENCODERS = (
     ("arith-fast", encode_arith_fast),
     ("bits-fast", encode_bits_fast),
 )
+
+
+def curve_key(params: CurveParams, table: GeneTable) -> Callable[[Sequence[int]], int]:
+    """Return the production encoder of one curve: a point to its index as one ``int``.
+
+    The returned function checks its point as the variants do and equals
+    ``index_to_integer(encode_arith(p, params, table)[0])``.  It uses the
+    transposed form of J. Skilling ("Programming the Hilbert curve", AIP
+    Conf. Proc. 707, 2004): the point's bits are interleaved once into
+    one integer ``z`` whose ``n``-bit plane at level ``v`` holds bit
+    ``v`` of every component, component ``i + 1`` at bit ``v * n + i``.
+    Per level, the reverse command is then one xor and the exchange one
+    delta swap on ``z``, whatever ``n`` is.  Leading all-zero levels
+    collapse into one swap of components 1 and ``n``, as in the fast
+    variants.
+    """
+    n, m = params.n, params.m
+    table.check_dimension(n)
+    size = 1 << n
+    low = size - 1
+    rep = ((1 << (n * m)) - 1) // low  # bit 0 of every plane
+    # Indexed by the plane g as read, which is the Gray code of the
+    # quadrant digit rank[g], so no Gray inverse runs per point at any n:
+    # that quadrant's reverse command as an n-bit mask, and its exchange
+    # as (distance between the two components, rep under the lower one).
+    # Quadrants with the same pair share one tuple, so the table holds
+    # n * (n - 1) / 2 masks of n * m bits at most, not one per quadrant.
+    rank = [0] * size
+    flip = [0] * size
+    swap = [None] * size
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    for r in range(size):
+        g = r ^ (r >> 1)
+        rank[g] = r
+        for i in table.reverse_slots[r]:
+            flip[g] |= 1 << i
+        pair = table.swap_pairs[r]
+        if pair is not None:
+            a, b = pair
+            swap[g] = shared.setdefault(pair, (b - a, rep << a))
+    spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * n
+    for c in range(1, 256):
+        spread[c] = (spread[c >> 1] << n) | (c & 1)
+    stride = 8 * n
+    top = n - 1
+
+    def key(p: Sequence[int]) -> int:
+        # A component of 2**m or more would add levels above m, so the
+        # range check is what keeps the key right.
+        _check_point(p, params, table)
+        z = 0
+        for i, c in enumerate(p):
+            while c:
+                z |= spread[c & 255] << i
+                c >>= 8
+                i += stride
+        k = -(-z.bit_length() // n)  # levels the point occupies
+        if (m - k) & 1:
+            t = ((z >> top) ^ z) & rep
+            z ^= t ^ (t << top)
+        index = 0
+        for shift in range(n * (k - 1), -1, -n):
+            g = (z >> shift) & low
+            index = (index << n) | rank[g]
+            # Bits of levels already read may change too; they are not read again.
+            z ^= flip[g] * rep
+            if swap[g] is not None:
+                d, mask = swap[g]
+                t = ((z >> d) ^ z) & mask
+                z ^= t ^ (t << d)
+        return index
+
+    return key
 
 
 def _encode_fast(

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hilbertorder import cli, gene
 from hilbertorder.cli import main
 from hilbertorder.core_bits import CurveParams, index_to_integer
-from hilbertorder.encode import encode_bits
+from hilbertorder.encode import encode_arith, encode_bits
 from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
 
 DIGIT_CAP = 4300  # CPython's default int_max_str_digits
@@ -207,6 +210,22 @@ class TestStrictDecimals:
             assert "too long" in err
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("command", [
+        ["sort", "--dim", "2", "--level", "4", "{path}", "{out}"],
+        ["encode", "--dim", "2", "--level", "4", "--input", "{path}"],
+        ["decode", "--dim", "2", "--level", "4", "--input", "{path}"],
+    ], ids=["sort", "encode", "decode"])
+    def test_one_error_line(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1 1\n")
+        argv = [a.format(path=path, out=tmp_path / "out.txt") for a in command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: not UTF-8 text: byte 0 cannot be decoded\n"
+
+
 class TestRoundTripThroughText:
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
     def test_every_cell_survives_formatting(self, capsys, n, m):
@@ -257,6 +276,24 @@ class TestSortCommand:
             for row in rows
         ]
         assert keys == sorted(keys)
+
+    def test_index_wider_than_64_bits(self, capsys, tmp_path):
+        rng = random.Random(11)
+        points = [
+            tuple(rng.randrange(2 ** rng.randrange(41)) for _ in range(3)) for _ in range(300)
+        ]
+        source = tmp_path / "cloud.txt"
+        source.write_text("".join(" ".join(map(str, p)) + "\n" for p in points))
+        target = tmp_path / "cloud-sorted.txt"
+        code, _, _ = run(capsys, "sort", "--dim", "3", "--level", "40",
+                         str(source), str(target))
+        assert code == 0
+        params = CurveParams(3, 40)
+        table = gene_table(3)
+        expected = sorted(
+            points, key=lambda p: index_to_integer(encode_arith(p[::-1], params, table)[0])
+        )
+        assert target.read_text().splitlines() == [" ".join(map(str, p)) for p in expected]
 
     def test_binary_round_trip(self, capsys, tmp_path):
         points_display = [(1, 0), (0, 0), (1, 1), (0, 1)]
@@ -391,6 +428,120 @@ class TestBenchCommand:
         code, _, err = run(capsys, "bench", option, value)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _not_an_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+# Numbers stay small so that no example asks for minutes of honest work
+# (a gene table at n = 20, a curve walk at n * m = 24); the malformed
+# inputs are the junk tokens and the file bytes.
+SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
+DIM = st.one_of(st.sampled_from(["2", "3"]), SMALL)
+JUNK = st.text(max_size=6).filter(_not_an_int)
+FILE, OUT = "<file>", "<out>"
+LEVEL = st.one_of(SMALL, st.sampled_from(["40", "64"]), JUNK)
+LIST = st.lists(st.one_of(SMALL, JUNK), max_size=4).map(",".join)
+TOKEN = st.one_of(SMALL, JUNK, st.sampled_from([FILE, OUT, "-h", "digits:1.2"]))
+TOKENS = st.lists(TOKEN, max_size=4)
+NONE = st.one_of(st.just([]), TOKENS)
+# Per subcommand: the options every valid call needs, the optional ones
+# (None for a flag) and its positional tokens.
+COMMANDS = {
+    "encode": ({"--dim": DIM, "--level": LEVEL},
+               {"--algo": SMALL, "--input": st.just(FILE), "--digits": None}, TOKENS),
+    "decode": ({"--dim": DIM, "--level": LEVEL},
+               {"--algo": SMALL, "--input": st.just(FILE)}, TOKENS),
+    "sort": ({"--dim": DIM, "--level": LEVEL}, {},
+             st.one_of(st.just([FILE, OUT]), TOKENS)),
+    "gene": ({"--dim": DIM}, {"--dump-text": None}, NONE),
+    "validate": ({"--dim": DIM},
+                 {"--max-level": st.sampled_from(["-1", "0", "1", "2"]), "--records": None},
+                 NONE),
+    "bench": ({}, {"--point": LIST, "--levels": LIST, "--repeats": SMALL, "--records": None},
+              NONE),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional, positional = COMMANDS[command]
+    options = {**required, **optional}
+    names = list(required)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:  # now and then: any options at all
+        names = draw(st.lists(st.sampled_from(sorted(options)), max_size=4))
+    names += draw(st.lists(st.sampled_from(sorted(optional)), max_size=2)) if optional else []
+    argv = [command]
+    for name in names:
+        argv.append(name)
+        if options[name] is not None:
+            argv.append(draw(options[name]))
+    return argv + draw(positional)
+
+
+def _file_call(command, dim, level):
+    if command == "sort":
+        return [command, "--dim", dim, "--level", level, FILE, OUT]
+    return [command, "--dim", dim, "--level", level, "--input", FILE]
+
+
+# Half the examples are well-formed calls that read the fuzzed file.
+ARGVS = st.one_of(
+    argvs(),
+    st.builds(_file_call, st.sampled_from(["sort", "encode", "decode"]), DIM,
+              st.sampled_from(["0", "1", "4", "40", "64"])),
+)
+
+
+def _text_file(rows):
+    return "\n".join(" ".join(row) for row in rows).encode()
+
+
+ROW_TOKEN = st.one_of(
+    st.integers(min_value=0, max_value=20).map(str),
+    st.integers(min_value=0, max_value=2**70).map(str),
+    JUNK,
+    st.sampled_from(["#", ",", "digits:3.0", "digits:1"]),
+)
+TEXT_FILE = st.lists(st.lists(ROW_TOKEN, max_size=4), max_size=5).map(_text_file)
+FILE_BYTES = st.one_of(
+    st.binary(max_size=80),
+    TEXT_FILE,
+    st.tuples(TEXT_FILE, st.binary(min_size=1, max_size=4), TEXT_FILE).map(b"".join),
+    st.builds(
+        lambda version, dim, count, payload: cli.POINT_MAGIC + bytes([version])
+        + dim.to_bytes(2, "little") + count.to_bytes(8, "little") + payload,
+        st.sampled_from([0, 1, 2]),
+        st.integers(min_value=0, max_value=65535) | st.sampled_from([2, 3]),
+        st.integers(min_value=0, max_value=2**64 - 1) | st.integers(min_value=0, max_value=3),
+        st.binary(max_size=64),
+    ),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(argv=ARGVS, blob=FILE_BYTES)
+    def test_no_traceback(self, tmp_path_factory, argv, blob):
+        work = tmp_path_factory.getbasetemp()
+        path = work / "fuzz-input"
+        path.write_bytes(blob)
+        argv = [{FILE: str(path), OUT: str(work / "fuzz-out")}.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and -h
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() + out.getvalue()
 
 
 class TestModuleEntryPoint:

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder.core_bits import CurveParams, HilbertIndex, index_to_integer
 from hilbertorder.encode import (
+    curve_key,
     effective_level,
     encode_arith,
     encode_arith_fast,
@@ -80,11 +82,13 @@ class TestFourWayEquivalence:
     def test_exhaustive_small(self, n, m):
         params = CurveParams(n, m)
         table = TABLES[n]
+        key = curve_key(params, table)
         seen = set()
         for point in grid(n, m):
             results = [encoder(point, params, table)[0] for encoder in ENCODERS]
             assert results[0] == results[1] == results[2] == results[3]
             seen.add(index_to_integer(results[0]))
+            assert key(point) == index_to_integer(results[0])
         # Encoding the whole grid is a bijection onto the index range.
         assert seen == set(range(2 ** (n * m)))
 
@@ -178,3 +182,49 @@ class TestDegenerateAndErrors:
     def test_wrong_table_dimension(self):
         with pytest.raises(DimensionMismatchError):
             encode_arith((1, 1), CurveParams(2, 2), TABLES[3])
+
+
+@st.composite
+def curve_points(draw):
+    """(n, m, point) with the point below 2**k for a random k <= m, so
+    both odd and even counts of skipped levels occur."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=40))
+    k = draw(st.integers(min_value=0, max_value=m))
+    point = tuple(draw(st.integers(min_value=0, max_value=2**k - 1)) for _ in range(n))
+    return n, m, point
+
+
+KEY_TABLES = {n: gene_table(n) for n in range(2, 9)}
+
+
+class TestCurveKey:
+    @settings(max_examples=300, deadline=None)
+    @given(curve_points())
+    @example((2, 0, (0, 0)))  # level 0: the key is 0
+    @example((3, 40, (0, 0, 0)))
+    @example((2, 7, (1, 0)))  # six skipped levels
+    @example((2, 8, (1, 0)))  # seven skipped levels
+    @example((8, 40, (2**40 - 1,) * 8))  # n * m = 320
+    @example((5, 40, (2**39, 0, 3, 2**17, 1)))
+    def test_equals_encode_arith(self, case):
+        n, m, point = case
+        params = CurveParams(n, m)
+        table = KEY_TABLES[n]
+        expected = index_to_integer(encode_arith(point, params, table)[0])
+        assert curve_key(params, table)(point) == expected
+
+    @pytest.mark.parametrize(
+        "point",
+        [(1, 1, 1), (1,), (-1, 0), (0, -5), (True, False), (0, True), (4, 0), (0, 2**70), (1.0, 0)],
+    )
+    def test_rejects_what_the_variants_reject(self, point):
+        params = CurveParams(2, 2)
+        with pytest.raises(DomainError) as reference:
+            encode_arith(point, params, TABLES[2])
+        with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
+            curve_key(params, TABLES[2])(point)
+
+    def test_wrong_table_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            curve_key(CurveParams(2, 2), TABLES[3])
