@@ -10,6 +10,9 @@ count as eight, followed by 64-bit little-endian components per record.
 Indices print in decimal while ``n * m <= 64`` and as a marked digit
 string (``digits:3.2.1``, most significant first) beyond that;
 ``--digits`` adds the digit form unconditionally.
+
+``encode`` and ``sort`` key points with ``curve_key`` and ``decode`` runs
+``decode_arith``.  A bad row in any input file is named by its row.
 """
 
 from __future__ import annotations
@@ -18,20 +21,15 @@ import argparse
 import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .core_bits import (
-    Coordinate,
-    CurveParams,
-    HilbertIndex,
-    index_to_integer,
-    integer_to_index,
-)
-from .decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
-from .encode import ENCODERS, curve_key, encode_bits
-from .errors import DomainError, HilbertError, PointFileError
+from .core_bits import Coordinate, CurveParams, HilbertIndex, integer_to_index
+from .decode import decode_arith
+from .encode import curve_key
+from .errors import DomainError, HilbertError, PointFileError, ResourceLimitError
 from .gene import format_table_text, gene_table, validate_gene_table
 from .oracle import (
+    ENUMERATION_MAX_BITS,
     benchmark_records,
     enumerate_recursive,
     format_benchmark_text,
@@ -41,9 +39,6 @@ from .oracle import (
 POINT_MAGIC = b"HPTS"
 POINT_FORMAT_VERSION = 1
 _POINT_HEADER = len(POINT_MAGIC) + 1 + 2 + 8
-
-_ENCODERS = {algo: encoder for algo, (_, encoder) in enumerate(ENCODERS, start=1)}
-_DECODERS = {1: decode_arith, 2: decode_bits, 3: decode_arith_fast, 4: decode_bits_fast}
 
 DIGIT_PREFIX = "digits:"
 
@@ -71,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     encode = sub.add_parser("encode", help="map coordinates to curve indices")
     _add_curve_args(encode)
-    encode.add_argument("--algo", type=int, choices=(1, 2, 3, 4), default=1,
-                        help="1 arith, 2 bit ops, 3 arith fast, 4 bit ops fast")
     encode.add_argument("--input", type=Path, help="point file (text or binary)")
     encode.add_argument("--digits", action="store_true",
                         help="also print the radix 2**n digit form")
@@ -82,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     decode = sub.add_parser("decode", help="map curve indices back to coordinates")
     _add_curve_args(decode)
-    decode.add_argument("--algo", type=int, choices=(1, 2, 3, 4), default=1,
-                        help="1 arith, 2 bit ops, 3 arith fast, 4 bit ops fast")
     decode.add_argument("--input", type=Path, help="text file with one index per line")
     decode.add_argument("indices", nargs="*", metavar="Z",
                         help="index values, decimal or digits:..-form")
@@ -131,18 +122,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if bool(args.coords) == (args.input is not None):
         raise DomainError("give exactly one point as arguments or use --input")
     if args.input is not None:
-        points = [point for point, _ in _read_points(args.input, params.n)]
+        keys = [z for z, _ in _key_points(args.input, params)]
     else:
-        if len(args.coords) != params.n:
-            raise DomainError(
-                f"expected {params.n} components, got {len(args.coords)}"
-            )
-        points = [tuple(reversed([_parse_decimal(c, "component") for c in args.coords]))]
-    table = gene_table(params.n)
-    encoder = _ENCODERS[args.algo]
-    for point in points:
-        idx, _ = encoder(point, params, table)
-        print(_format_index_line(idx, args.digits))
+        point = _parse_point(args.coords, params.n)
+        keys = [curve_key(params, gene_table(params.n))(point)]
+    for z in keys:
+        print(_format_index_line(z, params, args.digits))
     return 0
 
 
@@ -158,28 +143,20 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             f"the {limit}-digit limit of sys.get_int_max_str_digits()"
         )
     if args.input is not None:
-        tokens = _read_index_tokens(args.input)
+        rows = _parse_text_rows(args.input, lambda line: _parse_index_token(line, params))
+        indices = [idx for idx, _ in rows]
     else:
-        tokens = list(args.indices)
+        indices = [_parse_index_token(token, params) for token in args.indices]
     table = gene_table(params.n)
-    decoder = _DECODERS[args.algo]
-    for token in tokens:
-        idx = _parse_index_token(token, params)
-        point, _ = decoder(idx, params, table)
+    points = [decode_arith(idx, params, table)[0] for idx in indices]
+    for point in points:
         print(_format_point(point))
     return 0
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
-    labelled = _read_points(args.input, params.n)
-    key = curve_key(params, gene_table(params.n))
-    keyed = []
-    for point, label in labelled:
-        try:
-            keyed.append((key(point), point))
-        except DomainError as exc:
-            raise PointFileError(f"{args.input}: {label}: {exc}") from exc
+    keyed = _key_points(args.input, params)
     keyed.sort(key=itemgetter(0))  # stable: ties keep input order
     ordered = [point for _, point in keyed]
     if _looks_binary(args.input):
@@ -200,6 +177,12 @@ def _cmd_gene(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     params_check = CurveParams(args.dim, max(args.max_level, 0))
+    top = ENUMERATION_MAX_BITS // params_check.n
+    if params_check.m > top:
+        raise ResourceLimitError(
+            f"--max-level {params_check.m} is above {top}, the largest allowed at dimension "
+            f"{params_check.n}: a curve walk is capped at 2**{ENUMERATION_MAX_BITS} points"
+        )
     table = gene_table(params_check.n)
     results = []
     report = validate_gene_table(table)
@@ -225,14 +208,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _walk_matches_codecs(enumeration, params: CurveParams, table) -> tuple[bool, str]:
+    """Hold the codecs the CLI runs against the recursive enumeration."""
+    key = curve_key(params, table)
     for z, expected in enumerate(enumeration.points):
-        idx = integer_to_index(z, params)
-        decoded, _ = decode_bits(idx, params, table)
+        decoded, _ = decode_arith(integer_to_index(z, params), params, table)
         if decoded != expected:
             return False, f"index {z} decodes to {decoded}, enumeration holds {expected}"
-        encoded, _ = encode_bits(expected, params, table)
-        if encoded != idx:
-            return False, f"point {expected} encodes to {encoded.digits}, expected index {z}"
+        encoded = key(expected)
+        if encoded != z:
+            return False, f"point {expected} encodes to {encoded}, expected index {z}"
     return True, f"{len(enumeration.points)} points"
 
 
@@ -268,13 +252,16 @@ def _format_point(point: Coordinate) -> str:
     return " ".join(str(c) for c in reversed(point))
 
 
-def _format_index_line(idx: HilbertIndex, force_digits: bool) -> str:
-    small = idx.n * len(idx.digits) <= 64
+def _format_index_line(z: int, params: CurveParams, force_digits: bool) -> str:
+    n, m = params.n, params.m
+    small = n * m <= 64
     parts = []
     if small:
-        parts.append(str(index_to_integer(idx)))
+        parts.append(str(z))
     if force_digits or not small:
-        parts.append(DIGIT_PREFIX + ".".join(str(d) for d in idx.digits))
+        low = (1 << n) - 1
+        digits = [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
+        parts.append(DIGIT_PREFIX + ".".join(map(str, digits)))
     return " ".join(parts)
 
 
@@ -304,28 +291,44 @@ def _parse_index_token(token: str, params: CurveParams) -> HilbertIndex:
     return integer_to_index(_parse_decimal(token, "index value"), params)
 
 
-def _read_index_tokens(path: Path) -> list[str]:
-    tokens = []
-    for raw in _read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens.append(line)
-    return tokens
+def _parse_text_rows(path: Path, parse: Callable[[str], object]) -> list[tuple]:
+    """Parse each line of a UTF-8 file that is not blank or a ``#`` comment.
 
-
-def _read_text(path: Path) -> str:
+    Returns (value, row label) pairs; a line that ``parse`` rejects names its line.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise PointFileError(
             f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded"
         ) from None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            try:
+                rows.append((parse(line), f"line {lineno}"))
+            except DomainError as exc:
+                raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
+    return rows
 
 
 def _looks_binary(path: Path) -> bool:
     with open(path, "rb") as handle:
         return handle.read(len(POINT_MAGIC)) == POINT_MAGIC
+
+
+def _key_points(path: Path, params: CurveParams) -> list[tuple[int, Coordinate]]:
+    """(curve_key, point) of every point in a file, in file order; a bad point names its row."""
+    labelled = _read_points(path, params.n)
+    key = curve_key(params, gene_table(params.n))
+    keyed = []
+    for point, label in labelled:
+        try:
+            keyed.append((key(point), point))
+        except DomainError as exc:
+            raise PointFileError(f"{path}: {label}: {exc}") from exc
+    return keyed
 
 
 def _read_points(path: Path, n: int) -> list[tuple[Coordinate, str]]:
@@ -339,22 +342,14 @@ def _read_points(path: Path, n: int) -> list[tuple[Coordinate, str]]:
 
 
 def _read_points_text(path: Path, n: int) -> list[tuple[Coordinate, str]]:
-    points = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != n:
-            raise PointFileError(
-                f"{path}: line {lineno}: expected {n} components, found {len(parts)}"
-            )
-        try:
-            display = [_parse_decimal(part, "component") for part in parts]
-        except DomainError as exc:
-            raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
-        points.append((tuple(reversed(display)), f"line {lineno}"))
-    return points
+    return _parse_text_rows(path, lambda line: _parse_point(line.replace(",", " ").split(), n))
+
+
+def _parse_point(parts: Sequence[str], n: int) -> Coordinate:
+    """Read components written ``x_n .. x_1`` as the point ``(x_1, .., x_n)``."""
+    if len(parts) != n:
+        raise DomainError(f"expected {n} components, found {len(parts)}")
+    return tuple(reversed([_parse_decimal(part, "component") for part in parts]))
 
 
 def _write_points_text(path: Path, points: Iterable[Coordinate]) -> None:

@@ -10,9 +10,9 @@ Four variants compute the same index:
   so the skipped levels collapse to at most one up-front swap.
 
 These four are the reference code the paper studies.  The production
-encoder behind ``hilbert sort`` is :func:`curve_key`, which computes
-the same index as one ``int`` with per-level work that does not grow
-with ``n``.
+encoder behind ``hilbert sort`` and ``hilbert encode`` is
+:func:`curve_key`, which computes the same index as one ``int`` with
+per-level work that does not grow with ``n``.
 
 Each variant walks levels top down.  Per level it reads the current
 top bit of every component (giving the quadrant digit through the
@@ -80,8 +80,8 @@ def encode_bits_fast(
     return _encode_fast(p, params, table, _digits_bits)
 
 
-# The four variants in --algo order; the CLI and the counter benchmark
-# both read this list.
+# The four variants in a fixed order; the counter benchmark in
+# ``oracle`` reads this list.
 ENCODERS = (
     ("arith", encode_arith),
     ("bits", encode_bits),

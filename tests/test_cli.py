@@ -33,17 +33,13 @@ def run(capsys, *argv):
 
 
 class TestEncodeCommand:
-    @pytest.mark.parametrize("algo", ["1", "2", "3", "4"])
-    def test_single_point(self, capsys, algo):
-        code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "2",
-                           "--algo", algo, "1", "1")
+    def test_single_point(self, capsys):
+        code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "2", "1", "1")
         assert code == 0
         assert out == "2\n"
 
-    @pytest.mark.parametrize("algo", ["1", "2", "3", "4"])
-    def test_algorithms_agree(self, capsys, algo):
-        code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "2",
-                           "--algo", algo, "3", "0")
+    def test_last_cell(self, capsys):
+        code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "2", "3", "0")
         assert code == 0
         assert out == "15\n"
 
@@ -114,9 +110,28 @@ class TestEncodeCommand:
         assert code == 2
         assert "expected 3 components" in err
 
-    def test_unknown_algorithm_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["encode", "--dim", "2", "--level", "2", "--algo", "9", "1", "1"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), m=st.integers(0, 40), digits=st.booleans())
+    def test_input_file_matches_reference(self, tmp_path_factory, data, n, m, digits):
+        # Points below 2**k for k <= m, so the top digits are often zero.
+        k = data.draw(st.integers(0, m))
+        component = st.integers(0, (1 << k) - 1)
+        points = data.draw(st.lists(st.tuples(*[component] * n), min_size=1, max_size=4))
+        path = tmp_path_factory.mktemp("encode") / "points.txt"
+        path.write_text("".join(" ".join(map(str, p[::-1])) + "\n" for p in points))
+        argv = ["encode", "--dim", str(n), "--level", str(m), "--input", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--digits"] * digits) == 0
+        params, table = CurveParams(n, m), gene_table(n)
+        expected = []
+        for p in points:
+            idx, _ = encode_arith(p, params, table)
+            parts = [str(index_to_integer(idx))] if n * m <= 64 else []
+            if digits or n * m > 64:
+                parts.append("digits:" + ".".join(map(str, idx.digits)))
+            expected.append(" ".join(parts))
+        assert out.getvalue().splitlines() == expected
 
 
 class TestDecodeCommand:
@@ -135,10 +150,8 @@ class TestDecodeCommand:
         assert code == 0
         assert out == "0 0 0\n"
 
-    @pytest.mark.parametrize("algo", ["1", "2", "3", "4"])
-    def test_algorithms_agree(self, capsys, algo):
-        code, out, _ = run(capsys, "decode", "--dim", "2", "--level", "2",
-                           "--algo", algo, "15")
+    def test_last_cell(self, capsys):
+        code, out, _ = run(capsys, "decode", "--dim", "2", "--level", "2", "15")
         assert code == 0
         assert out == "3 0\n"
 
@@ -193,6 +206,20 @@ BAD_TOKENS = {
     "hex": "0x1",
     "too-long": "1" * (DIGIT_CAP + 1),
 }
+
+
+class TestFileErrorsNameTheirRow:
+    @pytest.mark.parametrize("command,rows", [
+        (["encode", "--dim", "2", "--level", "2", "--input"], "1 1\n1 9\n"),
+        (["decode", "--dim", "2", "--level", "2", "--input"], "1\n99\n"),
+    ], ids=["encode", "decode"])
+    def test_nothing_printed_before_the_error(self, capsys, tmp_path, command, rows):
+        path = tmp_path / "rows.txt"
+        path.write_text(rows)
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: line 2: ") and err.count("\n") == 1
 
 
 class TestStrictDecimals:
@@ -383,6 +410,17 @@ class TestValidateCommand:
         assert out.splitlines()[-1] == "FAIL"
         assert any(line.startswith("FAIL gene-quadrant-zero") for line in out.splitlines())
 
+    def test_refuses_a_level_above_the_walk_guard_up_front(self, capsys, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("no curve may be walked")
+
+        monkeypatch.setattr(cli, "enumerate_recursive", walk)
+        code, out, err = run(capsys, "validate", "--dim", "5", "--max-level", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --max-level 5 is above 4, the largest allowed")
+        assert err.count("\n") == 1
+
     def test_validates_the_table_once_per_run(self, capsys, monkeypatch):
         calls = []
 
@@ -454,9 +492,8 @@ NONE = st.one_of(st.just([]), TOKENS)
 # (None for a flag) and its positional tokens.
 COMMANDS = {
     "encode": ({"--dim": DIM, "--level": LEVEL},
-               {"--algo": SMALL, "--input": st.just(FILE), "--digits": None}, TOKENS),
-    "decode": ({"--dim": DIM, "--level": LEVEL},
-               {"--algo": SMALL, "--input": st.just(FILE)}, TOKENS),
+               {"--input": st.just(FILE), "--digits": None}, TOKENS),
+    "decode": ({"--dim": DIM, "--level": LEVEL}, {"--input": st.just(FILE)}, TOKENS),
     "sort": ({"--dim": DIM, "--level": LEVEL}, {},
              st.one_of(st.just([FILE, OUT]), TOKENS)),
     "gene": ({"--dim": DIM}, {"--dump-text": None}, NONE),
