@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hilbertorder import cli, gene
 from hilbertorder.cli import main
-from hilbertorder.core_bits import CurveParams, index_to_integer
-from hilbertorder.encode import encode_arith, encode_bits
+from hilbertorder.core_bits import CurveParams, index_to_integer, integer_to_index
+from hilbertorder.decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
+from hilbertorder.encode import ENCODERS, encode_arith, encode_bits
 from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
 
 DIGIT_CAP = 4300  # CPython's default int_max_str_digits
@@ -32,16 +33,42 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The paper's four encoders and four decoders, numbered 1..4 in the order
+# arithmetic, bit-operation, arithmetic fast, bit-operation fast.
+VARIANTS = ("1", "2", "3", "4")
+VARIANT_ENCODERS = dict(zip(VARIANTS, (encoder for _, encoder in ENCODERS)))
+VARIANT_DECODERS = dict(zip(VARIANTS, (decode_arith, decode_bits,
+                                       decode_arith_fast, decode_bits_fast)))
+
+
+def variant_encode(variant, display, n, m):
+    """Encode a point written as the CLI writes it, last coordinate first."""
+    params = CurveParams(n, m)
+    idx, _ = VARIANT_ENCODERS[variant](tuple(reversed(display)), params, gene_table(n))
+    return index_to_integer(idx)
+
+
+def variant_decode(variant, z, n, m):
+    """Decode ``z`` and return the point as the CLI writes it, last coordinate first."""
+    params = CurveParams(n, m)
+    point, _ = VARIANT_DECODERS[variant](integer_to_index(z, params), params, gene_table(n))
+    return tuple(reversed(point))
+
+
 class TestEncodeCommand:
-    def test_single_point(self, capsys):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_single_point(self, capsys, variant):
         code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "2", "1", "1")
         assert code == 0
         assert out == "2\n"
+        assert out == f"{variant_encode(variant, (1, 1), 2, 2)}\n"
 
-    def test_last_cell(self, capsys):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_algorithms_agree(self, capsys, variant):
         code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "2", "3", "0")
         assert code == 0
         assert out == "15\n"
+        assert out == f"{variant_encode(variant, (3, 0), 2, 2)}\n"
 
     def test_five_dim_origin(self, capsys):
         code, out, _ = run(capsys, "encode", "--dim", "5", "--level", "1",
@@ -150,10 +177,12 @@ class TestDecodeCommand:
         assert code == 0
         assert out == "0 0 0\n"
 
-    def test_last_cell(self, capsys):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_algorithms_agree(self, capsys, variant):
         code, out, _ = run(capsys, "decode", "--dim", "2", "--level", "2", "15")
         assert code == 0
         assert out == "3 0\n"
+        assert out == " ".join(map(str, variant_decode(variant, 15, 2, 2))) + "\n"
 
     def test_digit_form_token(self, capsys):
         code, out, _ = run(capsys, "decode", "--dim", "2", "--level", "2", "digits:3.1")
