@@ -26,6 +26,7 @@ from .core_bits import (
     vec_to_scalar,
 )
 from .decode import (
+    curve_point,
     decode_arith,
     decode_arith_fast,
     decode_bits,
@@ -98,6 +99,7 @@ __all__ = [
     "cached_gene_table",
     "coord_xor",
     "curve_key",
+    "curve_point",
     "decode_arith",
     "decode_arith_fast",
     "decode_bits",

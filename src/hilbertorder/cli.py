@@ -11,8 +11,9 @@ Indices print in decimal while ``n * m <= 64`` and as a marked digit
 string (``digits:3.2.1``, most significant first) beyond that;
 ``--digits`` adds the digit form unconditionally.
 
-``encode`` and ``sort`` key points with ``curve_key`` and ``decode`` runs
-``decode_arith``.  A bad row in any input file is named by its row.
+``encode`` and ``sort`` key points with the production encoder
+``curve_key``; ``decode`` runs the production decoder ``curve_point``.
+A bad row in any input file is named by its row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .core_bits import Coordinate, CurveParams, HilbertIndex, integer_to_index
-from .decode import decode_arith
+from .decode import curve_point
 from .encode import curve_key
 from .errors import DomainError, HilbertError, PointFileError, ResourceLimitError
 from .gene import format_table_text, gene_table, validate_gene_table
@@ -142,15 +143,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             f"level {params.m} is above {top}: coordinates below 2**{params.m} can exceed "
             f"the {limit}-digit limit of sys.get_int_max_str_digits()"
         )
+    point = curve_point(params, gene_table(params.n))
     if args.input is not None:
-        rows = _parse_text_rows(args.input, lambda line: _parse_index_token(line, params))
-        indices = [idx for idx, _ in rows]
+        rows = _parse_text_rows(args.input, lambda line: point(_index_digits(line, params)))
+        points = [p for p, _ in rows]
     else:
-        indices = [_parse_index_token(token, params) for token in args.indices]
-    table = gene_table(params.n)
-    points = [decode_arith(idx, params, table)[0] for idx in indices]
-    for point in points:
-        print(_format_point(point))
+        points = [point(_index_digits(token, params)) for token in args.indices]
+    for p in points:
+        print(_format_point(p))
     return 0
 
 
@@ -210,8 +210,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _walk_matches_codecs(enumeration, params: CurveParams, table) -> tuple[bool, str]:
     """Hold the codecs the CLI runs against the recursive enumeration."""
     key = curve_key(params, table)
+    point = curve_point(params, table)
     for z, expected in enumerate(enumeration.points):
-        decoded, _ = decode_arith(integer_to_index(z, params), params, table)
+        decoded = point(integer_to_index(z, params).digits)
         if decoded != expected:
             return False, f"index {z} decodes to {decoded}, enumeration holds {expected}"
         encoded = key(expected)
@@ -278,6 +279,24 @@ def _parse_decimal(token: str, what: str) -> int:
         ) from None
 
 
+def _index_digits(token: str, params: CurveParams) -> Sequence[int]:
+    """Digits of an index token, most significant first; ``curve_point`` checks them.
+
+    A ``digits:`` token of plain ASCII digits and dots takes one split
+    and one ``int`` per digit; any other token, and any that fails here,
+    goes through the strict :func:`_parse_index_token` and its messages.
+    """
+    if token.startswith(DIGIT_PREFIX):
+        parts = token[len(DIGIT_PREFIX):].split(".")
+        body = "".join(parts)
+        if body.isascii() and body.isdigit():
+            try:
+                return list(map(int, parts))
+            except ValueError:  # an empty digit, or one past the decimal digit cap
+                pass
+    return _parse_index_token(token, params).digits
+
+
 def _parse_index_token(token: str, params: CurveParams) -> HilbertIndex:
     if token.startswith(DIGIT_PREFIX):
         body = token[len(DIGIT_PREFIX):]
@@ -303,7 +322,9 @@ def _parse_text_rows(path: Path, parse: Callable[[str], object]) -> list[tuple]:
             f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded"
         ) from None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line (strip() takes a "\r" before it): str.splitlines()
+    # would also split at form feeds and other separators, miscounting lines.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             try:

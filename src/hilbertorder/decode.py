@@ -6,11 +6,16 @@ quadrant's exchange and reverse commands before adding the quadrant
 offset.  The fast variants stop after the highest nonzero digit; the
 levels above it would each contribute only a swap of components 1 and
 ``n``, folded into one final conditional swap.
+
+These four are the reference code the paper studies.  The production
+decoder behind ``hilbert decode`` and ``hilbert validate`` is
+:func:`curve_point`, which packs the components into one ``int`` so
+that the per-digit work does not grow with ``n``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core_bits import Coordinate, CurveParams, HilbertIndex, gray_code, reflect
 from .encode import StepCounter
@@ -63,6 +68,76 @@ def decode_bits_fast(
 ) -> tuple[Coordinate, StepCounter]:
     """Decode with bit-operation updates, stopping at the highest nonzero digit."""
     return _decode_fast(idx, params, table, _coords_bits)
+
+
+def curve_point(
+    params: CurveParams, table: GeneTable
+) -> Callable[[Sequence[int]], Coordinate]:
+    """Return the production decoder of one curve: an index's digits to its point.
+
+    The returned function takes the ``m`` radix ``2**n`` digits most
+    significant first, as in ``HilbertIndex.digits``, rejects what
+    ``HilbertIndex`` and ``decode_arith`` reject with the same messages
+    (the digit count first), and equals
+    ``decode_arith(HilbertIndex(n, digits), params, table)[0]``.
+    Component ``i + 1`` lives in the ``m``-bit field at bit ``i * m`` of
+    one integer ``x``, the decoding mirror of :func:`encode.curve_key`.
+    Per digit ``r``, bottom up with ``v`` bits already placed per field,
+    the exchange is one delta swap of two fields; the reverse command
+    (the low ``v`` bits of the reversed fields) and the quadrant offset
+    (``gray(r)``, one bit per field, at bit ``v``) are one more xor.
+    The per-digit work does not grow with ``n``.
+    """
+    n, m = params.n, params.m
+    table.check_dimension(n)
+    size = 1 << n
+    field = (1 << m) - 1
+    # Per digit r: its exchange as the distance between the two fields
+    # and the mask of the lower one ((0, 0) when it has none; quadrants
+    # with the same pair share one mask), ``flip`` with bit 0 of every
+    # field reverse_slots[r] names, and ``offset`` with bit 0 of every
+    # field whose bit in gray(r) is set.
+    masks: dict[tuple[int, int], int] = {}
+    steps = []
+    for r in range(size):
+        d = mask = 0
+        if table.swap_pairs[r] is not None:
+            a, b = table.swap_pairs[r]
+            d, mask = (b - a) * m, masks.setdefault((a, b), field << (a * m))
+        flip = sum(1 << (i * m) for i in table.reverse_slots[r])
+        g = r ^ (r >> 1)
+        offset = sum(1 << (i * m) for i in range(n) if (g >> i) & 1)
+        steps.append((d, mask, flip + offset, offset))
+    shifts = range(0, n * m, m) if m else [0] * n
+
+    def reject(digits: Sequence[int]) -> None:
+        if len(digits) != m:
+            raise DomainError(f"index has {len(digits)} digits, curve level is {m}")
+        HilbertIndex(n, tuple(digits))  # raises on the first bad digit
+
+    def point(digits: Sequence[int]) -> Coordinate:
+        try:
+            if len(digits) != m or (m and not 0 <= min(digits) <= max(digits) < size):
+                reject(digits)
+            x = 0
+            low = 0  # (1 << v) - 1: the v bits already placed in every field
+            for r in reversed(digits):
+                d, mask, flip_offset, offset = steps[r]
+                t = ((x >> d) ^ x) & mask
+                # Exchange, then reverse the low v bits of the flipped
+                # fields (flip * low) and set bit v of the offset fields
+                # (offset << v).  Bit v is still zero in every field and
+                # the two touch disjoint bits, so one xor with their sum,
+                # flip * low + offset * (low + 1) = flip_offset * low + offset,
+                # does both.
+                x ^= t ^ (t << d) ^ (flip_offset * low + offset)
+                low += low + 1
+        except TypeError:  # a digit that is not an int
+            reject(digits)
+            raise
+        return tuple([(x >> s) & field for s in shifts])
+
+    return point
 
 
 def _decode_fast(

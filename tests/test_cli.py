@@ -10,8 +10,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hilbertorder import cli, gene
 from hilbertorder.cli import main
 from hilbertorder.core_bits import CurveParams, index_to_integer, integer_to_index
-from hilbertorder.decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
+from hilbertorder.decode import (
+    curve_point, decode_arith, decode_arith_fast, decode_bits, decode_bits_fast,
+)
 from hilbertorder.encode import ENCODERS, encode_arith, encode_bits
+from hilbertorder.errors import DomainError
 from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
 
 DIGIT_CAP = 4300  # CPython's default int_max_str_digits
@@ -214,6 +217,100 @@ class TestDecodeCommand:
             code, out, err = run(capsys, "decode", "--dim", "2", "--level", str(level), token)
             assert code == expected
         assert "level 14285 is above 14284" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), m=st.integers(0, 40))
+    def test_input_file_matches_reference(self, tmp_path_factory, data, n, m):
+        # Indices below 2**(n * k) for k <= m, so the top digits are often
+        # zero; each is written in decimal or as a digits: token.
+        k = data.draw(st.integers(0, m))
+        indices = data.draw(st.lists(st.integers(0, (1 << (n * k)) - 1), min_size=1, max_size=4))
+        params = CurveParams(n, m)
+        tokens = []
+        for z in indices:
+            if data.draw(st.booleans()):
+                tokens.append("digits:" + ".".join(map(str, integer_to_index(z, params).digits)))
+            else:
+                tokens.append(str(z))
+        path = tmp_path_factory.mktemp("decode") / "indices.txt"
+        path.write_text("".join(token + "\n" for token in tokens))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["decode", "--dim", str(n), "--level", str(m), "--input", str(path)]) == 0
+        table = gene_table(n)
+        expected = [cli._format_point(decode_arith(integer_to_index(z, params), params, table)[0])
+                    for z in indices]
+        assert out.getvalue().splitlines() == expected
+
+
+# Malformed digits: tokens, with the level they are read at (n = 2).
+BAD_DIGIT_TOKENS = {
+    "empty-digit": ("digits:1..2", 3),
+    "leading-dot": ("digits:.1", 2),
+    "trailing-dot": ("digits:1.", 2),
+    "digit-too-large": ("digits:4.0", 2),
+    "too-many-digits": ("digits:1.2.3", 2),
+    "plus-sign": ("digits:+1.0", 2),
+    "non-ascii-digit": ("digits:\u0661.0", 2),
+    "over-long-digit": ("digits:" + "1" * (DIGIT_CAP + 1) + ".0", 2),
+}
+
+
+class TestDigitTokenMessages:
+    """A malformed digits: token gets the strict parser's message, as argument and as row."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_DIGIT_TOKENS))
+    @pytest.mark.parametrize("as_row", [False, True], ids=["argument", "row"])
+    def test_same_message_as_the_strict_parser(self, capsys, tmp_path, request, kind, as_row):
+        if kind == "over-long-digit":
+            request.getfixturevalue("digit_cap")
+        token, level = BAD_DIGIT_TOKENS[kind]
+        params = CurveParams(2, level)
+        with pytest.raises(DomainError) as strict:
+            cli._parse_index_token(token, params)
+        argv = ["decode", "--dim", "2", "--level", str(level)]
+        expected = str(strict.value)
+        if as_row:
+            path = tmp_path / "indices.txt"
+            path.write_text(f"0\n{token}\n", encoding="utf-8")
+            argv += ["--input", str(path)]
+            expected = f"{path}: line 2: {expected}"
+        code, out, err = run(capsys, *argv, *([] if as_row else [token]))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {expected}\n"
+
+
+# Characters other than "\n" that str.splitlines() also breaks lines at.
+LINE_BREAKS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+ROW_COMMANDS = {
+    "encode": (["encode", "--dim", "2", "--level", "4", "--input"], "1 1", "2 x", "1 1{}2 2"),
+    "decode": (["decode", "--dim", "2", "--level", "4", "--input"], "1", "x", "1{}2"),
+}
+
+
+class TestRowsEndAtNewlineOnly:
+    @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"{ord(c):#x}" for c in LINE_BREAKS])
+    def test_bad_row_named_by_its_physical_line(self, capsys, tmp_path, command, brk):
+        argv, good, bad, _ = ROW_COMMANDS[command]
+        path = tmp_path / "rows.txt"
+        path.write_text(f"{good}{brk}\n{bad}\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: line 2: ")
+
+    @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"{ord(c):#x}" for c in LINE_BREAKS])
+    def test_one_value_per_line(self, capsys, tmp_path, command, brk):
+        argv, _, _, two = ROW_COMMANDS[command]
+        path = tmp_path / "rows.txt"
+        path.write_text(two.format(brk) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: line 1: ")
 
 
 # Each entry point that reads a number, as argv for one bad token.
@@ -449,6 +546,16 @@ class TestValidateCommand:
         assert out == ""
         assert err.startswith("error: --max-level 5 is above 4, the largest allowed")
         assert err.count("\n") == 1
+
+    def test_checks_the_decoder_decode_runs(self, capsys, monkeypatch):
+        def broken(params, table):
+            point = curve_point(params, table)
+            return lambda digits: (0, 0) if list(digits) == [1] else point(digits)
+
+        monkeypatch.setattr(cli, "curve_point", broken)
+        code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
+        assert code == 1
+        assert "FAIL curve-n2-m1 (index 1 decodes to (0, 0), enumeration holds (1, 0))" in out
 
     def test_validates_the_table_once_per_run(self, capsys, monkeypatch):
         calls = []

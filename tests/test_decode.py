@@ -1,17 +1,19 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder.core_bits import CurveParams, HilbertIndex, integer_to_index
 from hilbertorder.decode import (
+    curve_point,
     decode_arith,
     decode_arith_fast,
     decode_bits,
     decode_bits_fast,
     index_effective_level,
 )
-from hilbertorder.encode import encode_arith, encode_bits
+from hilbertorder.encode import curve_key, encode_arith, encode_bits
 from hilbertorder.errors import DimensionMismatchError, DomainError
 from hilbertorder.gene import gene_table
 
@@ -65,10 +67,12 @@ class TestFourWayEquivalence:
     def test_exhaustive_small(self, n, m):
         params = CurveParams(n, m)
         table = TABLES[n]
+        point = curve_point(params, table)
         for z in range(2 ** (n * m)):
             idx = integer_to_index(z, params)
             results = [decoder(idx, params, table)[0] for decoder in DECODERS]
             assert results[0] == results[1] == results[2] == results[3]
+            assert point(idx.digits) == results[0]
 
     def test_random_indices_at_level_sixty_four(self):
         rng = random.Random(0x5A)
@@ -181,3 +185,72 @@ class TestDegenerateAndErrors:
     def test_digit_too_large_rejected_at_construction(self):
         with pytest.raises(DomainError):
             HilbertIndex(2, (4, 0))
+
+
+@st.composite
+def curve_indices(draw):
+    """(n, m, digits) with all but the last k digits zero for a random
+    k <= m, so both odd and even counts of leading zero digits occur."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=40))
+    k = draw(st.integers(min_value=0, max_value=m))
+    low = [draw(st.integers(min_value=0, max_value=2**n - 1)) for _ in range(k)]
+    return n, m, [0] * (m - k) + low
+
+
+@st.composite
+def curve_points(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=40))
+    k = draw(st.integers(min_value=0, max_value=m))
+    point = tuple(draw(st.integers(min_value=0, max_value=2**k - 1)) for _ in range(n))
+    return n, m, point
+
+
+POINT_TABLES = {n: gene_table(n) for n in range(2, 9)}
+
+
+class TestCurvePoint:
+    @settings(max_examples=300, deadline=None)
+    @given(curve_indices())
+    @example((2, 0, []))  # level 0: the origin
+    @example((3, 40, [0] * 40))
+    @example((2, 7, [0] * 6 + [2]))  # six leading zero digits
+    @example((2, 8, [0] * 7 + [2]))  # seven leading zero digits
+    @example((8, 40, [255] * 40))  # n * m = 320
+    @example((5, 40, [31, 0, 17] + [1] * 37))
+    def test_equals_decode_arith(self, case):
+        n, m, digits = case
+        params = CurveParams(n, m)
+        table = POINT_TABLES[n]
+        expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
+        assert curve_point(params, table)(digits) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve_points())
+    @example((8, 40, (2**40 - 1,) * 8))
+    def test_inverts_curve_key(self, case):
+        n, m, point = case
+        params = CurveParams(n, m)
+        table = POINT_TABLES[n]
+        digits = integer_to_index(curve_key(params, table)(point), params).digits
+        assert curve_point(params, table)(digits) == point
+
+    @pytest.mark.parametrize(
+        "digits",
+        [(), (1,), (1, 0, 0), (4, 0), (0, 4), (0, 2**70), (-1, 0), (0, 1.0), (0, "1")],
+    )
+    def test_rejects_what_decode_arith_rejects(self, digits):
+        params = CurveParams(2, 2)
+        with pytest.raises(DomainError) as reference:
+            decode_arith(HilbertIndex(2, digits), params, TABLES[2])
+        for given_as in (tuple, list):
+            with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
+                curve_point(params, TABLES[2])(given_as(digits))
+
+    def test_wrong_table_dimension(self):
+        params = CurveParams(2, 2)
+        with pytest.raises(DimensionMismatchError) as reference:
+            decode_arith(HilbertIndex(2, (1, 1)), params, TABLES[3])
+        with pytest.raises(DimensionMismatchError, match=re.escape(str(reference.value))):
+            curve_point(params, TABLES[3])
