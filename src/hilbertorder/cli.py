@@ -24,7 +24,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .core_bits import Coordinate, CurveParams, HilbertIndex, integer_to_index
+from .core_bits import Coordinate, CurveParams, integer_to_index
 from .decode import curve_point
 from .encode import curve_key
 from .errors import DomainError, HilbertError, PointFileError, ResourceLimitError
@@ -280,34 +280,23 @@ def _parse_decimal(token: str, what: str) -> int:
 
 
 def _index_digits(token: str, params: CurveParams) -> Sequence[int]:
-    """Digits of an index token, most significant first; ``curve_point`` checks them.
+    """Digits of an index token, most significant first.
 
-    A ``digits:`` token of plain ASCII digits and dots takes one split
-    and one ``int`` per digit; any other token, and any that fails here,
-    goes through the strict :func:`_parse_index_token` and its messages.
+    A ``digits:`` token of ASCII digits and dots takes one split and one
+    ``int`` per digit; when that fails, :func:`_parse_decimal` reads each
+    digit to raise its message.  ``curve_point`` checks the digits' count
+    and range.
     """
     if token.startswith(DIGIT_PREFIX):
-        parts = token[len(DIGIT_PREFIX):].split(".")
-        body = "".join(parts)
-        if body.isascii() and body.isdigit():
+        body = token[len(DIGIT_PREFIX):]
+        parts = body.split(".") if body else []
+        if body.isascii() and "".join(parts).isdigit():
             try:
                 return list(map(int, parts))
             except ValueError:  # an empty digit, or one past the decimal digit cap
                 pass
-    return _parse_index_token(token, params).digits
-
-
-def _parse_index_token(token: str, params: CurveParams) -> HilbertIndex:
-    if token.startswith(DIGIT_PREFIX):
-        body = token[len(DIGIT_PREFIX):]
-        parts = body.split(".") if body else []
-        digits = tuple(_parse_decimal(part, "index digit") for part in parts)
-        if len(digits) != params.m:
-            raise DomainError(
-                f"index has {len(digits)} digits, curve level is {params.m}"
-            )
-        return HilbertIndex(params.n, digits)
-    return integer_to_index(_parse_decimal(token, "index value"), params)
+        return [_parse_decimal(part, "index digit") for part in parts]
+    return integer_to_index(_parse_decimal(token, "index value"), params).digits
 
 
 def _parse_text_rows(path: Path, parse: Callable[[str], object]) -> list[tuple]:
@@ -322,9 +311,10 @@ def _parse_text_rows(path: Path, parse: Callable[[str], object]) -> list[tuple]:
             f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded"
         ) from None
     rows = []
-    # Only "\n" ends a line (strip() takes a "\r" before it): str.splitlines()
-    # would also split at form feeds and other separators, miscounting lines.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    # Lines end at "\n", "\r\n" or "\r" only: str.splitlines() would also
+    # split at form feeds and other separators, miscounting lines.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             try:

@@ -22,6 +22,10 @@ from .encode import StepCounter
 from .errors import DimensionMismatchError, DomainError
 from .gene import GeneTable
 
+# Bits of per-digit steps one curve_point decoder keeps (16 MiB): every
+# quadrant's step fits while n <= 8 and m <= 32768.
+_STEP_BITS = 1 << 27
+
 
 def index_effective_level(idx: HilbertIndex) -> int:
     """Position (1-based from the least significant end) of the highest nonzero digit.
@@ -87,32 +91,58 @@ def curve_point(
     (the low ``v`` bits of the reversed fields) and the quadrant offset
     (``gray(r)``, one bit per field, at bit ``v``) are one more xor.
     The per-digit work does not grow with ``n``.
+
+    A digit's step, which holds two ``n * m``-bit integers, is built the
+    first time the digit occurs, and at most ``_STEP_BITS`` bits of steps
+    are kept, so set-up does not grow with ``2**n * n * m``.
     """
     n, m = params.n, params.m
     table.check_dimension(n)
     size = 1 << n
     field = (1 << m) - 1
-    # Per digit r: its exchange as the distance between the two fields
-    # and the mask of the lower one ((0, 0) when it has none; quadrants
-    # with the same pair share one mask), ``flip`` with bit 0 of every
-    # field reverse_slots[r] names, and ``offset`` with bit 0 of every
-    # field whose bit in gray(r) is set.
-    masks: dict[tuple[int, int], int] = {}
-    steps = []
-    for r in range(size):
+    # One mask of n * m bits per exchanged pair, shared by its quadrants.
+    masks = {pair: field << (pair[0] * m) for pair in set(table.swap_pairs) if pair}
+    spread = [0] * min(size, 256)  # spread[c] moves bit j of the byte c to bit j * m
+    for c in range(1, len(spread)):
+        spread[c] = (spread[c >> 1] << m) | (c & 1)
+
+    def widen(c: int) -> int:
+        """Move bit i of the n-bit mask c to bit 0 of field i."""
+        w = shift = 0
+        while c:
+            w |= spread[c & 255] << shift
+            c >>= 8
+            shift += 8 * m
+        return w
+
+    steps: list = [None] * size
+    built: list[int] = []  # the digits whose step is in ``steps``
+    cap = max(1, _STEP_BITS // (2 * n * m + 1))
+
+    def step(r: int) -> tuple[int, int, int, int]:
+        # Digit r's exchange as the distance between the two fields and
+        # the mask of the lower one ((0, 0) when it has none), then
+        # ``flip + offset`` and ``offset``: bit 0 of every field that
+        # reverse_slots[r] names, and of every field whose bit in gray(r)
+        # is set.
+        if len(built) >= cap:
+            for s in built:
+                steps[s] = None
+            built.clear()
         d = mask = 0
         if table.swap_pairs[r] is not None:
             a, b = table.swap_pairs[r]
-            d, mask = (b - a) * m, masks.setdefault((a, b), field << (a * m))
-        flip = sum(1 << (i * m) for i in table.reverse_slots[r])
-        g = r ^ (r >> 1)
-        offset = sum(1 << (i * m) for i in range(n) if (g >> i) & 1)
-        steps.append((d, mask, flip + offset, offset))
+            d, mask = (b - a) * m, masks[a, b]
+        offset = widen(r ^ (r >> 1))
+        flip = widen(sum(1 << i for i in table.reverse_slots[r]))
+        steps[r] = (d, mask, flip + offset, offset)
+        built.append(r)
+        return steps[r]
+
     shifts = range(0, n * m, m) if m else [0] * n
 
     def reject(digits: Sequence[int]) -> None:
-        if len(digits) != m:
-            raise DomainError(f"index has {len(digits)} digits, curve level is {m}")
+        _check_digit_count(len(digits), m)
         HilbertIndex(n, tuple(digits))  # raises on the first bad digit
 
     def point(digits: Sequence[int]) -> Coordinate:
@@ -122,7 +152,7 @@ def curve_point(
             x = 0
             low = 0  # (1 << v) - 1: the v bits already placed in every field
             for r in reversed(digits):
-                d, mask, flip_offset, offset = steps[r]
+                d, mask, flip_offset, offset = steps[r] or step(r)
                 t = ((x >> d) ^ x) & mask
                 # Exchange, then reverse the low v bits of the flipped
                 # fields (flip * low) and set bit v of the offset fields
@@ -211,7 +241,9 @@ def _check_index(idx: HilbertIndex, params: CurveParams, table: GeneTable) -> No
             f"index is for dimension {idx.n}, curve dimension is {params.n}"
         )
     table.check_dimension(params.n)
-    if len(idx.digits) != params.m:
-        raise DomainError(
-            f"index has {len(idx.digits)} digits, curve level is {params.m}"
-        )
+    _check_digit_count(len(idx.digits), params.m)
+
+
+def _check_digit_count(count: int, m: int) -> None:
+    if count != m:
+        raise DomainError(f"index has {count} digits, curve level is {m}")

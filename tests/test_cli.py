@@ -243,16 +243,23 @@ class TestDecodeCommand:
         assert out.getvalue().splitlines() == expected
 
 
-# Malformed digits: tokens, with the level they are read at (n = 2).
+NOT_DECIMAL = "bad index digit {!r}: not a decimal integer (digits 0-9 only)"
+# Malformed digits: tokens, the level they are read at (n = 2), and the
+# message the strict per-digit parser gives them.
 BAD_DIGIT_TOKENS = {
-    "empty-digit": ("digits:1..2", 3),
-    "leading-dot": ("digits:.1", 2),
-    "trailing-dot": ("digits:1.", 2),
-    "digit-too-large": ("digits:4.0", 2),
-    "too-many-digits": ("digits:1.2.3", 2),
-    "plus-sign": ("digits:+1.0", 2),
-    "non-ascii-digit": ("digits:\u0661.0", 2),
-    "over-long-digit": ("digits:" + "1" * (DIGIT_CAP + 1) + ".0", 2),
+    "empty-digit": ("digits:1..2", 3, NOT_DECIMAL.format("")),
+    "leading-dot": ("digits:.1", 2, NOT_DECIMAL.format("")),
+    "trailing-dot": ("digits:1.", 2, NOT_DECIMAL.format("")),
+    "digit-too-large": ("digits:4.0", 2, "digit 2 out of range for dimension 2: 4"),
+    "too-many-digits": ("digits:1.2.3", 2, "index has 3 digits, curve level is 2"),
+    "no-digits": ("digits:", 2, "index has 0 digits, curve level is 2"),
+    "plus-sign": ("digits:+1.0", 2, NOT_DECIMAL.format("+1")),
+    "non-ascii-digit": ("digits:\u0661.0", 2, NOT_DECIMAL.format("\u0661")),
+    "over-long-digit": (
+        "digits:" + "1" * (DIGIT_CAP + 1) + ".0", 2,
+        f"bad index digit: {DIGIT_CAP + 1} digits is too long, the limit is {DIGIT_CAP} "
+        "(sys.get_int_max_str_digits())",
+    ),
 }
 
 
@@ -264,12 +271,8 @@ class TestDigitTokenMessages:
     def test_same_message_as_the_strict_parser(self, capsys, tmp_path, request, kind, as_row):
         if kind == "over-long-digit":
             request.getfixturevalue("digit_cap")
-        token, level = BAD_DIGIT_TOKENS[kind]
-        params = CurveParams(2, level)
-        with pytest.raises(DomainError) as strict:
-            cli._parse_index_token(token, params)
+        token, level, expected = BAD_DIGIT_TOKENS[kind]
         argv = ["decode", "--dim", "2", "--level", str(level)]
-        expected = str(strict.value)
         if as_row:
             path = tmp_path / "indices.txt"
             path.write_text(f"0\n{token}\n", encoding="utf-8")
@@ -281,7 +284,7 @@ class TestDigitTokenMessages:
         assert err == f"error: {expected}\n"
 
 
-# Characters other than "\n" that str.splitlines() also breaks lines at.
+# Characters str.splitlines() breaks lines at that are whitespace within a row here.
 LINE_BREAKS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 ROW_COMMANDS = {
     "encode": (["encode", "--dim", "2", "--level", "4", "--input"], "1 1", "2 x", "1 1{}2 2"),
@@ -289,7 +292,7 @@ ROW_COMMANDS = {
 }
 
 
-class TestRowsEndAtNewlineOnly:
+class TestLineEnds:
     @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"{ord(c):#x}" for c in LINE_BREAKS])
     def test_bad_row_named_by_its_physical_line(self, capsys, tmp_path, command, brk):
@@ -311,6 +314,20 @@ class TestRowsEndAtNewlineOnly:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}: line 1: ")
+
+    @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_carriage_return_ends_a_line(self, capsys, tmp_path, command, end):
+        argv, good, bad, _ = ROW_COMMANDS[command]
+        path = tmp_path / "rows.txt"
+        path.write_text(f"{good}{end}{good}{end}", encoding="utf-8", newline="")
+        code, out, _ = run(capsys, *argv, str(path))
+        assert code == 0
+        assert len(out.splitlines()) == 2
+        path.write_text(f"{good}{end}{bad}{end}", encoding="utf-8", newline="")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: line 2: ")
 
 
 # Each entry point that reads a number, as argv for one bad token.

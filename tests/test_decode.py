@@ -1,9 +1,11 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hilbertorder import decode
 from hilbertorder.core_bits import CurveParams, HilbertIndex, integer_to_index
 from hilbertorder.decode import (
     curve_point,
@@ -247,6 +249,34 @@ class TestCurvePoint:
         for given_as in (tuple, list):
             with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
                 curve_point(params, TABLES[2])(given_as(digits))
+
+    @settings(max_examples=50, deadline=None)
+    @given(curve_indices())
+    def test_equals_decode_arith_when_steps_are_dropped(self, case):
+        # Room for one step only: every new digit drops the steps built so far.
+        n, m, digits = case
+        params = CurveParams(n, m)
+        table = POINT_TABLES[n]
+        expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decode, "_STEP_BITS", 1)
+            point = curve_point(params, table)
+        assert point(digits) == expected
+        backwards, _ = decode_arith(HilbertIndex(n, tuple(digits[::-1])), params, table)
+        assert point(digits[::-1]) == backwards
+
+    def test_set_up_does_not_grow_with_every_quadrant(self):
+        # All 2**12 steps at n * m = 12000 bits would take about 12 MB.
+        params = CurveParams(12, 1000)
+        table = gene_table(12)
+        tracemalloc.start()
+        try:
+            point = curve_point(params, table)
+            point([0] * 999 + [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_wrong_table_dimension(self):
         params = CurveParams(2, 2)
