@@ -1,15 +1,8 @@
 """Command-line front end: encode, decode, sort, gene, validate, bench.
 
-Points are written with component ``n`` first (``x_n ... x_1``), both
-on the command line and in files.  Text point files are UTF-8 and hold
-one point per line, components separated by whitespace or commas, with
-``#`` comment lines.  Binary point files start with magic ``HPTS``, a
-version byte, the dimension as two little-endian bytes and the record
-count as eight, followed by 64-bit little-endian components per record.
-
-Indices print in decimal while ``n * m <= 64`` and as a marked digit
-string (``digits:3.2.1``, most significant first) beyond that;
-``--digits`` adds the digit form unconditionally.
+This module holds the argument parser and the subcommands only.  The
+point-file and index-token formats, and how files are read and
+written, live in :mod:`hilbertorder.pointio`.
 
 ``encode`` and ``sort`` key points with the production encoder
 ``curve_key``; ``decode`` runs the production decoder ``curve_point``.
@@ -22,12 +15,12 @@ import argparse
 import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .core_bits import Coordinate, CurveParams, integer_to_index
+from .core_bits import CurveParams, integer_to_index
 from .decode import curve_point
 from .encode import curve_key
-from .errors import DomainError, HilbertError, PointFileError, ResourceLimitError
+from .errors import DomainError, HilbertError, ResourceLimitError
 from .gene import format_table_text, gene_table, validate_gene_table
 from .oracle import (
     ENUMERATION_MAX_BITS,
@@ -36,16 +29,17 @@ from .oracle import (
     format_benchmark_text,
     run_counter_benchmark,
 )
-
-POINT_MAGIC = b"HPTS"
-POINT_FORMAT_VERSION = 1
-_POINT_HEADER = len(POINT_MAGIC) + 1 + 2 + 8
-
-DIGIT_PREFIX = "digits:"
-
-# CPython's cap on decimal digits per int <-> str conversion; 0 means no
-# cap, as on interpreters that predate it.
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+from .pointio import (
+    format_index_line,
+    format_point,
+    index_digits,
+    int_max_str_digits,
+    parse_decimal,
+    parse_point,
+    read_points,
+    read_rows,
+    write_points,
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -123,12 +117,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if bool(args.coords) == (args.input is not None):
         raise DomainError("give exactly one point as arguments or use --input")
     if args.input is not None:
-        keys = [z for z, _ in _key_points(args.input, params)]
+        keys, _ = read_points(args.input, params.n, curve_key(params, gene_table(params.n)))
     else:
-        point = _parse_point(args.coords, params.n)
+        point = parse_point(args.coords, params.n)
         keys = [curve_key(params, gene_table(params.n))(point)]
     for z in keys:
-        print(_format_index_line(z, params, args.digits))
+        print(format_index_line(z, params, args.digits))
     return 0
 
 
@@ -136,7 +130,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
     if bool(args.indices) == (args.input is not None):
         raise DomainError("give index values as arguments or use --input")
-    limit = _int_max_str_digits()
+    limit = int_max_str_digits()
     top = (10**limit).bit_length() - 1  # highest m with 2**m - 1 < 10**limit
     if limit and params.m > top:
         raise DomainError(
@@ -145,24 +139,20 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         )
     point = curve_point(params, gene_table(params.n))
     if args.input is not None:
-        rows = _parse_text_rows(args.input, lambda line: point(_index_digits(line, params)))
-        points = [p for p, _ in rows]
+        points = read_rows(args.input, lambda line: point(index_digits(line, params)))
     else:
-        points = [point(_index_digits(token, params)) for token in args.indices]
+        points = [point(index_digits(token, params)) for token in args.indices]
     for p in points:
-        print(_format_point(p))
+        print(format_point(p))
     return 0
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
-    keyed = _key_points(args.input, params)
+    key = curve_key(params, gene_table(params.n))
+    keyed, binary = read_points(args.input, params.n, lambda p: (key(p), p))
     keyed.sort(key=itemgetter(0))  # stable: ties keep input order
-    ordered = [point for _, point in keyed]
-    if _looks_binary(args.input):
-        _write_points_binary(args.output, params.n, ordered)
-    else:
-        _write_points_text(args.output, ordered)
+    write_points(args.output, params.n, [point for _, point in keyed], binary)
     return 0
 
 
@@ -193,16 +183,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         enumeration = enumerate_recursive(params, table)
         ok, detail = _walk_matches_codecs(enumeration, params, table)
         results.append((f"curve-n{args.dim}-m{m}", ok, detail))
+    for name, passed, detail in results:
+        if args.records:
+            print(f"check={name} passed={'1' if passed else '0'}"
+                  + (f" detail={detail!r}" if detail else ""))
+        else:
+            print(f"{'PASS' if passed else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
     failed = any(not passed for _, passed, _ in results)
-    if args.records:
-        for name, passed, detail in results:
-            line = f"check={name} passed={'1' if passed else '0'}"
-            if detail:
-                line += f" detail={detail!r}"
-            print(line)
-    else:
-        for name, passed, detail in results:
-            print(_check_line(name, passed, detail))
+    if not args.records:
         print("FAIL" if failed else "PASS")
     return 1 if failed else 0
 
@@ -221,18 +209,13 @@ def _walk_matches_codecs(enumeration, params: CurveParams, table) -> tuple[bool,
     return True, f"{len(enumeration.points)} points"
 
 
-def _check_line(name: str, passed: bool, detail: str = "") -> str:
-    suffix = f" ({detail})" if detail else ""
-    return f"{'PASS' if passed else 'FAIL'} {name}{suffix}"
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    display = [_parse_decimal(part, "--point component")
+    display = [parse_decimal(part, "--point component")
                for part in args.point.split(",") if part != ""]
     if len(display) < 2:
         raise DomainError(f"point needs at least 2 components, got {args.point!r}")
     point = tuple(reversed(display))
-    levels = [_parse_decimal(part, "--levels entry")
+    levels = [parse_decimal(part, "--levels entry")
               for part in args.levels.split(",") if part != ""]
     if not levels:
         raise DomainError("no levels given")
@@ -247,170 +230,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("FAIL iteration counters", file=sys.stderr)
         return 1
     return 0
-
-
-def _format_point(point: Coordinate) -> str:
-    return " ".join(str(c) for c in reversed(point))
-
-
-def _format_index_line(z: int, params: CurveParams, force_digits: bool) -> str:
-    n, m = params.n, params.m
-    small = n * m <= 64
-    parts = []
-    if small:
-        parts.append(str(z))
-    if force_digits or not small:
-        low = (1 << n) - 1
-        digits = [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
-        parts.append(DIGIT_PREFIX + ".".join(map(str, digits)))
-    return " ".join(parts)
-
-
-def _parse_decimal(token: str, what: str) -> int:
-    """Read ``token`` as ASCII digits 0-9 only; ``what`` names it in errors."""
-    if not (token.isascii() and token.isdigit()):
-        raise DomainError(f"bad {what} {token!r}: not a decimal integer (digits 0-9 only)")
-    try:
-        return int(token)
-    except ValueError:  # plain digits fail only on the digit-count cap
-        raise DomainError(
-            f"bad {what}: {len(token)} digits is too long, the limit is "
-            f"{_int_max_str_digits()} (sys.get_int_max_str_digits())"
-        ) from None
-
-
-def _index_digits(token: str, params: CurveParams) -> Sequence[int]:
-    """Digits of an index token, most significant first.
-
-    A ``digits:`` token of ASCII digits and dots takes one split and one
-    ``int`` per digit; when that fails, :func:`_parse_decimal` reads each
-    digit to raise its message.  ``curve_point`` checks the digits' count
-    and range.
-    """
-    if token.startswith(DIGIT_PREFIX):
-        body = token[len(DIGIT_PREFIX):]
-        parts = body.split(".") if body else []
-        if body.isascii() and "".join(parts).isdigit():
-            try:
-                return list(map(int, parts))
-            except ValueError:  # an empty digit, or one past the decimal digit cap
-                pass
-        return [_parse_decimal(part, "index digit") for part in parts]
-    return integer_to_index(_parse_decimal(token, "index value"), params).digits
-
-
-def _parse_text_rows(path: Path, parse: Callable[[str], object]) -> list[tuple]:
-    """Parse each line of a UTF-8 file that is not blank or a ``#`` comment.
-
-    Returns (value, row label) pairs; a line that ``parse`` rejects names its line.
-    """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PointFileError(
-            f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded"
-        ) from None
-    rows = []
-    # Lines end at "\n", "\r\n" or "\r" only: str.splitlines() would also
-    # split at form feeds and other separators, miscounting lines.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            try:
-                rows.append((parse(line), f"line {lineno}"))
-            except DomainError as exc:
-                raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
-    return rows
-
-
-def _looks_binary(path: Path) -> bool:
-    with open(path, "rb") as handle:
-        return handle.read(len(POINT_MAGIC)) == POINT_MAGIC
-
-
-def _key_points(path: Path, params: CurveParams) -> list[tuple[int, Coordinate]]:
-    """(curve_key, point) of every point in a file, in file order; a bad point names its row."""
-    labelled = _read_points(path, params.n)
-    key = curve_key(params, gene_table(params.n))
-    keyed = []
-    for point, label in labelled:
-        try:
-            keyed.append((key(point), point))
-        except DomainError as exc:
-            raise PointFileError(f"{path}: {label}: {exc}") from exc
-    return keyed
-
-
-def _read_points(path: Path, n: int) -> list[tuple[Coordinate, str]]:
-    """Read a point file of either format into (point, row label) pairs."""
-    if _looks_binary(path):
-        file_n, labelled = _read_points_binary(path)
-        if file_n != n:
-            raise PointFileError(f"{path}: file is {file_n}-dimensional, expected {n}")
-        return labelled
-    return _read_points_text(path, n)
-
-
-def _read_points_text(path: Path, n: int) -> list[tuple[Coordinate, str]]:
-    return _parse_text_rows(path, lambda line: _parse_point(line.replace(",", " ").split(), n))
-
-
-def _parse_point(parts: Sequence[str], n: int) -> Coordinate:
-    """Read components written ``x_n .. x_1`` as the point ``(x_1, .., x_n)``."""
-    if len(parts) != n:
-        raise DomainError(f"expected {n} components, found {len(parts)}")
-    return tuple(reversed([_parse_decimal(part, "component") for part in parts]))
-
-
-def _write_points_text(path: Path, points: Iterable[Coordinate]) -> None:
-    with open(path, "w") as handle:
-        for point in points:
-            handle.write(_format_point(point) + "\n")
-
-
-def _read_points_binary(path: Path) -> tuple[int, list[tuple[Coordinate, str]]]:
-    blob = path.read_bytes()
-    if len(blob) < _POINT_HEADER:
-        raise PointFileError(f"{path}: truncated header")
-    if blob[: len(POINT_MAGIC)] != POINT_MAGIC:
-        raise PointFileError(f"{path}: bad magic bytes")
-    version = blob[len(POINT_MAGIC)]
-    if version != POINT_FORMAT_VERSION:
-        raise PointFileError(f"{path}: unsupported point file version {version}")
-    n = int.from_bytes(blob[5:7], "little")
-    if n < 2:
-        raise PointFileError(f"{path}: invalid dimension {n}")
-    count = int.from_bytes(blob[7:15], "little")
-    expected = _POINT_HEADER + count * n * 8
-    if len(blob) != expected:
-        raise PointFileError(f"{path}: payload has {len(blob)} bytes, expected {expected}")
-    points = []
-    offset = _POINT_HEADER
-    for record in range(count):
-        display = [
-            int.from_bytes(blob[offset + 8 * i : offset + 8 * (i + 1)], "little")
-            for i in range(n)
-        ]
-        offset += 8 * n
-        points.append((tuple(reversed(display)), f"record {record}"))
-    return n, points
-
-
-def _write_points_binary(path: Path, n: int, points: Sequence[Coordinate]) -> None:
-    blob = bytearray()
-    blob += POINT_MAGIC
-    blob.append(POINT_FORMAT_VERSION)
-    blob += n.to_bytes(2, "little")
-    blob += len(points).to_bytes(8, "little")
-    for record, point in enumerate(points):
-        for c in reversed(point):
-            if c >= 1 << 64:
-                raise PointFileError(
-                    f"{path}: record {record}: component {c} does not fit in 64 bits"
-                )
-            blob += c.to_bytes(8, "little")
-    path.write_bytes(bytes(blob))
 
 
 if __name__ == "__main__":

@@ -42,36 +42,28 @@ def decode_arith(
     idx: HilbertIndex, params: CurveParams, table: GeneTable
 ) -> tuple[Coordinate, StepCounter]:
     """Decode with arithmetic updates, visiting all ``m`` levels."""
-    _check_index(idx, params, table)
-    if params.m == 0:
-        return (0,) * params.n, StepCounter(0)
-    x = _coords_arith(idx.digits, params.n, params.m, table)
-    return tuple(x), StepCounter(params.m)
+    return _decode(idx, params, table, _coords_arith, fast=False)
 
 
 def decode_bits(
     idx: HilbertIndex, params: CurveParams, table: GeneTable
 ) -> tuple[Coordinate, StepCounter]:
     """Decode with bit-operation updates, visiting all ``m`` levels."""
-    _check_index(idx, params, table)
-    if params.m == 0:
-        return (0,) * params.n, StepCounter(0)
-    x = _coords_bits(idx.digits, params.n, params.m, table)
-    return tuple(x), StepCounter(params.m)
+    return _decode(idx, params, table, _coords_bits, fast=False)
 
 
 def decode_arith_fast(
     idx: HilbertIndex, params: CurveParams, table: GeneTable
 ) -> tuple[Coordinate, StepCounter]:
     """Decode with arithmetic updates, stopping at the highest nonzero digit."""
-    return _decode_fast(idx, params, table, _coords_arith)
+    return _decode(idx, params, table, _coords_arith, fast=True)
 
 
 def decode_bits_fast(
     idx: HilbertIndex, params: CurveParams, table: GeneTable
 ) -> tuple[Coordinate, StepCounter]:
     """Decode with bit-operation updates, stopping at the highest nonzero digit."""
-    return _decode_fast(idx, params, table, _coords_bits)
+    return _decode(idx, params, table, _coords_bits, fast=True)
 
 
 def curve_point(
@@ -170,17 +162,23 @@ def curve_point(
     return point
 
 
-def _decode_fast(
+def _decode(
     idx: HilbertIndex,
     params: CurveParams,
     table: GeneTable,
     loop: Callable[[tuple[int, ...], int, int, GeneTable], list[int]],
+    fast: bool,
 ) -> tuple[Coordinate, StepCounter]:
-    _check_index(idx, params, table)
+    if idx.n != params.n:
+        raise DimensionMismatchError(
+            f"index is for dimension {idx.n}, curve dimension is {params.n}"
+        )
+    table.check_dimension(params.n)
+    _check_digit_count(len(idx.digits), params.m)
     n, m = params.n, params.m
     if m == 0:
         return (0,) * n, StepCounter(0)
-    k = index_effective_level(idx)
+    k = index_effective_level(idx) if fast else m
     x = loop(idx.digits, n, k, table)
     if (m - k) & 1:
         x[0], x[n - 1] = x[n - 1], x[0]
@@ -233,15 +231,6 @@ def _coords_bits(
             if (s >> i) & 1:
                 x[i] ^= 1 << shift
     return x
-
-
-def _check_index(idx: HilbertIndex, params: CurveParams, table: GeneTable) -> None:
-    if idx.n != params.n:
-        raise DimensionMismatchError(
-            f"index is for dimension {idx.n}, curve dimension is {params.n}"
-        )
-    table.check_dimension(params.n)
-    _check_digit_count(len(idx.digits), params.m)
 
 
 def _check_digit_count(count: int, m: int) -> None:

@@ -48,36 +48,28 @@ def encode_arith(
     p: Sequence[int], params: CurveParams, table: GeneTable
 ) -> tuple[HilbertIndex, StepCounter]:
     """Encode with arithmetic updates, visiting all ``m`` levels."""
-    _check_point(p, params, table)
-    if params.m == 0:
-        return HilbertIndex(params.n, ()), StepCounter(0)
-    digits = _digits_arith(list(p), params.n, params.m, table)
-    return HilbertIndex(params.n, tuple(digits)), StepCounter(params.m)
+    return _encode(p, params, table, _digits_arith, fast=False)
 
 
 def encode_bits(
     p: Sequence[int], params: CurveParams, table: GeneTable
 ) -> tuple[HilbertIndex, StepCounter]:
     """Encode with bit-operation updates, visiting all ``m`` levels."""
-    _check_point(p, params, table)
-    if params.m == 0:
-        return HilbertIndex(params.n, ()), StepCounter(0)
-    digits = _digits_bits(list(p), params.n, params.m, table)
-    return HilbertIndex(params.n, tuple(digits)), StepCounter(params.m)
+    return _encode(p, params, table, _digits_bits, fast=False)
 
 
 def encode_arith_fast(
     p: Sequence[int], params: CurveParams, table: GeneTable
 ) -> tuple[HilbertIndex, StepCounter]:
     """Encode with arithmetic updates, looping only over occupied levels."""
-    return _encode_fast(p, params, table, _digits_arith)
+    return _encode(p, params, table, _digits_arith, fast=True)
 
 
 def encode_bits_fast(
     p: Sequence[int], params: CurveParams, table: GeneTable
 ) -> tuple[HilbertIndex, StepCounter]:
     """Encode with bit-operation updates, looping only over occupied levels."""
-    return _encode_fast(p, params, table, _digits_bits)
+    return _encode(p, params, table, _digits_bits, fast=True)
 
 
 # The four variants in a fixed order; the counter benchmark in
@@ -163,17 +155,18 @@ def curve_key(params: CurveParams, table: GeneTable) -> Callable[[Sequence[int]]
     return key
 
 
-def _encode_fast(
+def _encode(
     p: Sequence[int],
     params: CurveParams,
     table: GeneTable,
     loop: Callable[[list[int], int, int, GeneTable], list[int]],
+    fast: bool,
 ) -> tuple[HilbertIndex, StepCounter]:
     _check_point(p, params, table)
     n, m = params.n, params.m
     if m == 0:
         return HilbertIndex(n, ()), StepCounter(0)
-    k = effective_level(p)
+    k = effective_level(p) if fast else m
     x = list(p)
     if (m - k) & 1:
         # One swap stands in for the odd number of skipped all-zero levels.

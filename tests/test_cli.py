@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hilbertorder import cli, gene
+from hilbertorder import cli, gene, pointio
 from hilbertorder.cli import main
 from hilbertorder.core_bits import CurveParams, index_to_integer, integer_to_index
 from hilbertorder.decode import (
@@ -111,7 +111,7 @@ class TestEncodeCommand:
     def test_binary_input_file(self, capsys, tmp_path):
         source = tmp_path / "points.bin"
         display = [(1, 0), (0, 0), (1, 1), (0, 1)]
-        cli._write_points_binary(source, 2, [tuple(reversed(p)) for p in display])
+        pointio.write_points(source, 2, [tuple(reversed(p)) for p in display], binary=True)
         code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "1",
                            "--input", str(source))
         assert code == 0
@@ -119,7 +119,7 @@ class TestEncodeCommand:
 
     def test_binary_input_dimension_mismatch(self, capsys, tmp_path):
         source = tmp_path / "points.bin"
-        cli._write_points_binary(source, 3, [(0, 0, 0)])
+        pointio.write_points(source, 3, [(0, 0, 0)], binary=True)
         code, _, err = run(capsys, "encode", "--dim", "2", "--level", "1",
                            "--input", str(source))
         assert code == 2
@@ -238,8 +238,10 @@ class TestDecodeCommand:
         with contextlib.redirect_stdout(out):
             assert main(["decode", "--dim", str(n), "--level", str(m), "--input", str(path)]) == 0
         table = gene_table(n)
-        expected = [cli._format_point(decode_arith(integer_to_index(z, params), params, table)[0])
-                    for z in indices]
+        expected = [
+            pointio.format_point(decode_arith(integer_to_index(z, params), params, table)[0])
+            for z in indices
+        ]
         assert out.getvalue().splitlines() == expected
 
 
@@ -468,15 +470,15 @@ class TestSortCommand:
     def test_binary_round_trip(self, capsys, tmp_path):
         points_display = [(1, 0), (0, 0), (1, 1), (0, 1)]
         source = tmp_path / "points.bin"
-        cli._write_points_binary(source, 2, [tuple(reversed(p)) for p in points_display])
+        pointio.write_points(source, 2, [tuple(reversed(p)) for p in points_display], binary=True)
         target = tmp_path / "sorted.bin"
         code, _, _ = run(capsys, "sort", "--dim", "2", "--level", "1",
                          str(source), str(target))
         assert code == 0
-        n, labelled = cli._read_points_binary(target)
-        assert n == 2
-        assert [tuple(reversed(p)) for p, _ in labelled] == [(0, 0), (0, 1), (1, 1), (1, 0)]
-        assert target.read_bytes()[:4] == cli.POINT_MAGIC
+        points, binary = pointio.read_points(target, 2, tuple)
+        assert binary
+        assert [tuple(reversed(p)) for p in points] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        assert target.read_bytes()[:4] == pointio.POINT_MAGIC
 
     def test_ragged_row_names_line(self, capsys, tmp_path):
         source = tmp_path / "points.txt"
@@ -496,7 +498,7 @@ class TestSortCommand:
 
     def test_binary_dimension_mismatch(self, capsys, tmp_path):
         source = tmp_path / "points.bin"
-        cli._write_points_binary(source, 3, [(0, 0, 0)])
+        pointio.write_points(source, 3, [(0, 0, 0)], binary=True)
         code, _, err = run(capsys, "sort", "--dim", "2", "--level", "1",
                            str(source), str(tmp_path / "out.bin"))
         assert code == 2
@@ -675,17 +677,18 @@ def argvs(draw):
     return argv + draw(positional)
 
 
-def _file_call(command, dim, level):
+def _file_call(command, dim, level, in_place):
     if command == "sort":
-        return [command, "--dim", dim, "--level", level, FILE, OUT]
+        return [command, "--dim", dim, "--level", level, FILE, FILE if in_place else OUT]
     return [command, "--dim", dim, "--level", level, "--input", FILE]
 
 
-# Half the examples are well-formed calls that read the fuzzed file.
+# Half the examples are well-formed calls that read the fuzzed file; some
+# sort it in place.
 ARGVS = st.one_of(
     argvs(),
     st.builds(_file_call, st.sampled_from(["sort", "encode", "decode"]), DIM,
-              st.sampled_from(["0", "1", "4", "40", "64"])),
+              st.sampled_from(["0", "1", "4", "40", "64"]), st.booleans()),
 )
 
 
@@ -705,7 +708,7 @@ FILE_BYTES = st.one_of(
     TEXT_FILE,
     st.tuples(TEXT_FILE, st.binary(min_size=1, max_size=4), TEXT_FILE).map(b"".join),
     st.builds(
-        lambda version, dim, count, payload: cli.POINT_MAGIC + bytes([version])
+        lambda version, dim, count, payload: pointio.POINT_MAGIC + bytes([version])
         + dim.to_bytes(2, "little") + count.to_bytes(8, "little") + payload,
         st.sampled_from([0, 1, 2]),
         st.integers(min_value=0, max_value=65535) | st.sampled_from([2, 3]),
@@ -732,6 +735,8 @@ class TestFuzz:
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue() + out.getvalue()
+        if code == 2:  # a refused call leaves its input, also when it is the output
+            assert path.read_bytes() == blob
 
 
 class TestModuleEntryPoint:
