@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
-from .core_bits import CurveParams, integer_to_index
+from .core_bits import CurveParams, integer_digits
 from .decode import curve_point
 from .encode import curve_key
 from .errors import DomainError, HilbertError, ResourceLimitError
@@ -200,7 +200,7 @@ def _walk_matches_codecs(enumeration, params: CurveParams, table) -> tuple[bool,
     key = curve_key(params, table)
     point = curve_point(params, table)
     for z, expected in enumerate(enumeration.points):
-        decoded = point(integer_to_index(z, params).digits)
+        decoded = point(integer_digits(z, params))
         if decoded != expected:
             return False, f"index {z} decodes to {decoded}, enumeration holds {expected}"
         encoded = key(expected)

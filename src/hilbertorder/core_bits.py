@@ -168,17 +168,16 @@ def index_to_integer(idx: HilbertIndex) -> int:
 
 def integer_to_index(z: int, params: CurveParams) -> HilbertIndex:
     """Split ``z`` into ``m`` radix ``2**n`` digits, most significant first."""
-    if not 0 <= z < (1 << (params.n * params.m)):
-        raise DomainError(
-            f"index {z} out of range for dimension {params.n}, level {params.m}"
-        )
-    mask = (1 << params.n) - 1
-    digits = []
-    for _ in range(params.m):
-        digits.append(z & mask)
-        z >>= params.n
-    digits.reverse()
-    return HilbertIndex(params.n, tuple(digits))
+    return HilbertIndex(params.n, tuple(integer_digits(z, params)))
+
+
+def integer_digits(z: int, params: CurveParams) -> list[int]:
+    """The digits of :func:`integer_to_index` as a list, without checking them again."""
+    n, m = params.n, params.m
+    if not 0 <= z < (1 << (n * m)):
+        raise DomainError(f"index {z} out of range for dimension {n}, level {m}")
+    low = (1 << n) - 1
+    return [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
 
 
 def _check_bits(a: Sequence[int]) -> None:

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core_bits import Coordinate, CurveParams, integer_to_index
+from .core_bits import Coordinate, CurveParams, integer_digits
 from .errors import DomainError, PointFileError
 
 POINT_MAGIC = b"HPTS"
@@ -80,7 +80,7 @@ def index_digits(token: str, params: CurveParams) -> Sequence[int]:
             except ValueError:  # an empty digit, or one past the decimal digit cap
                 pass
         return [parse_decimal(part, "index digit") for part in parts]
-    return integer_to_index(parse_decimal(token, "index value"), params).digits
+    return integer_digits(parse_decimal(token, "index value"), params)
 
 
 def format_index_line(z: int, params: CurveParams, force_digits: bool) -> str:
@@ -90,9 +90,7 @@ def format_index_line(z: int, params: CurveParams, force_digits: bool) -> str:
     if small:
         parts.append(str(z))
     if force_digits or not small:
-        low = (1 << n) - 1
-        digits = [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
-        parts.append(DIGIT_PREFIX + ".".join(map(str, digits)))
+        parts.append(DIGIT_PREFIX + ".".join(map(str, integer_digits(z, params))))
     return " ".join(parts)
 
 

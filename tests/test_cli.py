@@ -205,6 +205,15 @@ class TestDecodeCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_index_out_of_range_message(self, capsys, tmp_path):
+        source = tmp_path / "indices.txt"
+        source.write_text("15\n16\n")
+        message = "index 16 out of range for dimension 2, level 2"
+        code, out, err = run(capsys, "decode", "--dim", "2", "--level", "2", "16")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, "decode", "-n", "2", "-m", "2", "--input", str(source))
+        assert (code, out, err) == (2, "", f"error: {source}: line 2: {message}\n")
+
     def test_garbage_token(self, capsys):
         code, _, err = run(capsys, "decode", "--dim", "2", "--level", "2", "pony")
         assert code == 2

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from hilbertorder.core_bits import (
     gray_code,
     gray_code_inverse,
     index_to_integer,
+    integer_digits,
     integer_to_index,
     parity_prefix,
     reflect,
@@ -217,6 +220,19 @@ class TestIndexConversions:
             integer_to_index(16, CurveParams(2, 2))
         with pytest.raises(DomainError):
             integer_to_index(-1, CurveParams(2, 2))
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=8), st.data())
+    def test_integer_digits_are_the_digits_of_integer_to_index(self, n, m, data):
+        z = data.draw(st.integers(min_value=0, max_value=2 ** (n * m) - 1))
+        params = CurveParams(n, m)
+        assert integer_digits(z, params) == list(integer_to_index(z, params).digits)
+
+    @pytest.mark.parametrize("z", [16, -1, 2**70])
+    def test_integer_digits_raise_as_integer_to_index(self, z):
+        message = re.escape(f"index {z} out of range for dimension 2, level 2")
+        for split in (integer_digits, integer_to_index):
+            with pytest.raises(DomainError, match=message):
+                split(z, CurveParams(2, 2))
 
     def test_digit_validation(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,12 @@
 import random
 import re
+import tracemalloc
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hilbertorder import encode
 from hilbertorder.core_bits import CurveParams, HilbertIndex, index_to_integer
 from hilbertorder.encode import (
     curve_key,
@@ -14,7 +17,7 @@ from hilbertorder.encode import (
     encode_bits_fast,
 )
 from hilbertorder.errors import DimensionMismatchError, DomainError
-from hilbertorder.gene import gene_table
+from hilbertorder.gene import GeneEntry, GeneTable, gene_table
 
 ENCODERS = [encode_arith, encode_bits, encode_arith_fast, encode_bits_fast]
 LINEAR = [encode_arith, encode_bits]
@@ -225,6 +228,114 @@ class TestCurveKey:
         with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
             curve_key(params, TABLES[2])(point)
 
+    # n = 3 and 4 read a state table, n = 5 the transposed loop.
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 1, 1), (1,), (-1, 0), (0, -5), (True, False), (0, True), (4, 0), (0, 2**70),
+         (1.0, 0), (4, "x")],
+    )
+    def test_rejects_what_the_variants_reject_at_every_n(self, n, bad):
+        point = bad[:1] + (0,) * (n - 2) + bad[1:]  # a wrong length stays wrong
+        params = CurveParams(n, 2)
+        with pytest.raises(DomainError) as reference:
+            encode_arith(point, params, TABLES[n])
+        with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
+            curve_key(params, TABLES[n])(point)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_keys_an_int_subclass_as_the_variants_do(self, n):
+        class Int(int):
+            pass
+
+        params = CurveParams(n, 4)
+        key = curve_key(params, TABLES[n])
+        rng = random.Random(n)
+        for _ in range(20):
+            point = tuple(rng.randrange(16) for _ in range(n))
+            for given in (tuple(map(Int, point)), point[:-1] + (Int(point[-1]),)):
+                assert key(given) == index_to_integer(encode_arith(given, params, TABLES[n])[0])
+
     def test_wrong_table_dimension(self):
         with pytest.raises(DimensionMismatchError):
             curve_key(CurveParams(2, 2), TABLES[3])
+
+
+@pytest.fixture
+def state_tables(monkeypatch):
+    """The result of every state-table build curve_key makes while the test runs."""
+    built = []
+    build = encode._state_table
+
+    def record(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(encode, "_state_table", record)
+    return built
+
+
+def _state_count(n, state_table):
+    levels, rows = state_table
+    return len(rows) >> (n * levels)
+
+
+class TestCurveKeyStateTable:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_set_up_holds_each_state_of_the_curve_once(self, n, state_tables):
+        table = gene_table(n)
+        tracemalloc.start()
+        try:
+            key = curve_key(CurveParams(n, 1000), table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        if n == 5:  # 1,920 states of 32 entries each: no table fits
+            assert state_tables == [None]
+        else:
+            levels, rows = state_tables[0]
+            assert levels == {2: 5, 3: 2, 4: 1}[n]
+            assert len(rows) <= 4096
+            assert _state_count(n, state_tables[0]) == factorial(n) * 2 ** (n - 1)
+        expected, _ = encode_arith((1,) * n, CurveParams(n, 1000), table)
+        assert key((1,) * n) == index_to_integer(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("altered", ["moved", "odd-reverse"])
+    def test_equals_encode_arith_on_a_hand_built_table(self, n, altered, state_tables):
+        entries = list(gene_table(n).entries)
+        if altered == "moved":
+            # Quadrants 1 and 2 trade commands, and the last one exchanges nothing.
+            entries[1], entries[2] = entries[2], entries[1]
+            entries[-1] = GeneEntry((0,) * n, entries[-1].reverse)
+        else:
+            # Quadrant 1 also reverses component 1, which doubles the states:
+            # more than a table is sized for, so the loop runs.
+            reverse = entries[1].reverse
+            entries[1] = GeneEntry(entries[1].exchange, (1 - reverse[0],) + reverse[1:])
+        table = GeneTable(n, tuple(entries), gene_table(n).corners)
+        for m in (1, 2, 3):
+            params = CurveParams(n, m)
+            key = curve_key(params, table)
+            for point in grid(n, m):
+                assert key(point) == index_to_integer(encode_arith(point, params, table)[0])
+        if altered == "moved":
+            states = factorial(n) * 2 ** (n - 1)
+            assert [_state_count(n, built) for built in state_tables] == [states] * 3
+        else:
+            assert state_tables == [None] * 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_the_fast_variants_when_quadrant_zero_is_not_the_swap(self, n, state_tables):
+        # Leading all-zero levels no longer read as swaps, so encode_arith
+        # differs; the fast variants collapse them as curve_key does.
+        entries = list(gene_table(n).entries)
+        entries[0] = GeneEntry(entries[0].exchange, (1,) * n)
+        table = GeneTable(n, tuple(entries), gene_table(n).corners)
+        for m in (1, 2, 3):
+            params = CurveParams(n, m)
+            key = curve_key(params, table)
+            for point in grid(n, m):
+                assert key(point) == index_to_integer(encode_arith_fast(point, params, table)[0])
+        assert state_tables == [None] * 3
