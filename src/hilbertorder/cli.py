@@ -12,6 +12,7 @@ A bad row in any input file is named by its row.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -30,9 +31,9 @@ from .oracle import (
     run_counter_benchmark,
 )
 from .pointio import (
-    format_index_line,
     format_point,
     index_digits,
+    index_formatter,
     int_max_str_digits,
     parse_decimal,
     parse_point,
@@ -46,9 +47,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (HilbertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # What stdout still holds goes nowhere, so exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 
@@ -121,8 +127,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     else:
         point = parse_point(args.coords, params.n)
         keys = [curve_key(params, gene_table(params.n))(point)]
-    for z in keys:
-        print(format_index_line(z, params, args.digits))
+    line = index_formatter(params, args.digits)
+    sys.stdout.write("".join([line(z) + "\n" for z in keys]))
     return 0
 
 
@@ -142,8 +148,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         points = read_rows(args.input, lambda line: point(index_digits(line, params)))
     else:
         points = [point(index_digits(token, params)) for token in args.indices]
-    for p in points:
-        print(format_point(p))
+    sys.stdout.write("".join([format_point(p) + "\n" for p in points]))
     return 0
 
 

@@ -17,6 +17,7 @@ writer replaces a regular output whole, so a failed run leaves it intact.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import stat
 import struct
@@ -33,6 +34,10 @@ _POINT_FIELDS = struct.Struct("<BHQ")  # version, dimension, record count
 _POINT_HEADER = len(POINT_MAGIC) + _POINT_FIELDS.size
 
 DIGIT_PREFIX = "digits:"
+# Strings one digit table of index_formatter may hold.  It holds 2**(n * L)
+# strings for L digits per lookup, so L = 6, 4, 3 at n = 2, 3, 4 and 1 up
+# to n = 12; from n = 13 no table fits.
+_DIGIT_TABLE_STRINGS = 4096
 
 # CPython's cap on decimal digits per int <-> str conversion; 0 means no
 # cap, as on interpreters that predate it.
@@ -83,15 +88,58 @@ def index_digits(token: str, params: CurveParams) -> Sequence[int]:
     return integer_digits(parse_decimal(token, "index value"), params)
 
 
-def format_index_line(z: int, params: CurveParams, force_digits: bool) -> str:
+def index_formatter(params: CurveParams, force_digits: bool) -> Callable[[int], str]:
+    """A function from an index to its output line: the decimal value while
+    ``n * m <= 64``, the ``digits:`` token beyond that, and both where
+    ``force_digits`` asks for the token at every size.
+
+    While ``2**n <= _DIGIT_TABLE_STRINGS`` the token's body is read ``L``
+    digits at a time from the table of :func:`_digit_strings`, the
+    ``m mod L`` leading digits from a shorter one; above that, one ``str``
+    per digit.  An index outside ``0 <= z < 2**(n * m)`` raises as
+    :func:`integer_digits` does.
+    """
     n, m = params.n, params.m
-    small = n * m <= 64
-    parts = []
-    if small:
-        parts.append(str(z))
-    if force_digits or not small:
-        parts.append(DIGIT_PREFIX + ".".join(map(str, integer_digits(z, params))))
-    return " ".join(parts)
+    top = 1 << (n * m)
+    levels = (_DIGIT_TABLE_STRINGS.bit_length() - 1) // n  # largest L with 2**(n * L) <= cap
+    if levels:
+        width = n * levels
+        chunk = (1 << width) - 1
+        strings = _digit_strings(n, levels)
+        lead = width * (m // levels)  # the leading m mod L digits sit above this bit
+        leading = _digit_strings(n, m % levels) if m % levels else None
+        shifts = range(lead - width, -1, -width)
+
+        def body(z: int) -> str:
+            parts = [strings[(z >> shift) & chunk] for shift in shifts]
+            if leading is not None:
+                parts.insert(0, leading[z >> lead])
+            return ".".join(parts)
+    else:
+        def body(z: int) -> str:
+            return ".".join(map(str, integer_digits(z, params)))
+
+    decimal = n * m <= 64
+    digits = force_digits or not decimal
+
+    def line(z: int) -> str:
+        if not 0 <= z < top:
+            raise DomainError(f"index {z} out of range for dimension {n}, level {m}")
+        if not digits:
+            return str(z)
+        token = DIGIT_PREFIX + body(z)
+        return f"{z} {token}" if decimal else token
+
+    return line
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_strings(n: int, count: int) -> tuple[str, ...]:
+    """``"d1.d2.….dcount"`` for every run of ``count`` radix ``2**n`` digits,
+    at the run's value: the top digit first, as a ``digits:`` token writes it."""
+    if count == 1:
+        return tuple(map(str, range(1 << n)))
+    return tuple(f"{a}.{b}" for a in _digit_strings(n, 1) for b in _digit_strings(n, count - 1))
 
 
 def read_rows(path: Path, parse: Callable[[str], object]) -> list:

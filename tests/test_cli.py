@@ -1,15 +1,20 @@
 import contextlib
 import io
+import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hilbertorder import cli, gene, pointio
 from hilbertorder.cli import main
-from hilbertorder.core_bits import CurveParams, index_to_integer, integer_to_index
+from hilbertorder.core_bits import (
+    CurveParams, index_to_integer, integer_digits, integer_to_index,
+)
 from hilbertorder.decode import (
     curve_point, decode_arith, decode_arith_fast, decode_bits, decode_bits_fast,
 )
@@ -84,6 +89,18 @@ class TestEncodeCommand:
                            "--digits", "3", "0")
         assert code == 0
         assert out == "15 digits:3.3\n"
+
+    def test_level_zero_digit_form_is_empty(self, capsys):
+        code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "0", "--digits", "0", "0")
+        assert (code, out) == (0, "0 digits:\n")
+
+    def test_digits_above_the_table_cap(self, capsys):
+        # 2**13 digit values fit no digit table: each digit is printed alone.
+        display = (63, *range(12))
+        code, out, _ = run(capsys, "encode", "--dim", "13", "--level", "6", *map(str, display))
+        params = CurveParams(13, 6)
+        digits = integer_digits(variant_encode("1", display, 13, 6), params)
+        assert (code, out) == (0, "digits:" + ".".join(map(str, digits)) + "\n")
 
     def test_wide_indices_print_as_digits(self, capsys):
         code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "40", "0", "1")
@@ -162,6 +179,72 @@ class TestEncodeCommand:
                 parts.append("digits:" + ".".join(map(str, idx.digits)))
             expected.append(" ".join(parts))
         assert out.getvalue().splitlines() == expected
+
+
+def reference_line(z, params, force_digits):
+    """The output line of an index, one ``str`` per digit."""
+    wide = params.n * params.m > 64
+    parts = [] if wide else [str(z)]
+    if force_digits or wide:
+        parts.append("digits:" + ".".join(map(str, integer_digits(z, params))))
+    return " ".join(parts)
+
+
+def digits_per_lookup(n):
+    """Digits one digit-table string holds at dimension n; 0 where no table fits."""
+    return max((count for count in range(1, 13) if 2 ** (n * count) <= 4096), default=0)
+
+
+class TestIndexFormatter:
+    @pytest.mark.parametrize("force_digits", [False, True])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_the_reference(self, n, force_digits):
+        rng = random.Random(n)
+        per = digits_per_lookup(n)
+        for m in {0, 1, per - 1, per, per + 1, 40} - {-1}:
+            params = CurveParams(n, m)
+            line = pointio.index_formatter(params, force_digits)
+            top = 2 ** (n * m) - 1
+            for z in {0, min(1, top), top, *(rng.randint(0, top) for _ in range(20))}:
+                assert line(z) == reference_line(z, params, force_digits), (m, z)
+
+    @pytest.mark.parametrize("force_digits", [False, True])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_out_of_range_raises_as_integer_digits(self, n, force_digits):
+        for m in (0, 1, 5, 40):
+            params = CurveParams(n, m)
+            line = pointio.index_formatter(params, force_digits)
+            for z in (-1, 2 ** (n * m)):
+                with pytest.raises(DomainError) as split:
+                    integer_digits(z, params)
+                with pytest.raises(DomainError, match=f"^{re.escape(str(split.value))}$"):
+                    line(z)
+
+    def test_digit_tables_hold_at_most_4096_strings(self, monkeypatch):
+        built = []
+        build = pointio._digit_strings
+
+        def record(n, count):
+            built.append((n, build(n, count)))
+            return built[-1][1]
+
+        monkeypatch.setattr(pointio, "_digit_strings", record)
+        for n in range(2, 21):
+            for m in (1, 2, 7, 40):
+                pointio.index_formatter(CurveParams(n, m), True)
+        assert {n for n, _ in built} == set(range(2, 13))
+        assert max(len(strings) for _, strings in built) <= 4096
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_set_up_is_small(self, n):
+        pointio._digit_strings.cache_clear()
+        tracemalloc.start()
+        try:
+            pointio.index_formatter(CurveParams(n, 40), True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestDecodeCommand:
@@ -746,6 +829,33 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue() + out.getvalue()
         if code == 2:  # a refused call leaves its input, also when it is the output
             assert path.read_bytes() == blob
+
+
+class TestBrokenPipe:
+    """Output into a pipe whose reader is gone ends in one error line."""
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["encode-input", "decode-one"])
+    def test_one_error_line(self, tmp_path, command, buffering):
+        source = tmp_path / "points.txt"
+        source.write_text("1023 5 0 77\n" * 2000)  # over 64 KiB of digits: lines
+        argv = {
+            "encode-input": ["encode", "--dim", "4", "--level", "40", "--input", str(source)],
+            "decode-one": ["decode", "--dim", "2", "--level", "2", "13"],
+        }[command]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "hilbertorder", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 class TestModuleEntryPoint:
