@@ -31,7 +31,7 @@ from .oracle import (
     run_counter_benchmark,
 )
 from .pointio import (
-    format_point,
+    format_points,
     index_digits,
     index_formatter,
     int_max_str_digits,
@@ -148,7 +148,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         points = read_rows(args.input, lambda line: point(index_digits(line, params)))
     else:
         points = [point(index_digits(token, params)) for token in args.indices]
-    sys.stdout.write("".join([format_point(p) + "\n" for p in points]))
+    sys.stdout.write(format_points(points, params.n))
     return 0
 
 

@@ -9,8 +9,10 @@ levels above it would each contribute only a swap of components 1 and
 
 These four are the reference code the paper studies.  The production
 decoder behind ``hilbert decode`` and ``hilbert validate`` is
-:func:`curve_point`, which packs the components into one ``int`` so
-that the per-digit work does not grow with ``n``.
+:func:`curve_point`, whose per-digit work does not grow with ``n``.
+While ``n <= 8`` it holds the placed levels as one byte per bit plane
+and places a digit with one ``bytes.translate``; above that it packs
+the components into one ``int``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .encode import StepCounter
 from .errors import DimensionMismatchError, DomainError
 from .gene import GeneTable
 
-# Bits of per-digit steps one curve_point decoder keeps (16 MiB): every
-# quadrant's step fits while n <= 8 and m <= 32768.
+# Bits of per-digit steps one curve_point decoder keeps from n = 9, where
+# its field kernel runs (16 MiB): every quadrant's step fits while
+# 2**n * (2 * n * m + 1) <= 2**27, so up to m = 14563 at n = 9 and
+# m = 6553 at n = 10.
 _STEP_BITS = 1 << 27
 
 
@@ -76,25 +80,52 @@ def curve_point(
     ``HilbertIndex`` and ``decode_arith`` reject with the same messages
     (the digit count first), and equals
     ``decode_arith(HilbertIndex(n, digits), params, table)[0]``.
-    Component ``i + 1`` lives in the ``m``-bit field at bit ``i * m`` of
-    one integer ``x``, the decoding mirror of :func:`encode.curve_key`.
-    Per digit ``r``, bottom up with ``v`` bits already placed per field,
-    the exchange is one delta swap of two fields; the reverse command
-    (the low ``v`` bits of the reversed fields) and the quadrant offset
-    (``gray(r)``, one bit per field, at bit ``v``) are one more xor.
-    The per-digit work does not grow with ``n``.
+    Digits are placed bottom up in the transposed (bit-plane) form of
+    J. Skilling ("Programming the Hilbert curve", AIP Conf. Proc. 707,
+    2004) that :func:`encode.curve_key` reads: per digit ``r``, with
+    ``v`` planes already placed, quadrant ``r``'s exchange and reverse
+    commands act on each placed plane alike, and ``gray(r)`` becomes
+    plane ``v``.
 
-    A digit's step, which holds two ``n * m``-bit integers, is built the
-    first time the digit occurs, and at most ``_STEP_BITS`` bits of steps
-    are kept, so set-up does not grow with ``2**n * n * m``.
+    While ``n <= 8`` a plane fits in a byte, so the placed planes are one
+    ``bytes`` object, byte ``v`` holding bit ``v`` of every component
+    (component ``i + 1`` at bit ``i``), and a digit costs one
+    ``bytes.translate`` through quadrant ``r``'s 256-byte table plus one
+    appended byte.  An 8 x 8 bit transpose per eight planes then gives
+    each component its bytes.
+
+    From ``n = 9`` an exchange can cross bytes, and component ``i + 1``
+    lives in the ``m``-bit field at bit ``i * m`` of one integer ``x``
+    instead: the exchange is one delta swap of two fields; the reverse
+    command (the low ``v`` bits of the reversed fields) and the quadrant
+    offset (``gray(r)``, one bit per field, at bit ``v``) are one more
+    xor.  A digit's step, which holds two ``n * m``-bit integers, is
+    built the first time the digit occurs, and at most ``_STEP_BITS``
+    bits of steps are kept, so set-up does not grow with
+    ``2**n * n * m``.  The per-digit work of either kernel does not grow
+    with ``n``.
     """
     n, m = params.n, params.m
     table.check_dimension(n)
+
+    def reject(digits: Sequence[int]) -> None:
+        _check_digit_count(len(digits), m)
+        HilbertIndex(n, tuple(digits))  # raises on the first bad digit
+
+    if n <= 8:
+        return _byte_plane_point(n, m, table, reject)
+    return _field_point(n, m, table, reject)
+
+
+def _field_point(
+    n: int, m: int, table: GeneTable, reject: Callable[[Sequence[int]], None]
+) -> Callable[[Sequence[int]], Coordinate]:
+    """``curve_point``'s kernel from ``n = 9``: one ``m``-bit field per component."""
     size = 1 << n
     field = (1 << m) - 1
     # One mask of n * m bits per exchanged pair, shared by its quadrants.
     masks = {pair: field << (pair[0] * m) for pair in set(table.swap_pairs) if pair}
-    spread = [0] * min(size, 256)  # spread[c] moves bit j of the byte c to bit j * m
+    spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * m
     for c in range(1, len(spread)):
         spread[c] = (spread[c >> 1] << m) | (c & 1)
 
@@ -133,10 +164,6 @@ def curve_point(
 
     shifts = range(0, n * m, m) if m else [0] * n
 
-    def reject(digits: Sequence[int]) -> None:
-        _check_digit_count(len(digits), m)
-        HilbertIndex(n, tuple(digits))  # raises on the first bad digit
-
     def point(digits: Sequence[int]) -> Coordinate:
         try:
             if len(digits) != m or (m and not 0 <= min(digits) <= max(digits) < size):
@@ -158,6 +185,63 @@ def curve_point(
             reject(digits)
             raise
         return tuple([(x >> s) & field for s in shifts])
+
+    return point
+
+
+def _byte_plane_point(
+    n: int, m: int, table: GeneTable, reject: Callable[[Sequence[int]], None]
+) -> Callable[[Sequence[int]], Coordinate]:
+    """``curve_point``'s kernel while ``n <= 8``: one byte per plane."""
+    size = 1 << n
+    ones = int.from_bytes(bytes([1]) * 256, "little")  # bit 0 of every byte
+    every = int.from_bytes(bytes(range(256)), "little")  # byte c holds c
+    # moves[r][c] is the plane c after quadrant r's exchange and then its
+    # reverse command.  All 256 planes take an exchange at once, as the
+    # bytes of one int (a delta swap of two bits per byte), once per pair;
+    # a reverse command is then one xor per quadrant.
+    swapped = {None: every}
+    for pair in set(table.swap_pairs) - {None}:
+        a, b = pair
+        t = ((every >> (b - a)) ^ every) & (ones << a)
+        swapped[pair] = every ^ t ^ (t << (b - a))
+    moves = [
+        (swapped[table.swap_pairs[r]] ^ sum(1 << i for i in table.reverse_slots[r]) * ones)
+        .to_bytes(256, "little")
+        for r in range(size)
+    ]
+    offsets = [bytes([r ^ (r >> 1)]) for r in range(size)]
+    # The planes padded to whole words of eight, and the masks of an 8 x 8
+    # bit transpose of every 64-bit word (H. S. Warren, Hacker's Delight,
+    # 7-3): plane j of a word at bit 8 * j + i becomes component i + 1 at
+    # bit 8 * i + j, so byte i of word w holds bits 8 * w .. 8 * w + 7 of
+    # component i + 1.
+    words = -(-m // 8)
+    pad = bytes(8 * words - m)
+    rep = int.from_bytes(bytes([1] + [0] * 7) * words, "little")  # bit 0 of every word
+    mask7, mask14, mask28 = (0x00AA00AA00AA00AA * rep, 0x0000CCCC0000CCCC * rep,
+                             0x00000000F0F0F0F0 * rep)
+    components = range(n)
+
+    def point(digits: Sequence[int]) -> Coordinate:
+        try:
+            if len(digits) != m or (m and not 0 <= min(digits) <= max(digits) < size):
+                reject(digits)
+            planes = b""
+            for r in reversed(digits):
+                planes = planes.translate(moves[r]) + offsets[r]
+        except TypeError:  # a digit that is not an int
+            reject(digits)
+            raise
+        x = int.from_bytes(planes + pad, "little")
+        t = ((x >> 7) ^ x) & mask7
+        x ^= t ^ (t << 7)
+        t = ((x >> 14) ^ x) & mask14
+        x ^= t ^ (t << 14)
+        t = ((x >> 28) ^ x) & mask28
+        x ^= t ^ (t << 28)
+        columns = x.to_bytes(8 * words, "little")
+        return tuple([int.from_bytes(columns[i::8], "little") for i in components])
 
     return point
 

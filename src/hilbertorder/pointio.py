@@ -36,7 +36,8 @@ _POINT_HEADER = len(POINT_MAGIC) + _POINT_FIELDS.size
 DIGIT_PREFIX = "digits:"
 # Strings one digit table of index_formatter may hold.  It holds 2**(n * L)
 # strings for L digits per lookup, so L = 6, 4, 3 at n = 2, 3, 4 and 1 up
-# to n = 12; from n = 13 no table fits.
+# to n = 12; from n = 13 no table fits.  index_digits reads digits through
+# a dict of the L = 1 table under the same cap.
 _DIGIT_TABLE_STRINGS = 4096
 
 # CPython's cap on decimal digits per int <-> str conversion; 0 means no
@@ -68,17 +69,32 @@ def format_point(point: Coordinate) -> str:
     return " ".join(map(str, reversed(point)))
 
 
+def format_points(points: Sequence[Coordinate], n: int) -> str:
+    """The text lines of ``n``-component points, as :func:`format_point` writes
+    each, through one ``%``-format per line."""
+    line = " ".join(["%d"] * n) + "\n"
+    return "".join([line % p[::-1] for p in points])
+
+
 def index_digits(token: str, params: CurveParams) -> Sequence[int]:
     """Digits of an index token, most significant first.
 
-    A ``digits:`` token of ASCII digits and dots takes one split and one
-    ``int`` per digit; when that fails, :func:`parse_decimal` reads each
-    digit to raise its message.  ``curve_point`` checks the digits' count
-    and range.
+    A ``digits:`` token takes one split, then one dict lookup per digit
+    while ``2**n <= _DIGIT_TABLE_STRINGS``, else one ``int`` per digit
+    if the token is ASCII digits and dots; a digit the dict lacks (``007``)
+    falls back to ``int``, and when that fails too, :func:`parse_decimal`
+    reads each digit to raise its message.  ``curve_point`` checks the
+    digits' count and range.
     """
     if token.startswith(DIGIT_PREFIX):
         body = token[len(DIGIT_PREFIX):]
         parts = body.split(".") if body else []
+        values = _digit_values(params.n)
+        if values is not None:
+            try:
+                return list(map(values.__getitem__, parts))
+            except KeyError:
+                pass
         if body.isascii() and "".join(parts).isdigit():
             try:
                 return list(map(int, parts))
@@ -142,6 +158,15 @@ def _digit_strings(n: int, count: int) -> tuple[str, ...]:
     return tuple(f"{a}.{b}" for a in _digit_strings(n, 1) for b in _digit_strings(n, count - 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_values(n: int) -> dict[str, int] | None:
+    """Each radix ``2**n`` digit's decimal string to its value, while
+    ``2**n <= _DIGIT_TABLE_STRINGS``; else ``None``."""
+    if 1 << n > _DIGIT_TABLE_STRINGS:
+        return None
+    return {string: value for value, string in enumerate(_digit_strings(n, 1))}
+
+
 def read_rows(path: Path, parse: Callable[[str], object]) -> list:
     """``parse`` of each line of a UTF-8 text file that is not blank or a ``#`` comment."""
     return _text_rows(path, path.read_bytes(), parse)
@@ -186,7 +211,7 @@ def write_points(path: Path, n: int, points: Sequence[Coordinate], binary: bool)
         header = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(points))
         payload = header + b"".join([record(*reversed(p)) for p in points])
     else:
-        payload = "".join([format_point(p) + "\n" for p in points]).encode()
+        payload = format_points(points, n).encode()
     _write_whole(path, payload)
 
 
