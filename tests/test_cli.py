@@ -247,6 +247,42 @@ class TestIndexFormatter:
         assert peak < 1_000_000
 
 
+class TestIndexDigits:
+    @pytest.mark.parametrize("n", [2, 8, 12, 13])  # the digit dict stops at n = 12
+    def test_matches_int_per_digit(self, n):
+        rng = random.Random(n)
+        params = CurveParams(n, 40)
+        for _ in range(20):
+            digits = [rng.randrange(2**n) for _ in range(40)]
+            token = pointio.DIGIT_PREFIX + ".".join(map(str, digits))
+            assert pointio.index_digits(token, params) == digits
+        # Digits no dict holds: leading zeros, and 2**n, which curve_point rejects.
+        token = f"{pointio.DIGIT_PREFIX}007.000.{2**n}"
+        assert pointio.index_digits(token, CurveParams(n, 3)) == [7, 0, 2**n]
+
+    def test_digit_dicts_stop_at_the_table_cap(self):
+        built = [n for n in range(2, 21) if pointio._digit_values(n) is not None]
+        assert built == list(range(2, 13))
+
+    def test_leading_zeros_decode_as_the_digit(self, capsys):
+        code, out, err = run(capsys, "decode", "--dim", "8", "--level", "2",
+                             "digits:007.000", "digits:7.0")
+        assert (code, err) == (0, "")
+        first, second = out.splitlines()
+        assert first == second
+
+
+class TestFormatPoints:
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_same_text_as_format_point(self, n):
+        rng = random.Random(n)
+        points = [tuple(rng.randrange(2 ** rng.randrange(1, 200)) for _ in range(n))
+                  for _ in range(50)] + [(0,) * n]
+        expected = "".join(pointio.format_point(p) + "\n" for p in points)
+        assert pointio.format_points(points, n) == expected
+        assert pointio.format_points([], n) == ""
+
+
 class TestDecodeCommand:
     def test_level_two_fixture(self, capsys):
         code, out, _ = run(capsys, "decode", "--dim", "2", "--level", "2", "13")

@@ -190,11 +190,12 @@ class TestDegenerateAndErrors:
 
 
 @st.composite
-def curve_indices(draw):
+def curve_indices(draw, min_n=2, max_n=8):
     """(n, m, digits) with all but the last k digits zero for a random
-    k <= m, so both odd and even counts of leading zero digits occur."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    m = draw(st.integers(min_value=0, max_value=40))
+    k <= m, so both odd and even counts of leading zero digits occur.
+    Above n = 8, where ``decode_arith`` and the tables cost more, m <= 12."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    m = draw(st.integers(min_value=0, max_value=40 if n <= 8 else 12))
     k = draw(st.integers(min_value=0, max_value=m))
     low = [draw(st.integers(min_value=0, max_value=2**n - 1)) for _ in range(k)]
     return n, m, [0] * (m - k) + low
@@ -209,18 +210,23 @@ def curve_points(draw):
     return n, m, point
 
 
-POINT_TABLES = {n: gene_table(n) for n in range(2, 9)}
+POINT_TABLES = {n: gene_table(n) for n in range(2, 11)}
+TOP = object()  # stands for the digit 2**n, the first one out of range
 
 
 class TestCurvePoint:
+    # The byte-plane kernel runs while n <= 8 and the field kernel from
+    # n = 9; every property below is drawn on both sides.
     @settings(max_examples=300, deadline=None)
-    @given(curve_indices())
+    @given(curve_indices(max_n=10))
     @example((2, 0, []))  # level 0: the origin
     @example((3, 40, [0] * 40))
     @example((2, 7, [0] * 6 + [2]))  # six leading zero digits
     @example((2, 8, [0] * 7 + [2]))  # seven leading zero digits
     @example((8, 40, [255] * 40))  # n * m = 320
     @example((5, 40, [31, 0, 17] + [1] * 37))
+    @example((9, 12, [511] * 12))
+    @example((10, 3, [1023, 0, 512]))
     def test_equals_decode_arith(self, case):
         n, m, digits = case
         params = CurveParams(n, m)
@@ -240,20 +246,24 @@ class TestCurvePoint:
 
     @pytest.mark.parametrize(
         "digits",
-        [(), (1,), (1, 0, 0), (4, 0), (0, 4), (0, 2**70), (-1, 0), (0, 1.0), (0, "1")],
+        [(), (1,), (1, 0, 0), (TOP, 0), (0, TOP), (0, 2**70), (-1, 0), (0, 1.0), (0, "1"),
+         (0, -1), (TOP, -1)],
     )
     def test_rejects_what_decode_arith_rejects(self, digits):
-        params = CurveParams(2, 2)
-        with pytest.raises(DomainError) as reference:
-            decode_arith(HilbertIndex(2, digits), params, TABLES[2])
-        for given_as in (tuple, list):
-            with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
-                curve_point(params, TABLES[2])(given_as(digits))
+        for n in (2, 8, 9):
+            params = CurveParams(n, 2)
+            at_n = tuple(2**n if d is TOP else d for d in digits)
+            with pytest.raises(DomainError) as reference:
+                decode_arith(HilbertIndex(n, at_n), params, POINT_TABLES[n])
+            for given_as in (tuple, list):
+                with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
+                    curve_point(params, POINT_TABLES[n])(given_as(at_n))
 
     @settings(max_examples=50, deadline=None)
-    @given(curve_indices())
+    @given(curve_indices(min_n=9, max_n=10))
     def test_equals_decode_arith_when_steps_are_dropped(self, case):
-        # Room for one step only: every new digit drops the steps built so far.
+        # Room for one step only: every new digit drops the steps built so
+        # far.  Steps exist in the field kernel only, so n >= 9.
         n, m, digits = case
         params = CurveParams(n, m)
         table = POINT_TABLES[n]
@@ -264,6 +274,33 @@ class TestCurvePoint:
         assert point(digits) == expected
         backwards, _ = decode_arith(HilbertIndex(n, tuple(digits[::-1])), params, table)
         assert point(digits[::-1]) == backwards
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in (8, 9) for m in (0, 1, 7, 9, 33)] + [(8, 200)]
+    )
+    def test_equals_decode_arith_at_the_cut_over(self, n, m):
+        params = CurveParams(n, m)
+        table = POINT_TABLES[n]
+        point = curve_point(params, table)
+        kernel = "_byte_plane_point" if n <= 8 else "_field_point"
+        assert point.__qualname__ == f"{kernel}.<locals>.point"
+        rng = random.Random(n * 1000 + m)
+        randoms = [rng.randrange(2**n) for _ in range(m)]
+        for digits in ([0] * m, [2**n - 1] * m, randoms, randoms[::-1]):
+            expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
+            assert point(digits) == expected
+
+    def test_byte_plane_set_up_is_small(self):
+        # 256 translation tables of 256 bytes each, and masks of m bits.
+        params = CurveParams(8, 1000)
+        tracemalloc.start()
+        try:
+            point = curve_point(params, POINT_TABLES[8])
+            point([0] * 999 + [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_set_up_does_not_grow_with_every_quadrant(self):
         # All 2**12 steps at n * m = 12000 bits would take about 12 MB.
