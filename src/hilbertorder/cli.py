@@ -157,7 +157,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     key = curve_key(params, gene_table(params.n))
     keyed, binary = read_points(args.input, params.n, lambda p: (key(p), p))
     keyed.sort(key=itemgetter(0))  # stable: ties keep input order
-    write_points(args.output, params.n, [point for _, point in keyed], binary)
+    write_points(args.output, params.n, list(map(itemgetter(1), keyed)), binary)
     return 0
 
 

@@ -10,7 +10,6 @@ records loop passes and wall time per encoder variant across levels.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
@@ -132,6 +131,8 @@ def run_counter_benchmark(
     Counters are exact (loop passes per call); the timing medians are
     informational only.
     """
+    import statistics  # here, not at the top: every CLI call imports this module
+
     if repeats < 1:
         raise DomainError(f"repeats must be positive, got {repeats}")
     point = tuple(point)

@@ -9,9 +9,15 @@ record, all little-endian.  Indices print in decimal while ``n * m <= 64``,
 else as ``digits:`` and their radix ``2**n`` digits, most significant first.
 
 A reader opens its file once and takes the format from its bytes, so a
-pipe works as an input.  Each row is converted as it is read, so the
-first bad row in file order is named (``line N`` or ``record N``).  The
-writer replaces a regular output whole, so a failed run leaves it intact.
+pipe works as an input.  A binary file, and a text file of ASCII digits,
+spaces, tabs and ``\n`` only with ``n`` components on every non-blank
+line, is read whole: one ``struct`` unpack, or one split and one
+``map(int, ...)``, then one ``zip`` into points and one ``map`` of the
+conversion, with no Python loop per row.  Any other text file, and any
+file with a row that fails to convert, goes through a row loop, which
+names the first bad row in file order (``line N`` or ``record N``) with
+the same message either way.  The writer replaces a regular output
+whole, so a failed run leaves it intact.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import os
 import stat
 import struct
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -32,6 +39,9 @@ POINT_MAGIC = b"HPTS"
 POINT_FORMAT_VERSION = 1
 _POINT_FIELDS = struct.Struct("<BHQ")  # version, dimension, record count
 _POINT_HEADER = len(POINT_MAGIC) + _POINT_FIELDS.size
+# The bytes of a text point file the whole-file reader takes: with these
+# only, a line is a row, and its tokens are what the row parser reads.
+_PLAIN_TEXT_BYTES = b"0123456789 \t\n"
 
 DIGIT_PREFIX = "digits:"
 # Strings one digit table of index_formatter may hold.  It holds 2**(n * L)
@@ -71,9 +81,9 @@ def format_point(point: Coordinate) -> str:
 
 def format_points(points: Sequence[Coordinate], n: int) -> str:
     """The text lines of ``n``-component points, as :func:`format_point` writes
-    each, through one ``%``-format per line."""
+    each, through one ``%``-format of the whole output."""
     line = " ".join(["%d"] * n) + "\n"
-    return "".join([line % p[::-1] for p in points])
+    return (line * len(points)) % tuple(chain.from_iterable(map(reversed, points)))
 
 
 def index_digits(token: str, params: CurveParams) -> Sequence[int]:
@@ -178,10 +188,33 @@ def read_points(path: Path, n: int, convert: Callable[[Coordinate], object]) -> 
     A ``DomainError`` from parsing or from ``convert`` names its row.
     """
     data = path.read_bytes()
-    if not data.startswith(POINT_MAGIC):
-        return _text_rows(
-            path, data, lambda line: convert(parse_point(line.replace(",", " ").split(), n))
-        ), False
+    binary = data.startswith(POINT_MAGIC)
+    points = _binary_points(path, data, n) if binary else _plain_text_points(data, n)
+    if points is not None:
+        try:
+            return list(map(convert, points)), binary
+        except DomainError:
+            pass  # the row loops below name the first bad row
+    if binary:
+        return _record_rows(path, points, convert), True
+    return _text_rows(
+        path, data, lambda line: convert(parse_point(line.replace(",", " ").split(), n))
+    ), False
+
+
+def write_points(path: Path, n: int, points: Sequence[Coordinate], binary: bool) -> None:
+    """Write ``points`` to ``path`` as a binary or text point file, replacing it whole."""
+    if binary:
+        header = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(points))
+        flat = chain.from_iterable(map(reversed, points))
+        payload = header + struct.pack(f"<{len(points) * n}Q", *flat)
+    else:
+        payload = format_points(points, n).encode()
+    _write_whole(path, payload)
+
+
+def _binary_points(path: Path, data: bytes, n: int) -> list[Coordinate]:
+    """The points of an ``HPTS`` file, after its header checks."""
     if len(data) < _POINT_HEADER:
         raise PointFileError(f"{path}: truncated header")
     version, file_n, count = _POINT_FIELDS.unpack_from(data, len(POINT_MAGIC))
@@ -194,25 +227,46 @@ def read_points(path: Path, n: int, convert: Callable[[Coordinate], object]) -> 
         raise PointFileError(f"{path}: payload has {len(data)} bytes, expected {expected}")
     if file_n != n:
         raise PointFileError(f"{path}: file is {file_n}-dimensional, expected {n}")
+    return _points(struct.unpack_from(f"<{count * n}Q", data, _POINT_HEADER), n)
+
+
+def _plain_text_points(data: bytes, n: int) -> list[Coordinate] | None:
+    """The points of a text point file of ``_PLAIN_TEXT_BYTES`` only, with
+    ``n`` components on each non-blank line and none past the digit-count
+    cap; ``None`` for any other file, which the row loop reads."""
+    if data.translate(None, _PLAIN_TEXT_BYTES):
+        return None
+    # Lines as format_points writes them leave n - 1 spaces each once the
+    # digits are gone, so none holds more than n tokens; in any other
+    # layout, the lines of exactly n tokens are counted.
+    rows = data.count(b"\n")
+    if data.translate(None, b"0123456789") != (b" " * (n - 1) + b"\n") * rows:
+        rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
+    try:
+        values = list(map(int, data.split()))
+    except ValueError:  # a component past the digit-count cap
+        return None
+    if len(values) != n * rows:  # some token is on a line of fewer or more than n
+        return None
+    return _points(values, n)
+
+
+def _points(values: Sequence[int], n: int) -> list[Coordinate]:
+    """Rows of ``n`` values written ``x_n .. x_1`` as the points ``(x_1, .., x_n)``."""
+    backwards = iter(values[::-1])  # the last row first, each row x_1 first
+    points = list(zip(*[backwards] * n))
+    points.reverse()
+    return points
+
+
+def _record_rows(path: Path, points: Sequence[Coordinate], convert: Callable) -> list:
     values = []
-    records = struct.iter_unpack(f"<{n}Q", memoryview(data)[_POINT_HEADER:])
-    for record, display in enumerate(records):
+    for record, point in enumerate(points):
         try:
-            values.append(convert(display[::-1]))
+            values.append(convert(point))
         except DomainError as exc:
             raise PointFileError(f"{path}: record {record}: {exc}") from exc
-    return values, True
-
-
-def write_points(path: Path, n: int, points: Sequence[Coordinate], binary: bool) -> None:
-    """Write ``points`` to ``path`` as a binary or text point file, replacing it whole."""
-    if binary:
-        record = struct.Struct(f"<{n}Q").pack
-        header = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(points))
-        payload = header + b"".join([record(*reversed(p)) for p in points])
-    else:
-        payload = format_points(points, n).encode()
-    _write_whole(path, payload)
+    return values
 
 
 def _text_rows(path: Path, data: bytes, parse: Callable[[str], object]) -> list:

@@ -903,3 +903,9 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "2\n"
+
+    def test_import_leaves_statistics_unloaded(self):
+        # statistics pulls in fractions and decimal; only `hilbert bench` needs it.
+        code = "import hilbertorder.cli, sys; print('statistics' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, "False\n")

@@ -1,19 +1,28 @@
-"""Point files through the command line: read once, written whole.
+"""Point files: read once, written whole, and read the same way by the
+whole-file reader and the row loop.
 
-Every test here drives ``cli.main`` only, so it holds for any layout of
-the reading and writing code.
+The command-line tests drive ``cli.main`` only, so they hold for any
+layout of the reading and writing code.  The property tests hold
+``read_points`` and ``format_points`` against per-line references.
 """
 
 import contextlib
 import os
 import stat
 import struct
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hilbertorder import pointio
 from hilbertorder.cli import main
+from hilbertorder.core_bits import CurveParams
+from hilbertorder.encode import curve_key
+from hilbertorder.errors import DomainError, PointFileError
+from hilbertorder.gene import gene_table
 
 POINTS = "3 0\n0 0\n1 1\n0 3\n2 2\n"  # x_2 x_1 per line, n = 2, m = 2
 SORTED = "0 0\n1 1\n0 3\n2 2\n3 0\n"  # along the curve at n = 2, m = 2
@@ -245,3 +254,118 @@ class TestBinaryReaderMessages:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: {message}\n"
+
+
+LEVEL = 4  # components 0..15 are in range, 16 is not
+# One component past the digit-count cap, or a long one where there is no cap.
+LONG = "9" * ((sys.get_int_max_str_digits() or 4300) + 1)
+IN_RANGE = ["0", "1", "3", "12", "15", "007"]
+COMPONENTS = st.sampled_from(IN_RANGE * 6 + ["16", "99999999999999999999", LONG])
+SPACES = st.sampled_from([" ", " ", "  ", "\t", " \t "])
+EDGES = st.sampled_from(["", "", " ", "\t"])
+PIECES = st.sampled_from(IN_RANGE + [LONG, " ", "\t", "\n", "\r", "\r\n", ",", "#", "-", "x"])
+
+
+@st.composite
+def point_files(draw):
+    """``n`` and a text point file.  About half are digits, spaces, tabs and
+    ``\\n`` only, as the whole-file reader takes them; the rest mix in
+    commas, comments, carriage returns, signs and letters."""
+    n = draw(st.integers(2, 4))
+    plain = draw(st.booleans())
+    counts = st.sampled_from([n] * 6 + [0, n - 1, n + 1])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if plain or draw(st.integers(0, 2)):
+            parts = [draw(COMPONENTS) for _ in range(draw(counts))]
+            line = parts[0] if parts else ""
+            for part in parts[1:]:
+                line += draw(SPACES if plain else SPACES | st.just(",")) + part
+            lines.append(draw(EDGES) + line + draw(EDGES))
+        else:
+            lines.append("".join(draw(st.lists(PIECES, max_size=8))))
+    return n, "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+
+
+def reference_points(path, data, n, convert):
+    """What ``read_points`` must give for a text file, one line at a time."""
+    points = []
+    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            points.append(convert(pointio.parse_point(line.replace(",", " ").split(), n)))
+        except DomainError as exc:
+            raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
+    return points
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except PointFileError as exc:
+        return str(exc)
+
+
+class TestWholeFileReader:
+    @settings(max_examples=400, deadline=None)
+    @given(point_files())
+    def test_text_matches_the_per_line_reference(self, tmp_path_factory, drawn):
+        n, text = drawn
+        path = tmp_path_factory.mktemp("points") / "points.txt"
+        data = text.encode()
+        path.write_bytes(data)
+        key = curve_key(CurveParams(n, LEVEL), gene_table(n))
+        for convert in (lambda p: p, key):
+            expected = outcome(reference_points, path, data, n, convert)
+            got = outcome(lambda: pointio.read_points(path, n, convert)[0])
+            assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(*[st.integers(0, 2**70) | st.integers(0, 20)] * n), max_size=20))))
+    @example((2, []))
+    def test_format_points_is_format_point_per_line(self, drawn):
+        n, points = drawn
+        expected = "".join(pointio.format_point(p) + "\n" for p in points)
+        assert pointio.format_points(points, n) == expected
+
+    def test_plain_digit_file_takes_the_whole_file_path(self):
+        data = b"1 2 3\n\n4\t5  6\n 7 8 9 \n10 11 12"
+        points = [(3, 2, 1), (6, 5, 4), (9, 8, 7), (12, 11, 10)]
+        assert pointio._plain_text_points(data, 3) == points
+        for other in (b"1 2 3\r\n", b"1,2,3\n", b"1 2\n", b"1  2\n3 4 5\n", b"# 1 2 3\n"):
+            assert pointio._plain_text_points(other, 3) is None
+
+
+def _sort(capsys, path):
+    return run(capsys, "sort", "--dim", "2", "--level", str(LEVEL), path, path.with_suffix(".out"))
+
+
+class TestNamedRows:
+    def test_out_of_range_on_a_plain_file_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_bytes(b"1 2\n3 4\n16 0\n5 6\n")
+        assert pointio._plain_text_points(path.read_bytes(), 2) is not None
+        code, out, err = _sort(capsys, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 3: component 2 out of range for level 4: 16\n"
+        assert not path.with_suffix(".out").exists()
+
+    def test_out_of_range_before_a_bad_token_names_the_first(self, capsys, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_bytes(b"1 2\n0 16\nx 1\n")
+        code, out, err = _sort(capsys, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 2: component 1 out of range for level 4: 16\n"
+
+    def test_out_of_range_record_is_named(self, capsys, tmp_path):
+        rows = [(1, 2), (3, 4), (5, 6), (7, 8), (16, 0), (17, 0)]
+        path = tmp_path / "points.bin"
+        path.write_bytes(_binary(count=len(rows), payload=b"".join(
+            struct.pack("<2Q", *row) for row in rows)))
+        code, out, err = _sort(capsys, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: record 4: component 2 out of range for level 4: 16\n"
