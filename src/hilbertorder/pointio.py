@@ -236,12 +236,7 @@ def _plain_text_points(data: bytes, n: int) -> list[Coordinate] | None:
     cap; ``None`` for any other file, which the row loop reads."""
     if data.translate(None, _PLAIN_TEXT_BYTES):
         return None
-    # Lines as format_points writes them leave n - 1 spaces each once the
-    # digits are gone, so none holds more than n tokens; in any other
-    # layout, the lines of exactly n tokens are counted.
-    rows = data.count(b"\n")
-    if data.translate(None, b"0123456789") != (b" " * (n - 1) + b"\n") * rows:
-        rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
+    rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
     try:
         values = list(map(int, data.split()))
     except ValueError:  # a component past the digit-count cap
