@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     encode = sub.add_parser("encode", help="map coordinates to curve indices")
     _add_curve_args(encode)
-    encode.add_argument("--input", type=Path, help="point file (text or binary)")
+    encode.add_argument("--input", type=_path, help="point file (text or binary)")
     encode.add_argument("--digits", action="store_true",
                         help="also print the radix 2**n digit form")
     encode.add_argument("coords", nargs="*", metavar="X",
@@ -76,15 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     decode = sub.add_parser("decode", help="map curve indices back to coordinates")
     _add_curve_args(decode)
-    decode.add_argument("--input", type=Path, help="text file with one index per line")
+    decode.add_argument("--input", type=_path, help="text file with one index per line")
     decode.add_argument("indices", nargs="*", metavar="Z",
                         help="index values, decimal or digits:..-form")
     decode.set_defaults(func=_cmd_decode)
 
     sort = sub.add_parser("sort", help="reorder a point file along the curve")
     _add_curve_args(sort)
-    sort.add_argument("input", type=Path, help="point file (text or binary)")
-    sort.add_argument("output", type=Path, help="destination, same format as the input")
+    sort.add_argument("input", type=_path, help="point file (text or binary)")
+    sort.add_argument("output", type=_path, help="destination, same format as the input")
     sort.set_defaults(func=_cmd_sort)
 
     gene = sub.add_parser("gene", help="build and dump gene tables")
@@ -111,6 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     return parser
+
+
+def _path(text: str) -> Path:
+    """A path argument; no file name holds a NUL byte, so one is a usage error."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot contain a NUL byte")
+    return Path(text)
 
 
 def _add_curve_args(parser: argparse.ArgumentParser) -> None:

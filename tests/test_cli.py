@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hilbertorder import cli, gene, pointio
 from hilbertorder.cli import main
@@ -850,6 +850,8 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(argv=ARGVS, blob=FILE_BYTES)
+    @example(argv=["sort", "--dim", "2", "--level", "0", "\x00", "-1"], blob=b"")
+    @example(argv=["sort", "--dim", "2", "--level", "0", FILE, "a\x00"], blob=b"1 2\n")
     def test_no_traceback(self, tmp_path_factory, argv, blob):
         work = tmp_path_factory.getbasetemp()
         path = work / "fuzz-input"
