@@ -36,6 +36,7 @@ from .decode import (
 from .encode import (
     StepCounter,
     curve_key,
+    curve_keys,
     effective_level,
     encode_arith,
     encode_arith_fast,
@@ -99,6 +100,7 @@ __all__ = [
     "cached_gene_table",
     "coord_xor",
     "curve_key",
+    "curve_keys",
     "curve_point",
     "decode_arith",
     "decode_arith_fast",

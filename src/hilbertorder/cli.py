@@ -4,9 +4,10 @@ This module holds the argument parser and the subcommands only.  The
 point-file and index-token formats, and how files are read and
 written, live in :mod:`hilbertorder.pointio`.
 
-``encode`` and ``sort`` key points with the production encoder
-``curve_key``; ``decode`` runs the production decoder ``curve_point``.
-A bad row in any input file is named by its row.
+``encode`` and ``sort`` key all their points with one call of the
+production encoder ``curve_keys`` and build no gene table; ``decode``
+runs the production decoder ``curve_point``.  A bad row in any input
+file is named by its row.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .core_bits import CurveParams, integer_digits
 from .decode import curve_point
-from .encode import curve_key
+from .encode import curve_key, curve_keys
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .gene import format_table_text, gene_table, validate_gene_table
 from .oracle import (
@@ -130,10 +131,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if bool(args.coords) == (args.input is not None):
         raise DomainError("give exactly one point as arguments or use --input")
     if args.input is not None:
-        keys, _ = read_points(args.input, params.n, curve_key(params, gene_table(params.n)))
+        keys = curve_keys(params, read_points(args.input, params)[0])
     else:
-        point = parse_point(args.coords, params.n)
-        keys = [curve_key(params, gene_table(params.n))(point)]
+        keys = [curve_key(params)(parse_point(args.coords, params.n))]
     line = index_formatter(params, args.digits)
     sys.stdout.write("".join([line(z) + "\n" for z in keys]))
     return 0
@@ -161,10 +161,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
-    key = curve_key(params, gene_table(params.n))
-    keyed, binary = read_points(args.input, params.n, lambda p: (key(p), p))
-    keyed.sort(key=itemgetter(0))  # stable: ties keep input order
-    write_points(args.output, params.n, list(map(itemgetter(1), keyed)), binary)
+    values, binary = read_points(args.input, params)
+    keys = curve_keys(params, values)
+    rows = list(zip(*[iter(values)] * params.n))  # as the file writes them, x_n first
+    order = sorted(range(len(rows)), key=keys.__getitem__)  # stable: ties keep input order
+    write_points(args.output, params.n, list(map(rows.__getitem__, order)), binary)
     return 0
 
 
@@ -209,16 +210,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _walk_matches_codecs(enumeration, params: CurveParams, table) -> tuple[bool, str]:
     """Hold the codecs the CLI runs against the recursive enumeration."""
-    key = curve_key(params, table)
     point = curve_point(params, table)
-    for z, expected in enumerate(enumeration.points):
-        decoded = point(integer_digits(z, params))
-        if decoded != expected:
-            return False, f"index {z} decodes to {decoded}, enumeration holds {expected}"
-        encoded = key(expected)
-        if encoded != z:
-            return False, f"point {expected} encodes to {encoded}, expected index {z}"
-    return True, f"{len(enumeration.points)} points"
+    walk = enumeration.points
+    decoded = [point(integer_digits(z, params)) for z in range(len(walk))]
+    keys = curve_keys(params, list(chain.from_iterable(map(reversed, walk))))
+    if decoded != list(walk) or keys != list(range(len(walk))):
+        for z, expected in enumerate(walk):
+            if decoded[z] != expected:
+                return False, f"index {z} decodes to {decoded[z]}, enumeration holds {expected}"
+            if keys[z] != z:
+                return False, f"point {expected} encodes to {keys[z]}, expected index {z}"
+    return True, f"{len(walk)} points"
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

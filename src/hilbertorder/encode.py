@@ -11,10 +11,9 @@ Four variants compute the same index:
 
 These four are the reference code the paper studies.  The production
 encoder behind ``hilbert sort`` and ``hilbert encode`` is
-:func:`curve_key`, which computes the same index as one ``int``.  While
-``n <= 4`` it reads the levels through a state table, one list lookup
-per chunk of up to five levels; above that its per-level work does not
-grow with ``n``.
+:func:`curve_keys`, which keys a batch of points with O(n) operations
+per level on integers that each hold one component of every point, and
+reads the quadrant commands from closed forms, not from a gene table.
 
 Each variant walks levels top down.  Per level it reads the current
 top bit of every component (giving the quadrant digit through the
@@ -24,19 +23,13 @@ and exchange commands to the remaining low bits.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from math import factorial
-from operator import itemgetter, or_
 from typing import Callable, Sequence
 
 from .core_bits import CurveParams, HilbertIndex, gray_code_inverse, reflect
 from .errors import DimensionMismatchError, DomainError
-from .gene import GeneTable
-
-# Entries one state table of curve_key may hold.  It holds 2**(n * L)
-# entries per state for L levels per lookup, so L = 5 at n = 2, 2 at
-# n = 3 and 1 at n = 4, and from n = 5 no table fits.
-_TABLE_ENTRIES = 4096
+from .gene import GeneTable, check_table_dimension, quadrant_commands
 
 
 @dataclass(frozen=True)
@@ -91,44 +84,127 @@ ENCODERS = (
 )
 
 
-def curve_key(params: CurveParams, table: GeneTable) -> Callable[[Sequence[int]], int]:
-    """Return the production encoder of one curve: a point to its index as one ``int``.
+def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
+    """Return the index of every point of a batch as one ``int`` each.
 
-    The returned function rejects what the variants reject, with the same
-    messages, and equals ``index_to_integer(encode_arith(p, params, table)[0])``.
-    The point's bits are first interleaved into one integer ``z`` whose
-    ``n``-bit plane at level ``v`` holds bit ``v`` of every component,
-    component ``i + 1`` at bit ``v * n + i``: the transposed form of
-    J. Skilling ("Programming the Hilbert curve", AIP Conf. Proc. 707,
-    2004).  Leading all-zero levels collapse into one swap of components
-    1 and ``n``, as in the fast variants.  A point is checked only by its
-    length, its component types and signs, and ``z < 2**(n * m)``; only a
-    point that fails this goes through the variants' check.
+    ``values`` holds the points flat, each written ``x_n .. x_1`` as in a
+    point file, and key ``j`` equals ``index_to_integer(encode_arith(...)[0])``
+    of point ``j``.  Only a batch that fails the whole-batch checks (length,
+    types, least and greatest value) is checked point by point, raising as
+    the variants do for the first bad point; an int subclass passes.
 
-    While ``n <= 4`` the planes are then read through a state table (the
-    state diagram of A. R. Butz, IEEE Trans. Computers C-20, 1971, and
-    J. K. Lawder, Birkbeck BBKCS-00-01, 2000): the reverse and exchange
-    commands of the levels read so far compose to one of the curve's
-    ``n! * 2**(n - 1)`` transforms, and one list lookup per chunk of
-    ``L`` planes gives the chunk's ``L`` digits and the next transform.
-    The table holds at most ``_TABLE_ENTRIES`` entries, which sets ``L``:
-    5 at ``n = 2``, 2 at ``n = 3`` and 1 at ``n = 4``.  From ``n = 5`` no
-    table fits, and each level costs one xor for its reverse command and
-    one delta swap on ``z`` for its exchange, whatever ``n`` is.  So does
-    every level of a hand-built table with more states than fit, or whose
-    quadrant 0 is not the swap of components 1 and ``n``.
+    The kernel runs the transposed-form walk of J. Skilling ("Programming
+    the Hilbert curve", AIP Conf. Proc. 707, 2004) on all points at once,
+    SIMD within a register (R. J. Fisher and H. G. Dietz, LCPC 1998):
+    component ``i + 1`` of every point is one ``int`` of 64-bit fields, one
+    per point, packed with one ``struct.pack``.  Only the ``k`` levels below
+    the bit length of the largest component run; the levels above are all
+    quadrant 0, so they collapse into one swap of components 1 and ``n``
+    when their count is odd.  Each level reads every quadrant digit and
+    applies the closed-form commands of :func:`gene.quadrant_commands` to
+    the low bits in O(n) whole-int operations.  The digits fill one 64-bit
+    field per point, ``64 // n`` levels at a time, each group unpacked with
+    one ``struct.unpack``.  Past ``k = 64``, :func:`_point_keys` runs.
     """
     n, m = params.n, params.m
-    table.check_dimension(n)
+    check_table_dimension(n)
+    if len(values) % n or set(map(type, values)) - {int} or values and (
+        min(values) < 0 or max(values) >> m
+    ):
+        for j in range(0, len(values), n):
+            check_point(values[j:j + n][::-1], params)
+    count = len(values) // n
+    k = max(values, default=0).bit_length()
+    if k > 64:
+        return _point_keys(n, m, values)
+    if not k:
+        return [0] * count
+    column = struct.Struct(f"<{count}Q")
+    c = [int.from_bytes(column.pack(*values[n - 1 - i::n]), "little") for i in range(n)]
+    if (m - k) & 1:
+        c[0], c[-1] = c[-1], c[0]
+    ones = int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * count, "little")  # bit 0 of each field
+    last = n - 1
+    per = 64 // n  # levels whose digits fill one field
+    keys: list[int] = []
+    for top in range(k - 1, -1, -per):
+        key = 0
+        for v in range(top, max(top - per, -1), -1):
+            bit = ones << v
+            # The rank bits of the plane g at bit v: r_i = g_i ^ .. ^ g_(n-1).
+            r = [0] * n
+            acc = 0
+            for i in range(last, -1, -1):
+                acc ^= c[i] & bit
+                r[i] = acc
+            digit = 0
+            for i in range(n):
+                digit |= r[i] >> (v - i) if v >= i else r[i] << (i - v)
+            key = (key << n) | digit
+            if not v:
+                break
+            # Spread each rank bit over the low v bits of its field, where the
+            # commands act; & and ^ act there as on the one bit.
+            low = bit - ones
+            r = [x - (x >> v) for x in r]
+            # Reverse the entry corner gray(s), s = (r - 1) & ~1.  b is the borrow
+            # of r - 1 into bit i, so s_i = r_i ^ b; past the top bit it flags
+            # r = 0, where s_0 = s_n = b makes s all ones, flipping nothing.
+            b = low ^ r[0]
+            s = [0] * (n + 1)
+            for i in range(1, n):
+                s[i] = r[i] ^ b
+                b &= s[i]
+            s[0] = s[n] = b
+            for i in range(n):
+                c[i] ^= s[i] ^ s[i + 1]
+            # Exchange components d + 1 and n, d the lowest i >= 1 with
+            # r_i != r_0, else 0; none when d = n - 1.  A point has one d,
+            # so component n takes the xor of every swap's difference.
+            rest = low
+            pick = [0] * n
+            for i in range(1, n):
+                pick[i] = rest & (r[i] ^ r[0])
+                rest ^= pick[i]
+            pick[0] = rest
+            moved = 0
+            for i in range(last):
+                t = (c[i] ^ c[last]) & pick[i]
+                c[i] ^= t
+                moved ^= t
+            c[last] ^= moved
+        part = column.unpack(key.to_bytes(8 * count, "little"))
+        shift = n * (top - v + 1)  # v is the group's last level
+        keys = [(a << shift) | z for a, z in zip(keys, part)] if keys else list(part)
+    return keys
+
+
+def curve_key(params: CurveParams) -> Callable[[Sequence[int]], int]:
+    """Return the production encoder of one point, ``(x_1, .., x_n)`` as the
+    variants take it: :func:`curve_keys` of a batch of one.  The point is
+    checked as the variants check it, with the same messages."""
+    check_table_dimension(params.n)
+
+    def key(p: Sequence[int]) -> int:
+        check_point(p, params)
+        return curve_keys(params, p[::-1])[0]
+
+    return key
+
+
+def _point_keys(n: int, m: int, values: Sequence[int]) -> list[int]:
+    """:func:`curve_keys` of checked values, one point at a time: its bits are
+    interleaved into one integer ``z`` whose ``n``-bit plane at level ``v``
+    holds bit ``v`` of every component, and each level costs one xor on
+    ``z`` for its reverse command and one delta swap for its exchange."""
     size = 1 << n
     low = size - 1
     rep = ((1 << (n * m)) - 1) // low  # bit 0 of every plane
     # Indexed by the plane g as read, which is the Gray code of the
-    # quadrant digit rank[g], so no Gray inverse runs per point at any n:
-    # that quadrant's reverse command as an n-bit mask, and its exchange
-    # as (distance between the two components, rep under the lower one).
-    # Quadrants with the same pair share one tuple, so the table holds
-    # n * (n - 1) / 2 masks of n * m bits at most, not one per quadrant.
+    # quadrant digit rank[g], so no Gray inverse runs per point: that
+    # quadrant's reverse command as an n-bit mask, and its exchange as
+    # (distance between the two components, rep under the lower one).
+    # Quadrants with the same pair share one tuple.
     rank = [0] * size
     flip = [0] * size
     swap = [None] * size
@@ -136,142 +212,38 @@ def curve_key(params: CurveParams, table: GeneTable) -> Callable[[Sequence[int]]
     for r in range(size):
         g = r ^ (r >> 1)
         rank[g] = r
-        for i in table.reverse_slots[r]:
-            flip[g] |= 1 << i
-        pair = table.swap_pairs[r]
+        flip[g], pair = quadrant_commands(n, r)
         if pair is not None:
-            a, b = pair
-            swap[g] = shared.setdefault(pair, (b - a, rep << a))
+            swap[g] = shared.setdefault(pair, (pair[1] - pair[0], rep << pair[0]))
     spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * n
     for c in range(1, 256):
         spread[c] = (spread[c >> 1] << n) | (c & 1)
     stride = 8 * n
     top = n - 1
-    bits = n * m
-    levels, rows = _state_table(table, rank, flip) or (0, None)
-    width = n * levels  # bits of z one lookup reads
-    chunk = (1 << width) - 1
-
-    def key(p: Sequence[int]) -> int:
+    keys = []
+    for row in zip(*[iter(values)] * n):
         z = 0
-        if len(p) == n:
-            for i, c in enumerate(p):
-                if type(c) is not int or c < 0:  # a negative c never ends the loop
-                    break
-                while c:
-                    z |= spread[c & 255] << i
-                    c >>= 8
-                    i += stride
-            else:
-                # A component of 2**m or more would add levels above m.
-                if not z >> bits:
-                    if rows is not None:
-                        # The occupied levels, rounded up to whole chunks;
-                        # the collapsed swap stands for the levels above.
-                        # e is the entry last read, and e >> width the row
-                        # of the state it leads to: first a start state.
-                        chunks = -(-z.bit_length() // width)
-                        e = ((m - chunks * levels) & 1) << (2 * width)
-                        index = 0
-                        for shift in range(width * (chunks - 1), -1, -width):
-                            e = rows[(e >> width) | (z >> shift) & chunk]
-                            index = (index << width) | (e & chunk)
-                        return index
-                    k = -(-z.bit_length() // n)  # levels the point occupies
-                    if (m - k) & 1:
-                        t = ((z >> top) ^ z) & rep
-                        z ^= t ^ (t << top)
-                    index = 0
-                    for shift in range(n * (k - 1), -1, -n):
-                        g = (z >> shift) & low
-                        index = (index << n) | rank[g]
-                        # Bits of levels already read may change too; they are not read again.
-                        z ^= flip[g] * rep
-                        if swap[g] is not None:
-                            d, mask = swap[g]
-                            t = ((z >> d) ^ z) & mask
-                            z ^= t ^ (t << d)
-                    return index
-        # Raise as the variants do; only an int subclass, which they
-        # accept, gets past the check, and is keyed as a plain int.
-        _check_point(p, params, table)
-        return key([int(c) for c in p])
-
-    return key
-
-
-def _state_table(
-    table: GeneTable, rank: Sequence[int], flip: Sequence[int]
-) -> tuple[int, list[int]] | None:
-    """The state table of :func:`curve_key`, or None where the loop must run.
-
-    That is where the curve's ``n! * 2**(n - 1)`` states do not fit in
-    ``_TABLE_ENTRIES`` for one level per lookup, and for a hand-built
-    table with more states or a quadrant 0 that is not the swap of
-    components 1 and ``n``.  Else returns the largest ``L`` that fits,
-    and the rows: with ``W = n * L``, the entry at ``s * 2**W + c`` is
-    read in state ``s`` from the chunk ``c`` of ``L`` raw planes, the top
-    plane in the high bits.  It is one ``int``, the next state ``s'``
-    times ``2**(2 * W)`` plus the chunk's ``L`` digits, so ``entry >> W``
-    is where the row of ``s'`` starts.  A state is the
-    map from a raw plane to the plane as read, held as the tuple of its
-    ``2**n`` images; states 0 and 1 are the two start states, the
-    identity and the swap of components 1 and ``n``.
-    """
-    size = len(rank)
-    n = size.bit_length() - 1
-    low = size - 1
-    count = factorial(n) << (n - 1)  # states of the curve
-    levels = 0
-    while count << (n * (levels + 1)) <= _TABLE_ENTRIES:
-        levels += 1
-    if not levels:
-        return None
-    width = n * levels
-    # moved[g][v]: the plane v after the commands of the quadrant read as g.
-    moved = []
-    for g in range(size):
-        pair = table.swap_pairs[rank[g]]
-        after = []
-        for v in range(size):
-            v ^= flip[g]
-            if pair is not None and ((v >> pair[0]) ^ (v >> pair[1])) & 1:
-                v ^= (1 << pair[0]) | (1 << pair[1])
-            after.append(v)
-        moved.append(tuple(after))
-    ends = 1 | size >> 1  # components 1 and n
-    swapped = tuple(v ^ ends if (v & ends) in (1, size >> 1) else v for v in range(size))
-    # A point's levels are rounded up to whole chunks, so a lookup may read
-    # all-zero planes above them.  They stand for the collapsed swaps only
-    # if quadrant 0 is that swap; a hand-built table whose quadrant 0 is
-    # not gets the loop.
-    if moved[0] != swapped:
-        return None
-    states = [tuple(range(size)), swapped]
-    offsets = {state: i << (2 * width) for i, state in enumerate(states)}
-    step = []  # step[s * 2**n + x]: one level's next state and digit
-    for state in states:  # breadth first; the list grows while it is read
-        image = itemgetter(*state)  # image(t)[x] = t[state[x]]
-        after = list(map(image, moved))  # after[g]: the state once g is read
-        ahead = list(map(offsets.get, after))
-        if None in ahead:
-            for g, new in enumerate(after):
-                if ahead[g] is None:
-                    if new not in offsets:
-                        if len(states) == count:
-                            return None  # a hand-built table with more states
-                        offsets[new] = len(states) << (2 * width)
-                        states.append(new)
-                    ahead[g] = offsets[new]
-        step += map(or_, image(ahead), image(rank))
-    rows = step
-    for j in range(1, levels):  # rows of j levels to rows of j + 1
-        shift = n * j
-        per_state = [rows[i:i + (1 << shift)] for i in range(0, len(rows), 1 << shift)]
-        rows = [
-            ((e & low) << shift) | rest for e in step for rest in per_state[e >> (2 * width)]
-        ]
-    return levels, rows
+        for i, c in enumerate(reversed(row)):
+            while c:
+                z |= spread[c & 255] << i
+                c >>= 8
+                i += stride
+        k = -(-z.bit_length() // n)  # levels the point occupies
+        if (m - k) & 1:
+            t = ((z >> top) ^ z) & rep
+            z ^= t ^ (t << top)
+        index = 0
+        for shift in range(n * (k - 1), -1, -n):
+            g = (z >> shift) & low
+            index = (index << n) | rank[g]
+            # Bits of levels already read may change too; they are not read again.
+            z ^= flip[g] * rep
+            if swap[g] is not None:
+                d, mask = swap[g]
+                t = ((z >> d) ^ z) & mask
+                z ^= t ^ (t << d)
+        keys.append(index)
+    return keys
 
 
 def _encode(
@@ -281,7 +253,8 @@ def _encode(
     loop: Callable[[list[int], int, int, GeneTable], list[int]],
     fast: bool,
 ) -> tuple[HilbertIndex, StepCounter]:
-    _check_point(p, params, table)
+    table.check_dimension(params.n)
+    check_point(p, params)
     n, m = params.n, params.m
     if m == 0:
         return HilbertIndex(n, ()), StepCounter(0)
@@ -342,12 +315,13 @@ def _digits_bits(x: list[int], n: int, top: int, table: GeneTable) -> list[int]:
     return digits
 
 
-def _check_point(p: Sequence[int], params: CurveParams, table: GeneTable) -> None:
+def check_point(p: Sequence[int], params: CurveParams) -> None:
+    """Raise as the variants do unless ``p`` has ``n`` integer components,
+    none a ``bool``, each in ``[0, 2**m)``."""
     if len(p) != params.n:
         raise DimensionMismatchError(
             f"point has {len(p)} components, curve dimension is {params.n}"
         )
-    table.check_dimension(params.n)
     limit = 1 << params.m
     for i, c in enumerate(p):
         if not isinstance(c, int) or isinstance(c, bool):

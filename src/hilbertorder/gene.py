@@ -143,12 +143,7 @@ def entry_exit(n: int, i: int) -> EntryExit:
 
 def gene_table(n: int, max_dimension: int | None = None) -> GeneTable:
     """Build the full gene table for dimension ``n``."""
-    _check_dimension(n)
-    cap = GENE_DIMENSION_CAP if max_dimension is None else max_dimension
-    if n > cap:
-        raise ResourceLimitError(
-            f"gene table for dimension {n} exceeds the cap of {cap}"
-        )
+    check_table_dimension(n, GENE_DIMENSION_CAP if max_dimension is None else max_dimension)
     top = 1 << (n - 1)
     entries = []
     corners = []
@@ -160,6 +155,24 @@ def gene_table(n: int, max_dimension: int | None = None) -> GeneTable:
         )
         corners.append(EntryExit(_mask_to_bits(e, n), _mask_to_bits(f, n)))
     return GeneTable(n, tuple(entries), tuple(corners))
+
+
+def check_table_dimension(n: int, cap: int = GENE_DIMENSION_CAP) -> None:
+    """Raise unless ``n`` is a dimension of at least 2 and at most ``cap``."""
+    _check_dimension(n)
+    if n > cap:
+        raise ResourceLimitError(f"gene table for dimension {n} exceeds the cap of {cap}")
+
+
+def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
+    """Quadrant ``r``'s reverse command as an ``n``-bit mask, and its exchange
+    as ``swap_pairs`` holds it, from closed forms in ``r`` alone, in O(1):
+    the entry corner ``gray((r - 1) & ~1)`` (0 at ``r = 0``), and ``(d, n - 1)``
+    with ``d`` the lowest ``i >= 1`` where bit ``i`` of ``r`` differs from
+    bit 0 (0 if none), or None when ``d = n - 1``."""
+    y = ((r >> 1) ^ -(r & 1)) & ((1 << (n - 1)) - 1)  # bit i - 1: r_i != r_0
+    d = (y & -y).bit_length()
+    return _entry_mask(r), None if d == n - 1 else (d, n - 1)
 
 
 def validate_gene_table(table: GeneTable) -> GeneValidationReport:

@@ -9,15 +9,17 @@ record, all little-endian.  Indices print in decimal while ``n * m <= 64``,
 else as ``digits:`` and their radix ``2**n`` digits, most significant first.
 
 A reader opens its file once and takes the format from its bytes, so a
-pipe works as an input.  A binary file, and a text file of ASCII digits,
-spaces, tabs and ``\n`` only with ``n`` components on every non-blank
-line, is read whole: one ``struct`` unpack, or one split and one
-``map(int, ...)``, then one ``zip`` into points and one ``map`` of the
-conversion, with no Python loop per row.  Any other text file, and any
-file with a row that fails to convert, goes through a row loop, which
-names the first bad row in file order (``line N`` or ``record N``) with
-the same message either way.  The writer replaces a regular output
-whole, so a failed run leaves it intact.
+pipe works as an input.  :func:`read_points` gives the components flat,
+in file order, as :func:`encode.curve_keys` takes them.  A binary file,
+and a text file of ASCII digits, spaces, tabs, ``\n`` or ``\r\n`` line
+ends and UTF-8 ``#`` comment lines, ``n`` components on every other line
+that is not blank, is read whole: one ``struct`` unpack, or one split and
+one ``map(int, ...)``, and one range check of the largest component, with
+no Python loop per row.  Any other text file, and any file with a
+component out of range, goes through a row loop, which names the first
+bad row in file order (``line N`` or ``record N``) with the same message
+either way.  The writer replaces a regular output whole, so a failed run
+leaves it intact.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .core_bits import Coordinate, CurveParams, integer_digits
+from .encode import check_point
 from .errors import DomainError, PointFileError
 
 POINT_MAGIC = b"HPTS"
@@ -82,8 +85,12 @@ def format_point(point: Coordinate) -> str:
 def format_points(points: Sequence[Coordinate], n: int) -> str:
     """The text lines of ``n``-component points, as :func:`format_point` writes
     each, through one ``%``-format of the whole output."""
-    line = " ".join(["%d"] * n) + "\n"
-    return (line * len(points)) % tuple(chain.from_iterable(map(reversed, points)))
+    return _format_flat(tuple(chain.from_iterable(map(reversed, points))), n)
+
+
+def _format_flat(flat: tuple[int, ...], n: int) -> str:
+    """Text lines of ``n`` components each, from their values in line order."""
+    return (" ".join(["%d"] * n) + "\n") * (len(flat) // n) % flat
 
 
 def index_digits(token: str, params: CurveParams) -> Sequence[int]:
@@ -182,39 +189,40 @@ def read_rows(path: Path, parse: Callable[[str], object]) -> list:
     return _text_rows(path, path.read_bytes(), parse)
 
 
-def read_points(path: Path, n: int, convert: Callable[[Coordinate], object]) -> tuple[list, bool]:
-    """``convert`` of each point of a text or binary point file, and whether it was binary.
-
-    A ``DomainError`` from parsing or from ``convert`` names its row.
-    """
+def read_points(path: Path, params: CurveParams) -> tuple[Sequence[int], bool]:
+    """The components of every point of a text or binary point file, flat and
+    in file order (``x_n .. x_1`` per row), and whether the file was binary.
+    A parse error or a component of ``2**m`` or more is named by its row."""
+    n = params.n
     data = path.read_bytes()
     binary = data.startswith(POINT_MAGIC)
-    points = _binary_points(path, data, n) if binary else _plain_text_points(data, n)
-    if points is not None:
-        try:
-            return list(map(convert, points)), binary
-        except DomainError:
-            pass  # the row loops below name the first bad row
-    if binary:
-        return _record_rows(path, points, convert), True
-    return _text_rows(
-        path, data, lambda line: convert(parse_point(line.replace(",", " ").split(), n))
-    ), False
+    values = _binary_values(path, data, n) if binary else _plain_text_values(data, n)
+    if values is not None and not max(values, default=0) >> params.m:
+        return values, binary
+    if binary:  # a component is out of range: name the first record that holds one
+        for record, row in enumerate(zip(*[iter(values)] * n)):
+            try:
+                check_point(row[::-1], params)
+            except DomainError as exc:
+                raise PointFileError(f"{path}: record {record}: {exc}") from exc
+    rows = _text_rows(path, data, lambda line: _checked_row(line, params))
+    return list(chain.from_iterable(rows)), False
 
 
-def write_points(path: Path, n: int, points: Sequence[Coordinate], binary: bool) -> None:
-    """Write ``points`` to ``path`` as a binary or text point file, replacing it whole."""
+def write_points(path: Path, n: int, rows: Sequence[Sequence[int]], binary: bool) -> None:
+    """Write ``rows``, each written ``x_n .. x_1``, to ``path`` as a binary or text
+    point file, replacing it whole."""
+    flat = tuple(chain.from_iterable(rows))
     if binary:
-        header = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(points))
-        flat = chain.from_iterable(map(reversed, points))
-        payload = header + struct.pack(f"<{len(points) * n}Q", *flat)
+        header = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(rows))
+        payload = header + struct.pack(f"<{len(flat)}Q", *flat)
     else:
-        payload = format_points(points, n).encode()
+        payload = _format_flat(flat, n).encode()
     _write_whole(path, payload)
 
 
-def _binary_points(path: Path, data: bytes, n: int) -> list[Coordinate]:
-    """The points of an ``HPTS`` file, after its header checks."""
+def _binary_values(path: Path, data: bytes, n: int) -> tuple[int, ...]:
+    """The components of an ``HPTS`` file, flat, after its header checks."""
     if len(data) < _POINT_HEADER:
         raise PointFileError(f"{path}: truncated header")
     version, file_n, count = _POINT_FIELDS.unpack_from(data, len(POINT_MAGIC))
@@ -227,13 +235,24 @@ def _binary_points(path: Path, data: bytes, n: int) -> list[Coordinate]:
         raise PointFileError(f"{path}: payload has {len(data)} bytes, expected {expected}")
     if file_n != n:
         raise PointFileError(f"{path}: file is {file_n}-dimensional, expected {n}")
-    return _points(struct.unpack_from(f"<{count * n}Q", data, _POINT_HEADER), n)
+    return struct.unpack_from(f"<{count * n}Q", data, _POINT_HEADER)
 
 
-def _plain_text_points(data: bytes, n: int) -> list[Coordinate] | None:
-    """The points of a text point file of ``_PLAIN_TEXT_BYTES`` only, with
-    ``n`` components on each non-blank line and none past the digit-count
-    cap; ``None`` for any other file, which the row loop reads."""
+def _plain_text_values(data: bytes, n: int) -> list[int] | None:
+    """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
+    only once ``\r\n`` becomes ``\n`` and its UTF-8 comment lines go, with ``n``
+    components on each line that is not blank, none past the digit-count cap;
+    ``None`` for any other file, which the row loop reads."""
+    data = data.replace(b"\r\n", b"\n")
+    if b"\r" in data:
+        return None
+    if b"#" in data:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        lines = data.split(b"\n")
+        data = b"\n".join([line for line in lines if not line.lstrip().startswith(b"#")])
     if data.translate(None, _PLAIN_TEXT_BYTES):
         return None
     rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
@@ -243,25 +262,14 @@ def _plain_text_points(data: bytes, n: int) -> list[Coordinate] | None:
         return None
     if len(values) != n * rows:  # some token is on a line of fewer or more than n
         return None
-    return _points(values, n)
-
-
-def _points(values: Sequence[int], n: int) -> list[Coordinate]:
-    """Rows of ``n`` values written ``x_n .. x_1`` as the points ``(x_1, .., x_n)``."""
-    backwards = iter(values[::-1])  # the last row first, each row x_1 first
-    points = list(zip(*[backwards] * n))
-    points.reverse()
-    return points
-
-
-def _record_rows(path: Path, points: Sequence[Coordinate], convert: Callable) -> list:
-    values = []
-    for record, point in enumerate(points):
-        try:
-            values.append(convert(point))
-        except DomainError as exc:
-            raise PointFileError(f"{path}: record {record}: {exc}") from exc
     return values
+
+
+def _checked_row(line: str, params: CurveParams) -> tuple[int, ...]:
+    """The components of one text row in file order, checked against the curve."""
+    point = parse_point(line.replace(",", " ").split(), params.n)
+    check_point(point, params)
+    return point[::-1]
 
 
 def _text_rows(path: Path, data: bytes, parse: Callable[[str], object]) -> list:

@@ -142,7 +142,7 @@ def test_criterion_06_four_way_equivalence():
     for n, m in SMALL_RANGE:
         params = CurveParams(n, m)
         table = TABLES[n]
-        key = curve_key(params, table)
+        key = curve_key(params)
         point_of = curve_point(params, table)
         for point in grid(n, m):
             encoded = [encoder(point, params, table)[0] for encoder in ENCODERS]

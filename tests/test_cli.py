@@ -128,7 +128,7 @@ class TestEncodeCommand:
     def test_binary_input_file(self, capsys, tmp_path):
         source = tmp_path / "points.bin"
         display = [(1, 0), (0, 0), (1, 1), (0, 1)]
-        pointio.write_points(source, 2, [tuple(reversed(p)) for p in display], binary=True)
+        pointio.write_points(source, 2, display, binary=True)
         code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "1",
                            "--input", str(source))
         assert code == 0
@@ -598,14 +598,14 @@ class TestSortCommand:
     def test_binary_round_trip(self, capsys, tmp_path):
         points_display = [(1, 0), (0, 0), (1, 1), (0, 1)]
         source = tmp_path / "points.bin"
-        pointio.write_points(source, 2, [tuple(reversed(p)) for p in points_display], binary=True)
+        pointio.write_points(source, 2, points_display, binary=True)
         target = tmp_path / "sorted.bin"
         code, _, _ = run(capsys, "sort", "--dim", "2", "--level", "1",
                          str(source), str(target))
         assert code == 0
-        points, binary = pointio.read_points(target, 2, tuple)
+        values, binary = pointio.read_points(target, CurveParams(2, 1))
         assert binary
-        assert [tuple(reversed(p)) for p in points] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        assert list(values) == [0, 0, 0, 1, 1, 1, 1, 0]
         assert target.read_bytes()[:4] == pointio.POINT_MAGIC
 
     def test_ragged_row_names_line(self, capsys, tmp_path):

@@ -241,7 +241,7 @@ class TestCurvePoint:
         n, m, point = case
         params = CurveParams(n, m)
         table = POINT_TABLES[n]
-        digits = integer_to_index(curve_key(params, table)(point), params).digits
+        digits = integer_to_index(curve_key(params)(point), params).digits
         assert curve_point(params, table)(digits) == point
 
     @pytest.mark.parametrize(

@@ -1,23 +1,21 @@
 import random
 import re
-import tracemalloc
-from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbertorder import encode
 from hilbertorder.core_bits import CurveParams, HilbertIndex, index_to_integer
 from hilbertorder.encode import (
     curve_key,
+    curve_keys,
     effective_level,
     encode_arith,
     encode_arith_fast,
     encode_bits,
     encode_bits_fast,
 )
-from hilbertorder.errors import DimensionMismatchError, DomainError
-from hilbertorder.gene import GeneEntry, GeneTable, gene_table
+from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
+from hilbertorder.gene import gene_table
 
 ENCODERS = [encode_arith, encode_bits, encode_arith_fast, encode_bits_fast]
 LINEAR = [encode_arith, encode_bits]
@@ -31,6 +29,11 @@ def grid(n, m):
     for _ in range(n):
         points = [p + (c,) for p in points for c in range(2**m)]
     return points
+
+
+def flat(points):
+    """Points as curve_keys takes them: one list, each point written x_n .. x_1."""
+    return [c for p in points for c in reversed(p)]
 
 
 def encode_value(encoder, point_display, n, m):
@@ -85,7 +88,7 @@ class TestFourWayEquivalence:
     def test_exhaustive_small(self, n, m):
         params = CurveParams(n, m)
         table = TABLES[n]
-        key = curve_key(params, table)
+        key = curve_key(params)
         seen = set()
         for point in grid(n, m):
             results = [encoder(point, params, table)[0] for encoder in ENCODERS]
@@ -94,6 +97,7 @@ class TestFourWayEquivalence:
             assert key(point) == index_to_integer(results[0])
         # Encoding the whole grid is a bijection onto the index range.
         assert seen == set(range(2 ** (n * m)))
+        assert curve_keys(params, flat(grid(n, m))) == list(map(key, grid(n, m)))
 
     def test_random_points_at_level_sixty_four(self):
         rng = random.Random(0xA5)
@@ -198,7 +202,7 @@ def curve_points(draw):
     return n, m, point
 
 
-KEY_TABLES = {n: gene_table(n) for n in range(2, 9)}
+KEY_TABLES = {n: gene_table(n) for n in range(2, 13)}
 
 
 class TestCurveKey:
@@ -215,7 +219,7 @@ class TestCurveKey:
         params = CurveParams(n, m)
         table = KEY_TABLES[n]
         expected = index_to_integer(encode_arith(point, params, table)[0])
-        assert curve_key(params, table)(point) == expected
+        assert curve_key(params)(point) == expected
 
     @pytest.mark.parametrize(
         "point",
@@ -226,9 +230,8 @@ class TestCurveKey:
         with pytest.raises(DomainError) as reference:
             encode_arith(point, params, TABLES[2])
         with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
-            curve_key(params, TABLES[2])(point)
+            curve_key(params)(point)
 
-    # n = 3 and 4 read a state table, n = 5 the transposed loop.
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize(
         "bad",
@@ -241,7 +244,7 @@ class TestCurveKey:
         with pytest.raises(DomainError) as reference:
             encode_arith(point, params, TABLES[n])
         with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
-            curve_key(params, TABLES[n])(point)
+            curve_key(params)(point)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_keys_an_int_subclass_as_the_variants_do(self, n):
@@ -249,93 +252,78 @@ class TestCurveKey:
             pass
 
         params = CurveParams(n, 4)
-        key = curve_key(params, TABLES[n])
+        key = curve_key(params)
         rng = random.Random(n)
         for _ in range(20):
             point = tuple(rng.randrange(16) for _ in range(n))
             for given in (tuple(map(Int, point)), point[:-1] + (Int(point[-1]),)):
                 assert key(given) == index_to_integer(encode_arith(given, params, TABLES[n])[0])
+                assert type(key(given)) is int
 
-    def test_wrong_table_dimension(self):
-        with pytest.raises(DimensionMismatchError):
-            curve_key(CurveParams(2, 2), TABLES[3])
-
-
-@pytest.fixture
-def state_tables(monkeypatch):
-    """The result of every state-table build curve_key makes while the test runs."""
-    built = []
-    build = encode._state_table
-
-    def record(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    monkeypatch.setattr(encode, "_state_table", record)
-    return built
+    def test_refuses_a_dimension_above_the_cap(self):
+        message = "gene table for dimension 21 exceeds the cap of 20"
+        with pytest.raises(ResourceLimitError, match=message):
+            curve_key(CurveParams(21, 2))
+        with pytest.raises(ResourceLimitError, match=message):
+            curve_keys(CurveParams(21, 2), [])
 
 
-def _state_count(n, state_table):
-    levels, rows = state_table
-    return len(rows) >> (n * levels)
+@st.composite
+def batches(draw):
+    """(n, m, points): up to six points below 2**k for a random k <= m, some
+    of them below 4, so a batch may hold one large point among small ones."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    m = draw(st.sampled_from([0, 1, 2, 63, 64, 65]) | st.integers(min_value=0, max_value=130))
+    k = draw(st.integers(min_value=0, max_value=m))
+    component = st.integers(min_value=0, max_value=2**k - 1)
+    small = st.integers(min_value=0, max_value=min(3, 2**m - 1))
+    points = st.tuples(*[component] * n) | st.tuples(*[small] * n)
+    return n, m, draw(st.lists(points, max_size=6))
 
 
-class TestCurveKeyStateTable:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_set_up_holds_each_state_of_the_curve_once(self, n, state_tables):
-        table = gene_table(n)
-        tracemalloc.start()
-        try:
-            key = curve_key(CurveParams(n, 1000), table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-        if n == 5:  # 1,920 states of 32 entries each: no table fits
-            assert state_tables == [None]
-        else:
-            levels, rows = state_tables[0]
-            assert levels == {2: 5, 3: 2, 4: 1}[n]
-            assert len(rows) <= 4096
-            assert _state_count(n, state_tables[0]) == factorial(n) * 2 ** (n - 1)
-        expected, _ = encode_arith((1,) * n, CurveParams(n, 1000), table)
-        assert key((1,) * n) == index_to_integer(expected)
+class TestCurveKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(batches())
+    @example((3, 5, []))  # no points
+    @example((3, 20, [(5, 6, 7)]))  # one point
+    @example((4, 40, [(0, 0, 0, 0)] * 3))  # all at the origin: no level runs
+    @example((2, 7, [(1, 0), (0, 1), (1, 1)]))  # k = 1, six skipped levels
+    @example((2, 8, [(1, 0), (0, 1), (1, 1)]))  # seven skipped levels
+    @example((3, 40, [(1, 0, 2), (2**39 + 5, 5, 3), (0, 0, 1)]))  # one large point
+    @example((5, 13, [(2**13 - 1,) * 5, (1, 2, 3, 4, 5)]))  # n * k = 65: two key groups
+    @example((12, 64, [(2**64 - 1,) * 12, (1,) * 12]))  # eleven key groups
+    @example((3, 70, [(2**69, 1, 2), (5, 6, 7)]))  # k > 64: one point at a time
+    def test_equals_encode_arith(self, case):
+        n, m, points = case
+        params = CurveParams(n, m)
+        table = KEY_TABLES[n]
+        expected = [index_to_integer(encode_arith(p, params, table)[0]) for p in points]
+        assert curve_keys(params, flat(points)) == expected
+        assert curve_keys(params, tuple(flat(points))) == expected
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("altered", ["moved", "odd-reverse"])
-    def test_equals_encode_arith_on_a_hand_built_table(self, n, altered, state_tables):
-        entries = list(gene_table(n).entries)
-        if altered == "moved":
-            # Quadrants 1 and 2 trade commands, and the last one exchanges nothing.
-            entries[1], entries[2] = entries[2], entries[1]
-            entries[-1] = GeneEntry((0,) * n, entries[-1].reverse)
-        else:
-            # Quadrant 1 also reverses component 1, which doubles the states:
-            # more than a table is sized for, so the loop runs.
-            reverse = entries[1].reverse
-            entries[1] = GeneEntry(entries[1].exchange, (1 - reverse[0],) + reverse[1:])
-        table = GeneTable(n, tuple(entries), gene_table(n).corners)
-        for m in (1, 2, 3):
-            params = CurveParams(n, m)
-            key = curve_key(params, table)
-            for point in grid(n, m):
-                assert key(point) == index_to_integer(encode_arith(point, params, table)[0])
-        if altered == "moved":
-            states = factorial(n) * 2 ** (n - 1)
-            assert [_state_count(n, built) for built in state_tables] == [states] * 3
-        else:
-            assert state_tables == [None] * 3
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_batch_kernel_equals_the_per_point_loop_at_large_n(self, n):
+        # A component of 65 bits sends the whole batch to the per-point loop;
+        # without it the batch kernel keys the same points.  No gene table is built.
+        rng = random.Random(n)
+        params = CurveParams(n, 65)
+        values = [rng.getrandbits(rng.choice((1, 3, 20, 64))) for _ in range(8 * n)]
+        values[:n] = [0] * (n - 1) + [1]
+        keys = curve_keys(params, values)
+        assert curve_keys(params, values + [2**64] + [0] * (n - 1))[:-1] == keys
+        assert keys[0] == 1
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_equals_the_fast_variants_when_quadrant_zero_is_not_the_swap(self, n, state_tables):
-        # Leading all-zero levels no longer read as swaps, so encode_arith
-        # differs; the fast variants collapse them as curve_key does.
-        entries = list(gene_table(n).entries)
-        entries[0] = GeneEntry(entries[0].exchange, (1,) * n)
-        table = GeneTable(n, tuple(entries), gene_table(n).corners)
-        for m in (1, 2, 3):
-            params = CurveParams(n, m)
-            key = curve_key(params, table)
-            for point in grid(n, m):
-                assert key(point) == index_to_integer(encode_arith_fast(point, params, table)[0])
-        assert state_tables == [None] * 3
+    @pytest.mark.parametrize(
+        "bad", [(-1, 0), (0, -5), (True, 0), (0, False), (4, 0), (0, 2**70), (1.0, 0), (0, "1")],
+    )
+    def test_rejects_the_first_bad_point_as_the_variants_do(self, bad):
+        params = CurveParams(2, 2)
+        with pytest.raises(DomainError) as reference:
+            encode_arith(bad, params, TABLES[2])
+        values = flat([(1, 2), bad, (3, 1), (-1, 9)])
+        with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
+            curve_keys(params, values)
+
+    def test_rejects_a_partial_point(self):
+        with pytest.raises(DimensionMismatchError, match="point has 1 components"):
+            curve_keys(CurveParams(2, 2), [1, 2, 3])

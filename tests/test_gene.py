@@ -19,6 +19,7 @@ from hilbertorder.gene import (
     format_table_text,
     gene_table,
     load_table,
+    quadrant_commands,
     save_table,
     validate_gene_table,
 )
@@ -107,6 +108,16 @@ class TestGeneTable:
     def test_rejects_small_dimension(self):
         with pytest.raises(DomainError):
             gene_table(1)
+
+
+class TestQuadrantCommands:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_forms_equal_the_table(self, n):
+        table = gene_table(n)
+        for r in range(1 << n):
+            reverse, pair = quadrant_commands(n, r)
+            assert reverse == sum(1 << i for i in table.reverse_slots[r])
+            assert pair == table.swap_pairs[r]
 
 
 class TestValidation:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from hilbertorder import pointio
 from hilbertorder.cli import main
 from hilbertorder.core_bits import CurveParams
-from hilbertorder.encode import curve_key
+from hilbertorder.encode import encode_arith
 from hilbertorder.errors import DomainError, PointFileError
 from hilbertorder.gene import gene_table
 
@@ -264,19 +264,24 @@ COMPONENTS = st.sampled_from(IN_RANGE * 6 + ["16", "99999999999999999999", LONG]
 SPACES = st.sampled_from([" ", " ", "  ", "\t", " \t "])
 EDGES = st.sampled_from(["", "", " ", "\t"])
 PIECES = st.sampled_from(IN_RANGE + [LONG, " ", "\t", "\n", "\r", "\r\n", ",", "#", "-", "x"])
+COMMENTS = st.sampled_from(["# x_2 x_1", "#", "  # hash", "\t#1 2 3", "# \u00e9", "\x0b#\x0c"])
 
 
 @st.composite
 def point_files(draw):
-    """``n`` and a text point file.  About half are digits, spaces, tabs and
-    ``\\n`` only, as the whole-file reader takes them; the rest mix in
-    commas, comments, carriage returns, signs and letters."""
+    """``n`` and a text point file.  About half are digits, spaces, tabs,
+    ``#`` comment lines and ``\\n`` or ``\\r\\n`` line ends only, as the
+    whole-file reader takes them; the rest mix in commas, comments, lone
+    carriage returns, signs and letters."""
     n = draw(st.integers(2, 4))
     plain = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"])) if plain else "\n"
     counts = st.sampled_from([n] * 6 + [0, n - 1, n + 1])
     lines = []
     for _ in range(draw(st.integers(0, 8))):
-        if plain or draw(st.integers(0, 2)):
+        if plain and not draw(st.integers(0, 5)):
+            lines.append(draw(COMMENTS))
+        elif plain or draw(st.integers(0, 2)):
             parts = [draw(COMPONENTS) for _ in range(draw(counts))]
             line = parts[0] if parts else ""
             for part in parts[1:]:
@@ -284,22 +289,26 @@ def point_files(draw):
             lines.append(draw(EDGES) + line + draw(EDGES))
         else:
             lines.append("".join(draw(st.lists(PIECES, max_size=8))))
-    return n, "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+    return n, newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
 
 
-def reference_points(path, data, n, convert):
-    """What ``read_points`` must give for a text file, one line at a time."""
-    points = []
+def reference_values(path, data, n):
+    """What ``read_points`` must give for a text file at level ``LEVEL``, one
+    line at a time: the components flat, in file order."""
+    params = CurveParams(n, LEVEL)
+    values = []
     lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            points.append(convert(pointio.parse_point(line.replace(",", " ").split(), n)))
+            point = pointio.parse_point(line.replace(",", " ").split(), n)
+            encode_arith(point, params, gene_table(n))  # raises for a component out of range
         except DomainError as exc:
             raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
-    return points
+        values.extend(reversed(point))
+    return values
 
 
 def outcome(read, *args):
@@ -317,11 +326,9 @@ class TestWholeFileReader:
         path = tmp_path_factory.mktemp("points") / "points.txt"
         data = text.encode()
         path.write_bytes(data)
-        key = curve_key(CurveParams(n, LEVEL), gene_table(n))
-        for convert in (lambda p: p, key):
-            expected = outcome(reference_points, path, data, n, convert)
-            got = outcome(lambda: pointio.read_points(path, n, convert)[0])
-            assert got == expected
+        expected = outcome(reference_values, path, data, n)
+        got = outcome(lambda: list(pointio.read_points(path, CurveParams(n, LEVEL))[0]))
+        assert got == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
@@ -334,10 +341,14 @@ class TestWholeFileReader:
 
     def test_plain_digit_file_takes_the_whole_file_path(self):
         data = b"1 2 3\n\n4\t5  6\n 7 8 9 \n10 11 12"
-        points = [(3, 2, 1), (6, 5, 4), (9, 8, 7), (12, 11, 10)]
-        assert pointio._plain_text_points(data, 3) == points
-        for other in (b"1 2 3\r\n", b"1,2,3\n", b"1 2\n", b"1  2\n3 4 5\n", b"# 1 2 3\n"):
-            assert pointio._plain_text_points(other, 3) is None
+        values = list(range(1, 13))
+        assert pointio._plain_text_values(data, 3) == values
+        for same in (data.replace(b"\n", b"\r\n"), b"# x_3 x_2 x_1\n" + data,
+                     b" \t#1 2 \xc3\xa9\r\n\n" + data + b"\n#"):
+            assert pointio._plain_text_values(same, 3) == values
+        for other in (b"1 2 3\r", b"# a\rb\n1 2 3\n", b"#\xff\n1 2 3\n", b"\xc2\xa0# a\n",
+                      b"1 2 3 # c\n", b"1,2,3\n", b"1 2\n", b"1  2\n3 4 5\n"):
+            assert pointio._plain_text_values(other, 3) is None
 
 
 def _sort(capsys, path):
@@ -348,7 +359,7 @@ class TestNamedRows:
     def test_out_of_range_on_a_plain_file_names_its_line(self, capsys, tmp_path):
         path = tmp_path / "points.txt"
         path.write_bytes(b"1 2\n3 4\n16 0\n5 6\n")
-        assert pointio._plain_text_points(path.read_bytes(), 2) is not None
+        assert pointio._plain_text_values(path.read_bytes(), 2) is not None
         code, out, err = _sort(capsys, path)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: line 3: component 2 out of range for level 4: 16\n"
@@ -369,3 +380,17 @@ class TestNamedRows:
         code, out, err = _sort(capsys, path)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: record 4: component 2 out of range for level 4: 16\n"
+
+    def test_comment_that_is_not_utf8_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_bytes(b"1 2\r\n# \xff\r\n3 4\r\n")
+        code, out, err = _sort(capsys, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text: byte 7 cannot be decoded\n"
+
+    def test_lone_carriage_return_ends_a_comment(self, capsys, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_bytes(b"# x_2 x_1\r3 0\r\n# 16 16\n0 0\r\n")
+        code, out, err = _sort(capsys, path)
+        assert (code, out, err) == (0, "", "")
+        assert path.with_suffix(".out").read_bytes() == b"0 0\n3 0\n"
