@@ -18,7 +18,7 @@ from hilbertorder.core_bits import (
 from hilbertorder.decode import (
     curve_point, decode_arith, decode_arith_fast, decode_bits, decode_bits_fast,
 )
-from hilbertorder.encode import ENCODERS, encode_arith, encode_bits
+from hilbertorder.encode import ENCODERS, curve_keys, encode_arith, encode_bits
 from hilbertorder.errors import DomainError
 from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
 
@@ -703,6 +703,16 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert "FAIL curve-n2-m1 (index 1 decodes to (0, 0), enumeration holds (1, 0))" in out
+
+    def test_checks_the_encoder_encode_runs(self, capsys, monkeypatch):
+        def broken(params, values):
+            keys = curve_keys(params, values)
+            return keys[:2] + [keys[3], keys[2]] + keys[4:]
+
+        monkeypatch.setattr(cli, "curve_keys", broken)
+        code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
+        assert code == 1
+        assert "FAIL curve-n2-m1 (point (1, 1) encodes to 3, expected index 2)" in out
 
     def test_validates_the_table_once_per_run(self, capsys, monkeypatch):
         calls = []
