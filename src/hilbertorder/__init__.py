@@ -27,6 +27,7 @@ from .core_bits import (
 )
 from .decode import (
     curve_point,
+    curve_points,
     decode_arith,
     decode_arith_fast,
     decode_bits,
@@ -102,6 +103,7 @@ __all__ = [
     "curve_key",
     "curve_keys",
     "curve_point",
+    "curve_points",
     "decode_arith",
     "decode_arith_fast",
     "decode_bits",

@@ -5,9 +5,11 @@ point-file and index-token formats, and how files are read and
 written, live in :mod:`hilbertorder.pointio`.
 
 ``encode`` and ``sort`` key all their points with one call of the
-production encoder ``curve_keys`` and build no gene table; ``decode``
-runs the production decoder ``curve_point``.  A bad row in any input
-file is named by its row.
+production encoder's kernel ``unchecked_keys``, and ``decode`` places all
+its indices with one call of the production decoder's kernel
+``unchecked_points``; neither builds a gene table.  The readers of
+:mod:`pointio` check the values once per file, naming a bad row by its
+row, so the kernels do not check them again.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .core_bits import CurveParams, integer_digits
-from .decode import curve_point
-from .encode import curve_key, curve_keys
+from .decode import unchecked_points
+from .encode import curve_key, unchecked_keys
 from .errors import DomainError, HilbertError, ResourceLimitError
-from .gene import format_table_text, gene_table, validate_gene_table
+from .gene import check_table_dimension, format_table_text, gene_table, validate_gene_table
 from .oracle import (
     ENUMERATION_MAX_BITS,
     benchmark_records,
@@ -32,14 +34,14 @@ from .oracle import (
     run_counter_benchmark,
 )
 from .pointio import (
-    format_points,
-    index_digits,
+    format_flat,
     index_formatter,
     int_max_str_digits,
     parse_decimal,
+    parse_index,
     parse_point,
+    read_indices,
     read_points,
-    read_rows,
     write_points,
 )
 
@@ -131,7 +133,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if bool(args.coords) == (args.input is not None):
         raise DomainError("give exactly one point as arguments or use --input")
     if args.input is not None:
-        keys = curve_keys(params, read_points(args.input, params)[0])
+        check_table_dimension(params.n)
+        keys = unchecked_keys(params, read_points(args.input, params)[0])
     else:
         keys = [curve_key(params)(parse_point(args.coords, params.n))]
     line = index_formatter(params, args.digits)
@@ -150,19 +153,21 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             f"level {params.m} is above {top}: coordinates below 2**{params.m} can exceed "
             f"the {limit}-digit limit of sys.get_int_max_str_digits()"
         )
-    point = curve_point(params, gene_table(params.n))
+    check_table_dimension(params.n)
     if args.input is not None:
-        points = read_rows(args.input, lambda line: point(index_digits(line, params)))
+        digits, count = read_indices(args.input, params)
     else:
-        points = [point(index_digits(token, params)) for token in args.indices]
-    sys.stdout.write(format_points(points, params.n))
+        rows = [parse_index(token, params) for token in args.indices]
+        digits, count = list(chain.from_iterable(rows)), len(rows)
+    sys.stdout.write(format_flat(unchecked_points(params, digits, count), params.n))
     return 0
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
+    check_table_dimension(params.n)
     values, binary = read_points(args.input, params)
-    keys = curve_keys(params, values)
+    keys = unchecked_keys(params, values)
     rows = list(zip(*[iter(values)] * params.n))  # as the file writes them, x_n first
     order = sorted(range(len(rows)), key=keys.__getitem__)  # stable: ties keep input order
     write_points(args.output, params.n, list(map(rows.__getitem__, order)), binary)
@@ -194,7 +199,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for m in range(1, args.max_level + 1):
         params = CurveParams(args.dim, m)
         enumeration = enumerate_recursive(params, table)
-        ok, detail = _walk_matches_codecs(enumeration, params, table)
+        ok, detail = _walk_matches_codecs(enumeration, params)
         results.append((f"curve-n{args.dim}-m{m}", ok, detail))
     for name, passed, detail in results:
         if args.records:
@@ -208,12 +213,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _walk_matches_codecs(enumeration, params: CurveParams, table) -> tuple[bool, str]:
+def _walk_matches_codecs(enumeration, params: CurveParams) -> tuple[bool, str]:
     """Hold the codecs the CLI runs against the recursive enumeration."""
-    point = curve_point(params, table)
     walk = enumeration.points
-    decoded = [point(integer_digits(z, params)) for z in range(len(walk))]
-    keys = curve_keys(params, list(chain.from_iterable(map(reversed, walk))))
+    digits = [d for z in range(len(walk)) for d in integer_digits(z, params)]
+    flat = unchecked_points(params, digits, len(walk))
+    decoded = [point[::-1] for point in zip(*[iter(flat)] * params.n)]
+    keys = unchecked_keys(params, list(chain.from_iterable(map(reversed, walk))))
     if decoded != list(walk) or keys != list(range(len(walk))):
         for z, expected in enumerate(walk):
             if decoded[z] != expected:

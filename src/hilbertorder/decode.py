@@ -9,26 +9,30 @@ levels above it would each contribute only a swap of components 1 and
 
 These four are the reference code the paper studies.  The production
 decoder behind ``hilbert decode`` and ``hilbert validate`` is
-:func:`curve_point`, whose per-digit work does not grow with ``n``.
-While ``n <= 8`` it holds the placed levels as one byte per bit plane
-and places a digit with one ``bytes.translate``; above that it packs
-the components into one ``int``.
+:func:`curve_points`, which places every index of a batch with O(n)
+operations per level on integers that each hold one component of every
+point, and reads the quadrant commands from closed forms, not from a gene
+table.  Past level 64 it places one index at a time, by byte planes while
+``n <= 8`` and by ``m``-bit fields of one ``int`` above that.
 """
 
 from __future__ import annotations
 
+import struct
+from itertools import chain
 from typing import Callable, Sequence
 
 from .core_bits import Coordinate, CurveParams, HilbertIndex, gray_code, reflect
 from .encode import StepCounter
 from .errors import DimensionMismatchError, DomainError
-from .gene import GeneTable
+from .gene import GeneTable, check_table_dimension, quadrant_commands
 
-# Bits of per-digit steps one curve_point decoder keeps from n = 9, where
-# its field kernel runs (16 MiB): every quadrant's step fits while
-# 2**n * (2 * n * m + 1) <= 2**27, so up to m = 14563 at n = 9 and
-# m = 6553 at n = 10.
+# Bits of per-digit steps one _field_point decoder keeps (16 MiB): every
+# quadrant's step fits while 2**n * (2 * n * m + 1) <= 2**27, so up to
+# m = 14563 at n = 9 and m = 6553 at n = 10.
 _STEP_BITS = 1 << 27
+# The struct code of a field of each width in bits.
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def index_effective_level(idx: HilbertIndex) -> int:
@@ -70,61 +74,149 @@ def decode_bits_fast(
     return _decode(idx, params, table, _coords_bits, fast=True)
 
 
-def curve_point(
-    params: CurveParams, table: GeneTable
-) -> Callable[[Sequence[int]], Coordinate]:
-    """Return the production decoder of one curve: an index's digits to its point.
+def curve_points(
+    params: CurveParams, digits: Sequence[int], count: int | None = None
+) -> tuple[int, ...]:
+    """Return the point of every index of a batch, its components flat.
 
-    The returned function takes the ``m`` radix ``2**n`` digits most
-    significant first, as in ``HilbertIndex.digits``, rejects what
-    ``HilbertIndex`` and ``decode_arith`` reject with the same messages
-    (the digit count first), and equals
-    ``decode_arith(HilbertIndex(n, digits), params, table)[0]``.
-    Digits are placed bottom up in the transposed (bit-plane) form of
-    J. Skilling ("Programming the Hilbert curve", AIP Conf. Proc. 707,
-    2004) that :func:`encode.curve_key` reads: per digit ``r``, with
-    ``v`` planes already placed, quadrant ``r``'s exchange and reverse
-    commands act on each placed plane alike, and ``gray(r)`` becomes
-    plane ``v``.
+    ``digits`` holds ``count`` indices flat, ``m`` radix ``2**n`` digits
+    each, most significant first (as in ``HilbertIndex.digits``);
+    ``count`` is ``len(digits) / m`` by default, and must be given at
+    ``m = 0``, where an index has no digits.  The result holds each point
+    written ``x_n .. x_1``, as a point file holds it, and point ``j``
+    equals ``decode_arith(HilbertIndex(n, index_j), params, table)[0]``
+    reversed.  Only a batch that fails the whole-batch checks (length,
+    types, least and greatest digit) is checked index by index, raising
+    as :func:`curve_point` does for the first bad index.
+    """
+    n, m = params.n, params.m
+    check_table_dimension(n)
+    if count is None:
+        count = -(-len(digits) // m) if m else 0
+    if len(digits) != count * m or set(map(type, digits)) - {int} or digits and (
+        min(digits) < 0 or max(digits) >> n
+    ):
+        for j in range(count):  # the last index takes the digits left over
+            check_index(digits[j * m:(j + 1) * m if j + 1 < count else None], params)
+        if len(digits) != count * m:  # only where count is 0
+            raise DomainError(f"{len(digits)} digits given for {count} indices at level {m}")
+    return unchecked_points(params, digits, count)
 
-    While ``n <= 8`` a plane fits in a byte, so the placed planes are one
-    ``bytes`` object, byte ``v`` holding bit ``v`` of every component
-    (component ``i + 1`` at bit ``i``), and a digit costs one
-    ``bytes.translate`` through quadrant ``r``'s 256-byte table plus one
-    appended byte.  An 8 x 8 bit transpose per eight planes then gives
-    each component its bytes.
 
-    From ``n = 9`` an exchange can cross bytes, and component ``i + 1``
-    lives in the ``m``-bit field at bit ``i * m`` of one integer ``x``
-    instead: the exchange is one delta swap of two fields; the reverse
+def curve_point(params: CurveParams) -> Callable[[Sequence[int]], Coordinate]:
+    """Return the production decoder of one index, digits to ``(x_1, .., x_n)``
+    as the variants give it: :func:`curve_points` of a batch of one.  The
+    digits are checked as ``HilbertIndex`` and ``decode_arith`` check them,
+    with the same messages, the digit count first."""
+    check_table_dimension(params.n)
+
+    def point(digits: Sequence[int]) -> Coordinate:
+        check_index(digits, params)
+        return unchecked_points(params, digits, 1)[::-1]
+
+    return point
+
+
+def check_index(digits: Sequence[int], params: CurveParams) -> None:
+    """Raise as ``HilbertIndex`` and ``decode_arith`` do unless ``digits`` are
+    ``m`` integers in ``[0, 2**n)``; a wrong count is named first."""
+    _check_digit_count(len(digits), params.m)
+    HilbertIndex(params.n, tuple(digits))  # raises on the first bad digit
+
+
+def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> tuple[int, ...]:
+    """:func:`curve_points` of ``count`` indices whose digits are checked.
+
+    While ``m <= 64`` the kernel places every index at once, bottom up, in
+    the transposed form of J. Skilling ("Programming the Hilbert curve",
+    AIP Conf. Proc. 707, 2004), SIMD within a register (R. J. Fisher and
+    H. G. Dietz, LCPC 1998): component ``i + 1`` of every point is one
+    ``int`` of ``W``-bit fields, one per point, ``W`` the least of 8, 16,
+    32 and 64 that holds both the ``m`` bits of a component and the ``n``
+    bits of a digit.  Per level ``v``, the digit column of every index is
+    packed with one ``struct.pack``; with ``v`` planes placed, quadrant
+    ``r``'s exchange and then its reverse command, the closed forms of
+    :func:`gene.quadrant_commands`, act on the low ``v`` bits in O(n)
+    whole-int operations, and ``gray(r)`` becomes bit ``v``.  Each
+    component is unpacked with one ``struct.unpack``.
+
+    Past ``m = 64`` the points are placed one at a time: by
+    :func:`_byte_plane_point` while ``n <= 8``, else by :func:`_field_point`.
+    """
+    n, m = params.n, params.m
+    if m > 64:
+        place = (_byte_plane_point if n <= 8 else _field_point)(n, m)
+        return tuple(chain.from_iterable([place(digits[j:j + m]) for j in range(0, count * m, m)]))
+    if not m:
+        return (0,) * (n * count)
+    width = next(w for w in (8, 16, 32, 64) if w >= max(m, n))
+    code = _FIELD_CODES[width]
+    column = struct.Struct(f"<{count}{code}")
+    size = column.size
+    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")  # bit 0 of each field
+    last = n - 1
+    c = [0] * n
+    for v in range(m):
+        packed = int.from_bytes(column.pack(*digits[m - 1 - v::m]), "little")
+        r = [(packed >> i) & ones for i in range(n)]  # the rank bits r_i of every digit
+        top = [x << v for x in r]
+        top.append(0)
+        if not v:
+            c = [top[i] ^ top[i + 1] for i in range(n)]
+            continue
+        # Spread each rank bit over the low v bits of its field, where the
+        # commands act; & and ^ act there as on the one bit.
+        low = (ones << v) - ones
+        r = [t - x for t, x in zip(top, r)]
+        # Exchange components d + 1 and n, d the lowest i >= 1 with
+        # r_i != r_0, else 0; none when d = n - 1.  A point has one d,
+        # so component n takes the xor of every swap's difference.
+        rest = low
+        moved = 0
+        for i in range(1, last):
+            pick = rest & (r[i] ^ r[0])
+            rest ^= pick
+            t = (c[i] ^ c[last]) & pick
+            c[i] ^= t
+            moved ^= t
+        rest ^= rest & (r[last] ^ r[0])
+        t = (c[0] ^ c[last]) & rest
+        c[0] ^= t
+        c[last] ^= moved ^ t
+        # Reverse the entry corner gray(s), s = (r - 1) & ~1, as
+        # curve_keys does, and set bit v to gray(r): its bit i is
+        # r_i ^ r_(i+1), and bit v is still zero in every field.
+        b = low ^ r[0]
+        s = [0] * (n + 1)
+        for i in range(1, n):
+            s[i] = r[i] ^ b
+            b &= s[i]
+        s[0] = s[n] = b
+        for i in range(n):
+            c[i] ^= s[i] ^ s[i + 1] ^ top[i] ^ top[i + 1]
+    out = bytearray(size * n)
+    fields = memoryview(out).cast(code)
+    for i in range(n):
+        fields[last - i::n] = memoryview(c[i].to_bytes(size, "little")).cast(code)
+    return struct.unpack(f"<{count * n}{code}", out)
+
+
+def _field_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
+    """One index's point, ``x_n .. x_1``, from ``n = 9``, with one ``m``-bit
+    field per component of one ``int``.
+
+    Component ``i + 1`` lives in the field at bit ``i * m``.  Per digit
+    ``r``, the exchange is one delta swap of two fields; the reverse
     command (the low ``v`` bits of the reversed fields) and the quadrant
     offset (``gray(r)``, one bit per field, at bit ``v``) are one more
     xor.  A digit's step, which holds two ``n * m``-bit integers, is
     built the first time the digit occurs, and at most ``_STEP_BITS``
     bits of steps are kept, so set-up does not grow with
-    ``2**n * n * m``.  The per-digit work of either kernel does not grow
-    with ``n``.
+    ``2**n * n * m``.
     """
-    n, m = params.n, params.m
-    table.check_dimension(n)
-
-    def reject(digits: Sequence[int]) -> None:
-        _check_digit_count(len(digits), m)
-        HilbertIndex(n, tuple(digits))  # raises on the first bad digit
-
-    if n <= 8:
-        return _byte_plane_point(n, m, table, reject)
-    return _field_point(n, m, table, reject)
-
-
-def _field_point(
-    n: int, m: int, table: GeneTable, reject: Callable[[Sequence[int]], None]
-) -> Callable[[Sequence[int]], Coordinate]:
-    """``curve_point``'s kernel from ``n = 9``: one ``m``-bit field per component."""
     size = 1 << n
     field = (1 << m) - 1
-    # One mask of n * m bits per exchanged pair, shared by its quadrants.
-    masks = {pair: field << (pair[0] * m) for pair in set(table.swap_pairs) if pair}
+    masks: dict = {}  # one mask of n * m bits per exchanged pair, shared by its quadrants
     spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * m
     for c in range(1, len(spread)):
         spread[c] = (spread[c >> 1] << m) | (c & 1)
@@ -145,55 +237,55 @@ def _field_point(
     def step(r: int) -> tuple[int, int, int, int]:
         # Digit r's exchange as the distance between the two fields and
         # the mask of the lower one ((0, 0) when it has none), then
-        # ``flip + offset`` and ``offset``: bit 0 of every field that
-        # reverse_slots[r] names, and of every field whose bit in gray(r)
+        # ``flip + offset`` and ``offset``: bit 0 of every field that its
+        # reverse command flips, and of every field whose bit in gray(r)
         # is set.
         if len(built) >= cap:
             for s in built:
                 steps[s] = None
             built.clear()
+        flip, pair = quadrant_commands(n, r)
         d = mask = 0
-        if table.swap_pairs[r] is not None:
-            a, b = table.swap_pairs[r]
-            d, mask = (b - a) * m, masks[a, b]
+        if pair is not None:
+            a, b = pair
+            if pair not in masks:
+                masks[pair] = field << (a * m)
+            d, mask = (b - a) * m, masks[pair]
         offset = widen(r ^ (r >> 1))
-        flip = widen(sum(1 << i for i in table.reverse_slots[r]))
-        steps[r] = (d, mask, flip + offset, offset)
+        steps[r] = (d, mask, widen(flip) + offset, offset)
         built.append(r)
         return steps[r]
 
-    shifts = range(0, n * m, m) if m else [0] * n
+    shifts = range((n - 1) * m, -1, -m)
 
     def point(digits: Sequence[int]) -> Coordinate:
-        try:
-            if len(digits) != m or (m and not 0 <= min(digits) <= max(digits) < size):
-                reject(digits)
-            x = 0
-            low = 0  # (1 << v) - 1: the v bits already placed in every field
-            for r in reversed(digits):
-                d, mask, flip_offset, offset = steps[r] or step(r)
-                t = ((x >> d) ^ x) & mask
-                # Exchange, then reverse the low v bits of the flipped
-                # fields (flip * low) and set bit v of the offset fields
-                # (offset << v).  Bit v is still zero in every field and
-                # the two touch disjoint bits, so one xor with their sum,
-                # flip * low + offset * (low + 1) = flip_offset * low + offset,
-                # does both.
-                x ^= t ^ (t << d) ^ (flip_offset * low + offset)
-                low += low + 1
-        except TypeError:  # a digit that is not an int
-            reject(digits)
-            raise
+        x = 0
+        low = 0  # (1 << v) - 1: the v bits already placed in every field
+        for r in reversed(digits):
+            d, mask, flip_offset, offset = steps[r] or step(r)
+            t = ((x >> d) ^ x) & mask
+            # Exchange, then reverse the low v bits of the flipped fields
+            # (flip * low) and set bit v of the offset fields (offset << v).
+            # Bit v is still zero in every field and the two touch disjoint
+            # bits, so one xor with their sum,
+            # flip * low + offset * (low + 1) = flip_offset * low + offset,
+            # does both.
+            x ^= t ^ (t << d) ^ (flip_offset * low + offset)
+            low += low + 1
         return tuple([(x >> s) & field for s in shifts])
 
     return point
 
 
-def _byte_plane_point(
-    n: int, m: int, table: GeneTable, reject: Callable[[Sequence[int]], None]
-) -> Callable[[Sequence[int]], Coordinate]:
-    """``curve_point``'s kernel while ``n <= 8``: one byte per plane."""
-    size = 1 << n
+def _byte_plane_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
+    """One index's point, ``x_n .. x_1``, while ``n <= 8``, with one byte per plane.
+
+    The placed planes are one ``bytes`` object, byte ``v`` holding bit
+    ``v`` of every component (component ``i + 1`` at bit ``i``), and a
+    digit costs one ``bytes.translate`` through quadrant ``r``'s 256-byte
+    table plus one appended byte.  An 8 x 8 bit transpose per eight
+    planes then gives each component its bytes.
+    """
     ones = int.from_bytes(bytes([1]) * 256, "little")  # bit 0 of every byte
     every = int.from_bytes(bytes(range(256)), "little")  # byte c holds c
     # moves[r][c] is the plane c after quadrant r's exchange and then its
@@ -201,16 +293,15 @@ def _byte_plane_point(
     # bytes of one int (a delta swap of two bits per byte), once per pair;
     # a reverse command is then one xor per quadrant.
     swapped = {None: every}
-    for pair in set(table.swap_pairs) - {None}:
-        a, b = pair
-        t = ((every >> (b - a)) ^ every) & (ones << a)
-        swapped[pair] = every ^ t ^ (t << (b - a))
-    moves = [
-        (swapped[table.swap_pairs[r]] ^ sum(1 << i for i in table.reverse_slots[r]) * ones)
-        .to_bytes(256, "little")
-        for r in range(size)
-    ]
-    offsets = [bytes([r ^ (r >> 1)]) for r in range(size)]
+    moves = []
+    for r in range(1 << n):
+        flip, pair = quadrant_commands(n, r)
+        if pair not in swapped:
+            a, b = pair
+            t = ((every >> (b - a)) ^ every) & (ones << a)
+            swapped[pair] = every ^ t ^ (t << (b - a))
+        moves.append((swapped[pair] ^ flip * ones).to_bytes(256, "little"))
+    offsets = [bytes([r ^ (r >> 1)]) for r in range(1 << n)]
     # The planes padded to whole words of eight, and the masks of an 8 x 8
     # bit transpose of every 64-bit word (H. S. Warren, Hacker's Delight,
     # 7-3): plane j of a word at bit 8 * j + i becomes component i + 1 at
@@ -221,18 +312,12 @@ def _byte_plane_point(
     rep = int.from_bytes(bytes([1] + [0] * 7) * words, "little")  # bit 0 of every word
     mask7, mask14, mask28 = (0x00AA00AA00AA00AA * rep, 0x0000CCCC0000CCCC * rep,
                              0x00000000F0F0F0F0 * rep)
-    components = range(n)
+    components = range(n - 1, -1, -1)
 
     def point(digits: Sequence[int]) -> Coordinate:
-        try:
-            if len(digits) != m or (m and not 0 <= min(digits) <= max(digits) < size):
-                reject(digits)
-            planes = b""
-            for r in reversed(digits):
-                planes = planes.translate(moves[r]) + offsets[r]
-        except TypeError:  # a digit that is not an int
-            reject(digits)
-            raise
+        planes = b""
+        for r in reversed(digits):
+            planes = planes.translate(moves[r]) + offsets[r]
         x = int.from_bytes(planes + pad, "little")
         t = ((x >> 7) ^ x) & mask7
         x ^= t ^ (t << 7)

@@ -113,6 +113,13 @@ def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     ):
         for j in range(0, len(values), n):
             check_point(values[j:j + n][::-1], params)
+    return unchecked_keys(params, values)
+
+
+def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
+    """:func:`curve_keys` of values that are checked: whole points of
+    integers in ``[0, 2**m)``."""
+    n, m = params.n, params.m
     count = len(values) // n
     k = max(values, default=0).bit_length()
     if k > 64:
@@ -187,7 +194,7 @@ def curve_key(params: CurveParams) -> Callable[[Sequence[int]], int]:
 
     def key(p: Sequence[int]) -> int:
         check_point(p, params)
-        return curve_keys(params, p[::-1])[0]
+        return unchecked_keys(params, p[::-1])[0]
 
     return key
 
@@ -197,24 +204,24 @@ def _point_keys(n: int, m: int, values: Sequence[int]) -> list[int]:
     interleaved into one integer ``z`` whose ``n``-bit plane at level ``v``
     holds bit ``v`` of every component, and each level costs one xor on
     ``z`` for its reverse command and one delta swap for its exchange."""
-    size = 1 << n
-    low = size - 1
+    low = (1 << n) - 1
     rep = ((1 << (n * m)) - 1) // low  # bit 0 of every plane
-    # Indexed by the plane g as read, which is the Gray code of the
-    # quadrant digit rank[g], so no Gray inverse runs per point: that
-    # quadrant's reverse command as an n-bit mask, and its exchange as
-    # (distance between the two components, rep under the lower one).
-    # Quadrants with the same pair share one tuple.
-    rank = [0] * size
-    flip = [0] * size
-    swap = [None] * size
+    # Keyed by the plane g as read, which is the Gray code of the quadrant
+    # digit r, so no Gray inverse runs per level: r, that quadrant's reverse
+    # command as an n-bit mask, and its exchange as (distance between the
+    # two components, rep under the lower one).  A plane's entry is built
+    # the first time it occurs; quadrants with the same pair share one tuple.
+    commands: dict[int, tuple] = {}
     shared: dict[tuple[int, int], tuple[int, int]] = {}
-    for r in range(size):
-        g = r ^ (r >> 1)
-        rank[g] = r
-        flip[g], pair = quadrant_commands(n, r)
-        if pair is not None:
-            swap[g] = shared.setdefault(pair, (pair[1] - pair[0], rep << pair[0]))
+
+    def command(g: int) -> tuple:
+        r = gray_code_inverse(g)  # no width: the cascade, not a 2**n table
+        flip, pair = quadrant_commands(n, r)
+        swap = None if pair is None else shared.setdefault(
+            pair, (pair[1] - pair[0], rep << pair[0]))
+        commands[g] = r, flip, swap
+        return commands[g]
+
     spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * n
     for c in range(1, 256):
         spread[c] = (spread[c >> 1] << n) | (c & 1)
@@ -235,11 +242,12 @@ def _point_keys(n: int, m: int, values: Sequence[int]) -> list[int]:
         index = 0
         for shift in range(n * (k - 1), -1, -n):
             g = (z >> shift) & low
-            index = (index << n) | rank[g]
+            r, flip, swap = commands.get(g) or command(g)
+            index = (index << n) | r
             # Bits of levels already read may change too; they are not read again.
-            z ^= flip[g] * rep
-            if swap[g] is not None:
-                d, mask = swap[g]
+            z ^= flip * rep
+            if swap is not None:
+                d, mask = swap
                 t = ((z >> d) ^ z) & mask
                 z ^= t ^ (t << d)
         keys.append(index)

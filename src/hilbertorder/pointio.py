@@ -10,7 +10,10 @@ else as ``digits:`` and their radix ``2**n`` digits, most significant first.
 
 A reader opens its file once and takes the format from its bytes, so a
 pipe works as an input.  :func:`read_points` gives the components flat,
-in file order, as :func:`encode.curve_keys` takes them.  A binary file,
+in file order, as :func:`encode.curve_keys` takes them, and
+:func:`read_indices` the digits of every index flat, as
+:func:`decode.curve_points` takes them; each checks its values once per
+file, so the codec that follows need not check them again.  A binary file,
 and a text file of ASCII digits, spaces, tabs, ``\n`` or ``\r\n`` line
 ends and UTF-8 ``#`` comment lines, ``n`` components on every other line
 that is not blank, is read whole: one ``struct`` unpack, or one split and
@@ -35,6 +38,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .core_bits import Coordinate, CurveParams, integer_digits
+from .decode import check_index
 from .encode import check_point
 from .errors import DomainError, PointFileError
 
@@ -84,12 +88,14 @@ def format_point(point: Coordinate) -> str:
 
 def format_points(points: Sequence[Coordinate], n: int) -> str:
     """The text lines of ``n``-component points, as :func:`format_point` writes
-    each, through one ``%``-format of the whole output."""
-    return _format_flat(tuple(chain.from_iterable(map(reversed, points))), n)
+    each: :func:`format_flat` of their components."""
+    return format_flat(tuple(chain.from_iterable(map(reversed, points))), n)
 
 
-def _format_flat(flat: tuple[int, ...], n: int) -> str:
-    """Text lines of ``n`` components each, from their values in line order."""
+def format_flat(flat: tuple[int, ...], n: int) -> str:
+    """Text lines of ``n`` components each, from their values in line order,
+    as :func:`format_point` writes each point, through one ``%``-format of
+    the whole output."""
     return (" ".join(["%d"] * n) + "\n") * (len(flat) // n) % flat
 
 
@@ -100,8 +106,8 @@ def index_digits(token: str, params: CurveParams) -> Sequence[int]:
     while ``2**n <= _DIGIT_TABLE_STRINGS``, else one ``int`` per digit
     if the token is ASCII digits and dots; a digit the dict lacks (``007``)
     falls back to ``int``, and when that fails too, :func:`parse_decimal`
-    reads each digit to raise its message.  ``curve_point`` checks the
-    digits' count and range.
+    reads each digit to raise its message.  :func:`parse_index` also checks
+    the digits' count and range.
     """
     if token.startswith(DIGIT_PREFIX):
         body = token[len(DIGIT_PREFIX):]
@@ -119,6 +125,14 @@ def index_digits(token: str, params: CurveParams) -> Sequence[int]:
                 pass
         return [parse_decimal(part, "index digit") for part in parts]
     return integer_digits(parse_decimal(token, "index value"), params)
+
+
+def parse_index(token: str, params: CurveParams) -> Sequence[int]:
+    """Digits of an index token, checked against the curve as
+    :func:`decode.check_index` checks them."""
+    digits = index_digits(token, params)
+    check_index(digits, params)
+    return digits
 
 
 def index_formatter(params: CurveParams, force_digits: bool) -> Callable[[int], str]:
@@ -184,9 +198,24 @@ def _digit_values(n: int) -> dict[str, int] | None:
     return {string: value for value, string in enumerate(_digit_strings(n, 1))}
 
 
-def read_rows(path: Path, parse: Callable[[str], object]) -> list:
-    """``parse`` of each line of a UTF-8 text file that is not blank or a ``#`` comment."""
-    return _text_rows(path, path.read_bytes(), parse)
+def read_indices(path: Path, params: CurveParams) -> tuple[list[int], int]:
+    """The digits of every index of a text index file, flat and in file order
+    (``m`` per index, most significant first), and the number of indices.
+    The rows' digit counts and largest digit are checked once per file; a
+    file that fails, or has a row that does not parse, is read again with
+    each row checked as it is read, which names the first bad row in file
+    order."""
+    data = path.read_bytes()
+    try:
+        rows = _text_rows(path, data, lambda line: index_digits(line, params))
+    except PointFileError:  # the row loop below names the first bad row
+        rows = None
+    if rows is not None:
+        digits = list(chain.from_iterable(rows))
+        if not set(map(len, rows)) - {params.m} and not max(digits, default=0) >> params.n:
+            return digits, len(rows)
+    rows = _text_rows(path, data, lambda line: parse_index(line, params))
+    return list(chain.from_iterable(rows)), len(rows)
 
 
 def read_points(path: Path, params: CurveParams) -> tuple[Sequence[int], bool]:
@@ -217,7 +246,7 @@ def write_points(path: Path, n: int, rows: Sequence[Sequence[int]], binary: bool
         header = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(rows))
         payload = header + struct.pack(f"<{len(flat)}Q", *flat)
     else:
-        payload = _format_flat(flat, n).encode()
+        payload = format_flat(flat, n).encode()
     _write_whole(path, payload)
 
 

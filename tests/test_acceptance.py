@@ -143,7 +143,7 @@ def test_criterion_06_four_way_equivalence():
         params = CurveParams(n, m)
         table = TABLES[n]
         key = curve_key(params)
-        point_of = curve_point(params, table)
+        point_of = curve_point(params)
         for point in grid(n, m):
             encoded = [encoder(point, params, table)[0] for encoder in ENCODERS]
             assert encoded[0] == encoded[1] == encoded[2] == encoded[3]

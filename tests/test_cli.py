@@ -16,9 +16,9 @@ from hilbertorder.core_bits import (
     CurveParams, index_to_integer, integer_digits, integer_to_index,
 )
 from hilbertorder.decode import (
-    curve_point, decode_arith, decode_arith_fast, decode_bits, decode_bits_fast,
+    decode_arith, decode_arith_fast, decode_bits, decode_bits_fast, unchecked_points,
 )
-from hilbertorder.encode import ENCODERS, curve_keys, encode_arith, encode_bits
+from hilbertorder.encode import ENCODERS, encode_arith, encode_bits, unchecked_keys
 from hilbertorder.errors import DomainError
 from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
 
@@ -338,6 +338,43 @@ class TestDecodeCommand:
         assert code == 2
         assert "bad index" in err
 
+    def test_builds_no_gene_table(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("decode must not build a gene table")
+
+        monkeypatch.setattr(cli, "gene_table", refuse)
+        code, out, _ = run(capsys, "decode", "-n", "16", "-m", "8", "5")
+        assert code == 0
+        assert out == "1 0 0 0 0 0 0 0 0 0 0 0 0 1 1 0\n"  # as when it built one
+
+    def test_refuses_a_dimension_above_the_cap(self, capsys):
+        code, out, err = run(capsys, "decode", "-n", "21", "-m", "2", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: gene table for dimension 21 exceeds the cap of 20\n"
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("digits:1.2.3\npony\n", 1, "index has 3 digits, curve level is 2"),
+        ("digits:1.0\ndigits:4.0\npony\n", 2, "digit 2 out of range for dimension 2: 4"),
+        ("digits:1.0\n\n# c\npony\ndigits:4.0\n", 4, "bad index value 'pony'"),
+        ("3\n\ndigits:1\n99\n", 3, "index has 1 digits, curve level is 2"),
+    ])
+    def test_names_the_first_bad_row_in_file_order(self, capsys, tmp_path, rows, line, message):
+        path = tmp_path / "indices.txt"
+        path.write_text(rows)
+        code, out, err = run(capsys, "decode", "-n", "2", "-m", "2", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: line {line}: {message}")
+
+    def test_checks_a_good_file_once_not_per_row(self, capsys, tmp_path, monkeypatch):
+        def per_row(digits, params):
+            raise AssertionError("a good file needs no per-row check")
+
+        monkeypatch.setattr(pointio, "check_index", per_row)
+        path = tmp_path / "indices.txt"
+        path.write_text("13\ndigits:3.1\n# c\n0\n")
+        code, out, _ = run(capsys, "decode", "-n", "2", "-m", "2", "--input", str(path))
+        assert (code, out) == (0, "2 1\n2 1\n0 0\n")
+
     def test_level_beyond_printable_coordinates(self, capsys, digit_cap):
         # 2**14284 - 1 has 4300 decimal digits, 2**14285 - 1 has 4301.
         for level, expected in ((14284, 0), (14285, 2)):
@@ -540,6 +577,17 @@ class TestRoundTripThroughText:
 
 
 class TestSortCommand:
+    @pytest.mark.parametrize("command", [
+        ["sort", "-n", "21", "-m", "2", "{missing}", "{out}"],
+        ["encode", "-n", "21", "-m", "2", "--input", "{missing}"],
+    ], ids=["sort", "encode"])
+    def test_refuses_a_dimension_above_the_cap_before_reading(self, capsys, tmp_path, command):
+        argv = [a.format(missing=tmp_path / "missing.txt", out=tmp_path / "out.txt")
+                for a in command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: gene table for dimension 21 exceeds the cap of 20\n"
+
     def test_level_one_walk_order(self, capsys, tmp_path):
         source = tmp_path / "points.txt"
         source.write_text("1 0\n0 0\n1 1\n0 1\n")
@@ -695,21 +743,21 @@ class TestValidateCommand:
         assert err.count("\n") == 1
 
     def test_checks_the_decoder_decode_runs(self, capsys, monkeypatch):
-        def broken(params, table):
-            point = curve_point(params, table)
-            return lambda digits: (0, 0) if list(digits) == [1] else point(digits)
+        def broken(params, digits, count):
+            flat = unchecked_points(params, digits, count)
+            return flat[:2] + (0, 0) + flat[4:]  # index 1 placed at the origin
 
-        monkeypatch.setattr(cli, "curve_point", broken)
+        monkeypatch.setattr(cli, "unchecked_points", broken)
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert "FAIL curve-n2-m1 (index 1 decodes to (0, 0), enumeration holds (1, 0))" in out
 
     def test_checks_the_encoder_encode_runs(self, capsys, monkeypatch):
         def broken(params, values):
-            keys = curve_keys(params, values)
+            keys = unchecked_keys(params, values)
             return keys[:2] + [keys[3], keys[2]] + keys[4:]
 
-        monkeypatch.setattr(cli, "curve_keys", broken)
+        monkeypatch.setattr(cli, "unchecked_keys", broken)
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert "FAIL curve-n2-m1 (point (1, 1) encodes to 3, expected index 2)" in out

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder import decode
-from hilbertorder.core_bits import CurveParams, HilbertIndex, integer_to_index
+from hilbertorder.core_bits import CurveParams, HilbertIndex, integer_digits, integer_to_index
 from hilbertorder.decode import (
     curve_point,
+    curve_points,
     decode_arith,
     decode_arith_fast,
     decode_bits,
     decode_bits_fast,
     index_effective_level,
 )
-from hilbertorder.encode import curve_key, encode_arith, encode_bits
-from hilbertorder.errors import DimensionMismatchError, DomainError
-from hilbertorder.gene import gene_table
+from hilbertorder.encode import curve_key, curve_keys, encode_arith, encode_bits
+from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
+from hilbertorder.gene import gene_table, quadrant_commands
 
 DECODERS = [decode_arith, decode_bits, decode_arith_fast, decode_bits_fast]
 LINEAR = [decode_arith, decode_bits]
@@ -69,7 +70,7 @@ class TestFourWayEquivalence:
     def test_exhaustive_small(self, n, m):
         params = CurveParams(n, m)
         table = TABLES[n]
-        point = curve_point(params, table)
+        point = curve_point(params)
         for z in range(2 ** (n * m)):
             idx = integer_to_index(z, params)
             results = [decoder(idx, params, table)[0] for decoder in DECODERS]
@@ -190,19 +191,24 @@ class TestDegenerateAndErrors:
 
 
 @st.composite
-def curve_indices(draw, min_n=2, max_n=8):
+def curve_indices(draw, min_n=2, max_n=8, levels=None):
     """(n, m, digits) with all but the last k digits zero for a random
     k <= m, so both odd and even counts of leading zero digits occur.
-    Above n = 8, where ``decode_arith`` and the tables cost more, m <= 12."""
+    By default levels 63 to 65 sit on both sides of the batch kernel's
+    cut-over; otherwise m <= 40, and m <= 12 above n = 8, where
+    ``decode_arith`` and the tables cost more."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    m = draw(st.integers(min_value=0, max_value=40 if n <= 8 else 12))
+    if levels is None:
+        levels = st.sampled_from([63, 64, 65]) | st.integers(
+            min_value=0, max_value=40 if n <= 8 else 12)
+    m = draw(levels)
     k = draw(st.integers(min_value=0, max_value=m))
     low = [draw(st.integers(min_value=0, max_value=2**n - 1)) for _ in range(k)]
     return n, m, [0] * (m - k) + low
 
 
 @st.composite
-def curve_points(draw):
+def curve_point_cases(draw):
     n = draw(st.integers(min_value=2, max_value=8))
     m = draw(st.integers(min_value=0, max_value=40))
     k = draw(st.integers(min_value=0, max_value=m))
@@ -214,9 +220,54 @@ POINT_TABLES = {n: gene_table(n) for n in range(2, 11)}
 TOP = object()  # stands for the digit 2**n, the first one out of range
 
 
+class CommandTable:
+    """The two lookups ``decode_arith`` makes in a gene table, answered from
+    the closed forms of ``quadrant_commands``, which ``test_gene`` holds
+    against the built tables up to n = 12.  Past that a built table takes
+    seconds (n = 16) to a minute (n = 20)."""
+
+    def __init__(self, n):
+        self.n = n
+        self.swap_pairs = _Lookup(lambda r: quadrant_commands(n, r)[1])
+        self.reverse_slots = _Lookup(
+            lambda r: [i for i in range(n) if quadrant_commands(n, r)[0] >> i & 1])
+
+    def check_dimension(self, n):
+        assert n == self.n
+
+
+class _Lookup:
+    def __init__(self, get):
+        self.get = get
+
+    def __getitem__(self, r):
+        return self.get(r)
+
+
+def reference_table(n):
+    return POINT_TABLES[n] if n in POINT_TABLES else CommandTable(n)
+
+
+def reference_points(indices, params):
+    """The points of ``indices`` by ``decode_arith``, flat, each ``x_n .. x_1``."""
+    table = reference_table(params.n)
+    return tuple(c for digits in indices
+                 for c in decode_arith(HilbertIndex(params.n, tuple(digits)), params, table)[0][::-1])
+
+
+def sample_indices(n, m, seed):
+    """Six indices: all zero, all top digits, two random, one random index
+    with its top digits zero, and one random reversed."""
+    rng = random.Random(seed)
+    randoms = [[rng.randrange(2**n) for _ in range(m)] for _ in range(3)]
+    return [[0] * m, [2**n - 1] * m, randoms[0], randoms[1],
+            [0] * (m // 2) + randoms[2][m // 2:], randoms[0][::-1]]
+
+
 class TestCurvePoint:
-    # The byte-plane kernel runs while n <= 8 and the field kernel from
-    # n = 9; every property below is drawn on both sides.
+    # The batch kernel runs while m <= 64; past that the byte-plane kernel
+    # runs while n <= 8 and the field kernel from n = 9.  Every property
+    # below is drawn on all three sides.
     @settings(max_examples=300, deadline=None)
     @given(curve_indices(max_n=10))
     @example((2, 0, []))  # level 0: the origin
@@ -227,22 +278,24 @@ class TestCurvePoint:
     @example((5, 40, [31, 0, 17] + [1] * 37))
     @example((9, 12, [511] * 12))
     @example((10, 3, [1023, 0, 512]))
+    @example((9, 8, [511, 3] * 4))  # m < n: the fields are n bits wide
+    @example((8, 65, [255] * 65))
+    @example((10, 65, [1023, 0] * 32 + [1]))
     def test_equals_decode_arith(self, case):
         n, m, digits = case
         params = CurveParams(n, m)
         table = POINT_TABLES[n]
         expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
-        assert curve_point(params, table)(digits) == expected
+        assert curve_point(params)(digits) == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(curve_points())
+    @given(curve_point_cases())
     @example((8, 40, (2**40 - 1,) * 8))
     def test_inverts_curve_key(self, case):
         n, m, point = case
         params = CurveParams(n, m)
-        table = POINT_TABLES[n]
         digits = integer_to_index(curve_key(params)(point), params).digits
-        assert curve_point(params, table)(digits) == point
+        assert curve_point(params)(digits) == point
 
     @pytest.mark.parametrize(
         "digits",
@@ -251,51 +304,57 @@ class TestCurvePoint:
     )
     def test_rejects_what_decode_arith_rejects(self, digits):
         for n in (2, 8, 9):
-            params = CurveParams(n, 2)
-            at_n = tuple(2**n if d is TOP else d for d in digits)
-            with pytest.raises(DomainError) as reference:
-                decode_arith(HilbertIndex(n, at_n), params, POINT_TABLES[n])
-            for given_as in (tuple, list):
-                with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
-                    curve_point(params, POINT_TABLES[n])(given_as(at_n))
+            for m in (2, 65):
+                params = CurveParams(n, m)
+                at_n = tuple(2**n if d is TOP else d for d in digits)
+                at_n = at_n[:1] + (0,) * (m - 2) + at_n[1:]  # a wrong count stays wrong
+                with pytest.raises(DomainError) as reference:
+                    decode_arith(HilbertIndex(n, at_n), params, POINT_TABLES[n])
+                for given_as in (tuple, list):
+                    with pytest.raises(type(reference.value),
+                                       match=re.escape(str(reference.value))):
+                        curve_point(params)(given_as(at_n))
+                    with pytest.raises(type(reference.value),
+                                       match=re.escape(str(reference.value))):
+                        curve_points(params, given_as(at_n), 1)
 
     @settings(max_examples=50, deadline=None)
-    @given(curve_indices(min_n=9, max_n=10))
+    @given(curve_indices(min_n=9, max_n=10, levels=st.integers(min_value=65, max_value=80)))
     def test_equals_decode_arith_when_steps_are_dropped(self, case):
         # Room for one step only: every new digit drops the steps built so
-        # far.  Steps exist in the field kernel only, so n >= 9.
+        # far.  Steps exist in the field kernel only, so n >= 9 and m > 64.
         n, m, digits = case
         params = CurveParams(n, m)
         table = POINT_TABLES[n]
         expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
+        backwards, _ = decode_arith(HilbertIndex(n, tuple(digits[::-1])), params, table)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decode, "_STEP_BITS", 1)
-            point = curve_point(params, table)
-        assert point(digits) == expected
-        backwards, _ = decode_arith(HilbertIndex(n, tuple(digits[::-1])), params, table)
-        assert point(digits[::-1]) == backwards
+            assert curve_points(params, digits + digits[::-1]) == expected[::-1] + backwards[::-1]
 
     @pytest.mark.parametrize(
-        "n, m", [(n, m) for n in (8, 9) for m in (0, 1, 7, 9, 33)] + [(8, 200)]
+        "n, m", [(n, m) for n in (8, 9) for m in (0, 1, 7, 9, 33, 63, 64, 65, 66)] + [(8, 200)]
     )
-    def test_equals_decode_arith_at_the_cut_over(self, n, m):
+    def test_equals_decode_arith_at_the_cut_over(self, n, m, monkeypatch):
+        # Up to m = 64 the batch kernel places every index; past that one
+        # per-point kernel is set up once for the batch.
+        made = []
+        for name in ("_byte_plane_point", "_field_point"):
+            kernel = getattr(decode, name)
+            monkeypatch.setattr(decode, name, lambda *args, name=name, kernel=kernel: (
+                made.append(name) or kernel(*args)))
         params = CurveParams(n, m)
-        table = POINT_TABLES[n]
-        point = curve_point(params, table)
-        kernel = "_byte_plane_point" if n <= 8 else "_field_point"
-        assert point.__qualname__ == f"{kernel}.<locals>.point"
-        rng = random.Random(n * 1000 + m)
-        randoms = [rng.randrange(2**n) for _ in range(m)]
-        for digits in ([0] * m, [2**n - 1] * m, randoms, randoms[::-1]):
-            expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
-            assert point(digits) == expected
+        indices = sample_indices(n, m, n * 1000 + m)
+        assert curve_points(params, [d for i in indices for d in i], len(indices)) == (
+            reference_points(indices, params))
+        assert made == ([] if m <= 64 else ["_byte_plane_point" if n <= 8 else "_field_point"])
 
     def test_byte_plane_set_up_is_small(self):
         # 256 translation tables of 256 bytes each, and masks of m bits.
         params = CurveParams(8, 1000)
         tracemalloc.start()
         try:
-            point = curve_point(params, POINT_TABLES[8])
+            point = curve_point(params)
             point([0] * 999 + [1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -305,19 +364,77 @@ class TestCurvePoint:
     def test_set_up_does_not_grow_with_every_quadrant(self):
         # All 2**12 steps at n * m = 12000 bits would take about 12 MB.
         params = CurveParams(12, 1000)
-        table = gene_table(12)
         tracemalloc.start()
         try:
-            point = curve_point(params, table)
+            point = curve_point(params)
             point([0] * 999 + [1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
 
-    def test_wrong_table_dimension(self):
-        params = CurveParams(2, 2)
-        with pytest.raises(DimensionMismatchError) as reference:
-            decode_arith(HilbertIndex(2, (1, 1)), params, TABLES[3])
-        with pytest.raises(DimensionMismatchError, match=re.escape(str(reference.value))):
-            curve_point(params, TABLES[3])
+    def test_refuses_a_dimension_above_the_cap(self):
+        message = "gene table for dimension 21 exceeds the cap of 20"
+        with pytest.raises(ResourceLimitError, match=message):
+            curve_point(CurveParams(21, 2))
+        with pytest.raises(ResourceLimitError, match=message):
+            curve_points(CurveParams(21, 2), [])
+
+
+class TestCurvePoints:
+    @pytest.mark.parametrize("m", [0, 1, 8, 63, 64, 65])
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_equals_decode_arith_at_every_n(self, n, m):
+        # m = 8 at n >= 9 and m = 1 hold the fields that must be wider than m.
+        params = CurveParams(n, m)
+        indices = sample_indices(n, m, n * 100 + m)
+        flat = [d for index in indices for d in index]
+        expected = reference_points(indices, params)
+        assert curve_points(params, flat, len(indices)) == expected
+        assert curve_points(params, tuple(flat), len(indices)) == expected
+        if m:
+            assert curve_points(params, flat) == expected
+        point = curve_point(params)
+        assert tuple(c for index in indices for c in point(index)[::-1]) == expected
+
+    @pytest.mark.parametrize("m", [1, 8, 63, 64, 65])
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_inverts_curve_keys(self, n, m):
+        rng = random.Random(n * 100 + m)
+        params = CurveParams(n, m)
+        values = [rng.getrandbits(rng.choice((1, m // 2 + 1, m))) for _ in range(5 * n)]
+        values[:n] = [2**m - 1] * n
+        keys = curve_keys(params, values)
+        digits = [d for z in keys for d in integer_digits(z, params)]
+        assert curve_points(params, digits) == tuple(values)
+
+    def test_no_indices(self):
+        assert curve_points(CurveParams(3, 5), []) == ()
+        assert curve_points(CurveParams(3, 0), [], 2) == (0,) * 6
+
+    @pytest.mark.parametrize("m", [2, 65])
+    @pytest.mark.parametrize(
+        "bad", [(TOP, 0), (0, TOP), (-1, 0), (0, 2**70), (1.0, 0), (0, "1")],
+    )
+    def test_rejects_the_first_bad_index_as_curve_point_does(self, bad, m):
+        params = CurveParams(3, m)
+        bad = tuple(8 if d is TOP else d for d in bad)
+        bad = bad[:1] + (0,) * (m - 2) + bad[1:]
+        with pytest.raises(DomainError) as reference:
+            curve_point(params)(bad)
+        good = [1] * m
+        values = good + list(bad) + [2] * m + [-1] * m  # a later bad index is not named
+        with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
+            curve_points(params, values)
+
+    def test_digits_left_over_for_the_count(self):
+        with pytest.raises(DomainError, match="3 digits given for 0 indices at level 0"):
+            curve_points(CurveParams(2, 0), [0, 0, 0])
+
+    def test_places_an_int_subclass_and_a_bool(self):
+        class Int(int):
+            pass
+
+        params = CurveParams(3, 4)
+        digits = [Int(5), True, 0, 7]
+        assert curve_points(params, digits) == curve_points(params, [5, 1, 0, 7])

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hilbertorder import encode
 from hilbertorder.core_bits import CurveParams, HilbertIndex, index_to_integer
 from hilbertorder.encode import (
     curve_key,
@@ -15,7 +16,7 @@ from hilbertorder.encode import (
     encode_bits_fast,
 )
 from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
-from hilbertorder.gene import gene_table
+from hilbertorder.gene import gene_table, quadrant_commands
 
 ENCODERS = [encode_arith, encode_bits, encode_arith_fast, encode_bits_fast]
 LINEAR = [encode_arith, encode_bits]
@@ -312,6 +313,24 @@ class TestCurveKeys:
         keys = curve_keys(params, values)
         assert curve_keys(params, values + [2**64] + [0] * (n - 1))[:-1] == keys
         assert keys[0] == 1
+
+    def test_per_point_loop_builds_each_plane_once(self, monkeypatch):
+        # Twenty points at n = 20 read at most 20 * 65 planes; the loop
+        # builds the commands of each distinct plane once, not of all 2**20.
+        calls = []
+
+        def counting(n, r):
+            calls.append(r)
+            return quadrant_commands(n, r)
+
+        monkeypatch.setattr(encode, "quadrant_commands", counting)
+        rng = random.Random(20)
+        params = CurveParams(20, 65)
+        values = [rng.getrandbits(64) for _ in range(20 * 20)]
+        values[:20] = [2**64] + [0] * 19  # past 64 bits: the per-point loop runs
+        keys = curve_keys(params, values)
+        assert len(calls) == len(set(calls)) <= 20 * 65
+        assert keys[1:] == curve_keys(params, values[20:])  # the batch kernel
 
     @pytest.mark.parametrize(
         "bad", [(-1, 0), (0, -5), (True, 0), (0, False), (4, 0), (0, 2**70), (1.0, 0), (0, "1")],
