@@ -137,8 +137,9 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
     packed with one ``struct.pack``; with ``v`` planes placed, quadrant
     ``r``'s exchange and then its reverse command, the closed forms of
     :func:`gene.quadrant_commands`, act on the low ``v`` bits in O(n)
-    whole-int operations, and ``gray(r)`` becomes bit ``v``.  Each
-    component is unpacked with one ``struct.unpack``.
+    whole-int operations, and ``gray(r)`` becomes bit ``v``.  A
+    ``memoryview`` interleaves the components' fields into point order,
+    and one ``struct.unpack`` reads them all.
 
     Past ``m = 64`` the points are placed one at a time: by
     :func:`_byte_plane_point` while ``n <= 8``, else by :func:`_field_point`.
@@ -211,10 +212,9 @@ def _field_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
     offset (``gray(r)``, one bit per field, at bit ``v``) are one more
     xor.  A digit's step, which holds two ``n * m``-bit integers, is
     built the first time the digit occurs, and at most ``_STEP_BITS``
-    bits of steps are kept, so set-up does not grow with
-    ``2**n * n * m``.
+    bits of steps are kept, so set-up grows neither with ``2**n`` nor
+    with ``2**n * n * m``.
     """
-    size = 1 << n
     field = (1 << m) - 1
     masks: dict = {}  # one mask of n * m bits per exchanged pair, shared by its quadrants
     spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * m
@@ -230,8 +230,7 @@ def _field_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
             shift += 8 * m
         return w
 
-    steps: list = [None] * size
-    built: list[int] = []  # the digits whose step is in ``steps``
+    steps: dict[int, tuple[int, int, int, int]] = {}
     cap = max(1, _STEP_BITS // (2 * n * m + 1))
 
     def step(r: int) -> tuple[int, int, int, int]:
@@ -240,10 +239,8 @@ def _field_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
         # ``flip + offset`` and ``offset``: bit 0 of every field that its
         # reverse command flips, and of every field whose bit in gray(r)
         # is set.
-        if len(built) >= cap:
-            for s in built:
-                steps[s] = None
-            built.clear()
+        if len(steps) >= cap:
+            steps.clear()
         flip, pair = quadrant_commands(n, r)
         d = mask = 0
         if pair is not None:
@@ -253,7 +250,6 @@ def _field_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
             d, mask = (b - a) * m, masks[pair]
         offset = widen(r ^ (r >> 1))
         steps[r] = (d, mask, widen(flip) + offset, offset)
-        built.append(r)
         return steps[r]
 
     shifts = range((n - 1) * m, -1, -m)
@@ -262,7 +258,7 @@ def _field_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
         x = 0
         low = 0  # (1 << v) - 1: the v bits already placed in every field
         for r in reversed(digits):
-            d, mask, flip_offset, offset = steps[r] or step(r)
+            d, mask, flip_offset, offset = steps.get(r) or step(r)
             t = ((x >> d) ^ x) & mask
             # Exchange, then reverse the low v bits of the flipped fields
             # (flip * low) and set bit v of the offset fields (offset << v).
