@@ -47,8 +47,6 @@ from .encode import (
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    GeneTableFormatError,
-    GeneTableValidationError,
     HilbertError,
     PointFileError,
     ResourceLimitError,
@@ -62,8 +60,6 @@ from .gene import (
     entry_exit,
     format_table_text,
     gene_table,
-    load_table,
-    save_table,
     validate_gene_table,
 )
 from .oracle import (
@@ -89,8 +85,6 @@ __all__ = [
     "EntryExit",
     "GeneEntry",
     "GeneTable",
-    "GeneTableFormatError",
-    "GeneTableValidationError",
     "GeneValidationReport",
     "HilbertError",
     "HilbertIndex",
@@ -123,11 +117,9 @@ __all__ = [
     "index_effective_level",
     "index_to_integer",
     "integer_to_index",
-    "load_table",
     "parity_prefix",
     "reflect",
     "run_counter_benchmark",
-    "save_table",
     "table3_update",
     "validate_gene_table",
     "vec_of_scalar",

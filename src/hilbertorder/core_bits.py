@@ -18,6 +18,7 @@ Everything here is pure and operates on non-negative integers only.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -30,6 +31,9 @@ BitVec = tuple[int, ...]
 # Widths up to this many bits get a precomputed Gray-decode table;
 # wider values fall back to the xor-shift cascade.  2**width entries.
 GRAY_TABLE_MAX_BITS = 16
+
+# The struct code of a field of each width in bits up to one word.
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,45 @@ def integer_digits(z: int, params: CurveParams) -> list[int]:
         raise DomainError(f"index {z} out of range for dimension {n}, level {m}")
     low = (1 << n) - 1
     return [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
+
+
+def pack_column(values: Sequence[int], width: int) -> int:
+    """One ``int`` whose ``width``-bit field ``j`` holds ``values[j]``.
+
+    ``width`` is 8, 16, 32 or a multiple of 64, and every value must fit
+    its field.  Up to 64 bits this is one ``struct.pack``; above that one
+    ``int.to_bytes`` per value.
+    """
+    code = _FIELD_CODES.get(width)
+    if code:
+        return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+    size = width // 8
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
+
+def unpack_columns(columns: Sequence[int], count: int, width: int) -> tuple[int, ...]:
+    """Invert :func:`pack_column` on each of ``columns``, ``count`` fields
+    each, and interleave them: field 0 of every column in order, then
+    field 1, and so on.
+
+    A ``memoryview`` of whole fields up to 64 bits, and of 64-bit words
+    above, does the interleaving.  Up to 64 bits the fields are then read
+    with one ``struct.unpack``; above that with one ``int.from_bytes`` each.
+    """
+    size = width // 8
+    word = min(width, 64)
+    code = _FIELD_CODES[word]
+    per = width // word  # words per field
+    stride = per * len(columns)
+    data = bytearray(size * count * len(columns))
+    words = memoryview(data).cast(code)
+    for i, column in enumerate(columns):
+        source = memoryview(column.to_bytes(size * count, "little")).cast(code)
+        for t in range(per):
+            words[i * per + t::stride] = source[t::per]
+    if width <= 64:
+        return struct.unpack(f"<{count * len(columns)}{code}", data)
+    return tuple([int.from_bytes(data[j:j + size], "little") for j in range(0, len(data), size)])
 
 
 def _check_bits(a: Sequence[int]) -> None:

@@ -11,29 +11,28 @@ These four are the reference code the paper studies.  The production
 decoder behind ``hilbert decode`` and ``hilbert validate`` is
 :func:`curve_points`, which places every index of a batch with O(n)
 operations per level on integers that each hold one component of every
-point, and reads the quadrant commands from closed forms, not from a gene
-table.  Past level 64 it places one index at a time, by byte planes while
-``n <= 8`` and by ``m``-bit fields of one ``int`` above that.
+point, at any level, and reads the quadrant commands from closed forms,
+not from a gene table.  Past level 64 while ``n <= 8`` it places one index
+at a time, by byte planes, which is faster there.
 """
 
 from __future__ import annotations
 
-import struct
 from itertools import chain
 from typing import Callable, Sequence
 
-from .core_bits import Coordinate, CurveParams, HilbertIndex, gray_code, reflect
+from .core_bits import (
+    Coordinate,
+    CurveParams,
+    HilbertIndex,
+    gray_code,
+    pack_column,
+    reflect,
+    unpack_columns,
+)
 from .encode import StepCounter
 from .errors import DimensionMismatchError, DomainError
 from .gene import GeneTable, check_table_dimension, quadrant_commands
-
-# Bits of per-digit steps one _field_point decoder keeps (16 MiB): every
-# quadrant's step fits while 2**n * (2 * n * m + 1) <= 2**27, so up to
-# m = 14563 at n = 9 and m = 6553 at n = 10.
-_STEP_BITS = 1 << 27
-# The struct code of a field of each width in bits.
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
 
 def index_effective_level(idx: HilbertIndex) -> int:
     """Position (1-based from the least significant end) of the highest nonzero digit.
@@ -105,9 +104,13 @@ def curve_points(
 
 def curve_point(params: CurveParams) -> Callable[[Sequence[int]], Coordinate]:
     """Return the production decoder of one index, digits to ``(x_1, .., x_n)``
-    as the variants give it: :func:`curve_points` of a batch of one.  The
-    digits are checked as ``HilbertIndex`` and ``decode_arith`` check them,
-    with the same messages, the digit count first."""
+    as the variants give it.  The digits are checked as ``HilbertIndex`` and
+    ``decode_arith`` check them, with the same messages, the digit count
+    first.
+
+    Each call runs :func:`curve_points`'s kernel on a batch of one, which
+    costs a few hundred microseconds at n = 8, m = 32, so place many
+    indices with one :func:`curve_points` call instead."""
     check_table_dimension(params.n)
 
     def point(digits: Sequence[int]) -> Coordinate:
@@ -127,38 +130,37 @@ def check_index(digits: Sequence[int], params: CurveParams) -> None:
 def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> tuple[int, ...]:
     """:func:`curve_points` of ``count`` indices whose digits are checked.
 
-    While ``m <= 64`` the kernel places every index at once, bottom up, in
-    the transposed form of J. Skilling ("Programming the Hilbert curve",
-    AIP Conf. Proc. 707, 2004), SIMD within a register (R. J. Fisher and
-    H. G. Dietz, LCPC 1998): component ``i + 1`` of every point is one
-    ``int`` of ``W``-bit fields, one per point, ``W`` the least of 8, 16,
-    32 and 64 that holds both the ``m`` bits of a component and the ``n``
-    bits of a digit.  Per level ``v``, the digit column of every index is
-    packed with one ``struct.pack``; with ``v`` planes placed, quadrant
-    ``r``'s exchange and then its reverse command, the closed forms of
-    :func:`gene.quadrant_commands`, act on the low ``v`` bits in O(n)
-    whole-int operations, and ``gray(r)`` becomes bit ``v``.  A
-    ``memoryview`` interleaves the components' fields into point order,
-    and one ``struct.unpack`` reads them all.
+    The kernel places every index at once, bottom up, in the transposed
+    form of J. Skilling ("Programming the Hilbert curve", AIP Conf. Proc.
+    707, 2004), SIMD within a register (R. J. Fisher and H. G. Dietz, LCPC
+    1998): component ``i + 1`` of every point is one ``int`` of ``W``-bit
+    fields, one per point.  ``W`` holds both the ``m`` bits of a component
+    and the ``n`` bits of a digit: the least of 8, 16, 32 and 64 that does,
+    and past 64 bits the least multiple of 64.  Per level ``v``, the digit
+    column of every index is packed by :func:`core_bits.pack_column`; with
+    ``v`` planes placed, quadrant ``r``'s exchange and then its reverse
+    command, the closed forms of :func:`gene.quadrant_commands`, act on the
+    low ``v`` bits in O(n) whole-int operations, and ``gray(r)`` becomes
+    bit ``v``.  :func:`core_bits.unpack_columns` reads the components back
+    in point order.
 
-    Past ``m = 64`` the points are placed one at a time: by
-    :func:`_byte_plane_point` while ``n <= 8``, else by :func:`_field_point`.
+    Past ``m = 64`` while ``n <= 8``, :func:`_byte_plane_point` places the
+    points one at a time instead; there it is faster than fields of two or
+    more words.
     """
     n, m = params.n, params.m
-    if m > 64:
-        place = (_byte_plane_point if n <= 8 else _field_point)(n, m)
+    if m > 64 and n <= 8:
+        place = _byte_plane_point(n, m)
         return tuple(chain.from_iterable([place(digits[j:j + m]) for j in range(0, count * m, m)]))
     if not m:
         return (0,) * (n * count)
-    width = next(w for w in (8, 16, 32, 64) if w >= max(m, n))
-    code = _FIELD_CODES[width]
-    column = struct.Struct(f"<{count}{code}")
-    size = column.size
+    bits = max(m, n)  # a field holds a component and a packed digit
+    width = next((w for w in (8, 16, 32) if w >= bits), -(-bits // 64) * 64)
     ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")  # bit 0 of each field
     last = n - 1
     c = [0] * n
     for v in range(m):
-        packed = int.from_bytes(column.pack(*digits[m - 1 - v::m]), "little")
+        packed = pack_column(digits[m - 1 - v::m], width)
         r = [(packed >> i) & ones for i in range(n)]  # the rank bits r_i of every digit
         top = [x << v for x in r]
         top.append(0)
@@ -195,82 +197,7 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
         s[0] = s[n] = b
         for i in range(n):
             c[i] ^= s[i] ^ s[i + 1] ^ top[i] ^ top[i + 1]
-    out = bytearray(size * n)
-    fields = memoryview(out).cast(code)
-    for i in range(n):
-        fields[last - i::n] = memoryview(c[i].to_bytes(size, "little")).cast(code)
-    return struct.unpack(f"<{count * n}{code}", out)
-
-
-def _field_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
-    """One index's point, ``x_n .. x_1``, from ``n = 9``, with one ``m``-bit
-    field per component of one ``int``.
-
-    Component ``i + 1`` lives in the field at bit ``i * m``.  Per digit
-    ``r``, the exchange is one delta swap of two fields; the reverse
-    command (the low ``v`` bits of the reversed fields) and the quadrant
-    offset (``gray(r)``, one bit per field, at bit ``v``) are one more
-    xor.  A digit's step, which holds two ``n * m``-bit integers, is
-    built the first time the digit occurs, and at most ``_STEP_BITS``
-    bits of steps are kept, so set-up grows neither with ``2**n`` nor
-    with ``2**n * n * m``.
-    """
-    field = (1 << m) - 1
-    masks: dict = {}  # one mask of n * m bits per exchanged pair, shared by its quadrants
-    spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * m
-    for c in range(1, len(spread)):
-        spread[c] = (spread[c >> 1] << m) | (c & 1)
-
-    def widen(c: int) -> int:
-        """Move bit i of the n-bit mask c to bit 0 of field i."""
-        w = shift = 0
-        while c:
-            w |= spread[c & 255] << shift
-            c >>= 8
-            shift += 8 * m
-        return w
-
-    steps: dict[int, tuple[int, int, int, int]] = {}
-    cap = max(1, _STEP_BITS // (2 * n * m + 1))
-
-    def step(r: int) -> tuple[int, int, int, int]:
-        # Digit r's exchange as the distance between the two fields and
-        # the mask of the lower one ((0, 0) when it has none), then
-        # ``flip + offset`` and ``offset``: bit 0 of every field that its
-        # reverse command flips, and of every field whose bit in gray(r)
-        # is set.
-        if len(steps) >= cap:
-            steps.clear()
-        flip, pair = quadrant_commands(n, r)
-        d = mask = 0
-        if pair is not None:
-            a, b = pair
-            if pair not in masks:
-                masks[pair] = field << (a * m)
-            d, mask = (b - a) * m, masks[pair]
-        offset = widen(r ^ (r >> 1))
-        steps[r] = (d, mask, widen(flip) + offset, offset)
-        return steps[r]
-
-    shifts = range((n - 1) * m, -1, -m)
-
-    def point(digits: Sequence[int]) -> Coordinate:
-        x = 0
-        low = 0  # (1 << v) - 1: the v bits already placed in every field
-        for r in reversed(digits):
-            d, mask, flip_offset, offset = steps.get(r) or step(r)
-            t = ((x >> d) ^ x) & mask
-            # Exchange, then reverse the low v bits of the flipped fields
-            # (flip * low) and set bit v of the offset fields (offset << v).
-            # Bit v is still zero in every field and the two touch disjoint
-            # bits, so one xor with their sum,
-            # flip * low + offset * (low + 1) = flip_offset * low + offset,
-            # does both.
-            x ^= t ^ (t << d) ^ (flip_offset * low + offset)
-            low += low + 1
-        return tuple([(x >> s) & field for s in shifts])
-
-    return point
+    return unpack_columns(c[::-1], count, width)
 
 
 def _byte_plane_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:

@@ -12,8 +12,9 @@ Four variants compute the same index:
 These four are the reference code the paper studies.  The production
 encoder behind ``hilbert sort`` and ``hilbert encode`` is
 :func:`curve_keys`, which keys a batch of points with O(n) operations
-per level on integers that each hold one component of every point, and
-reads the quadrant commands from closed forms, not from a gene table.
+per level on integers that each hold one component of every point, at
+any level, and reads the quadrant commands from closed forms, not from a
+gene table.
 
 Each variant walks levels top down.  Per level it reads the current
 top bit of every component (giving the quadrant digit through the
@@ -23,13 +24,19 @@ and exchange commands to the remaining low bits.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core_bits import CurveParams, HilbertIndex, gray_code_inverse, reflect
+from .core_bits import (
+    CurveParams,
+    HilbertIndex,
+    gray_code_inverse,
+    pack_column,
+    reflect,
+    unpack_columns,
+)
 from .errors import DimensionMismatchError, DomainError
-from .gene import GeneTable, check_table_dimension, quadrant_commands
+from .gene import GeneTable, check_table_dimension
 
 
 @dataclass(frozen=True)
@@ -96,15 +103,16 @@ def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     The kernel runs the transposed-form walk of J. Skilling ("Programming
     the Hilbert curve", AIP Conf. Proc. 707, 2004) on all points at once,
     SIMD within a register (R. J. Fisher and H. G. Dietz, LCPC 1998):
-    component ``i + 1`` of every point is one ``int`` of 64-bit fields, one
-    per point, packed with one ``struct.pack``.  Only the ``k`` levels below
-    the bit length of the largest component run; the levels above are all
-    quadrant 0, so they collapse into one swap of components 1 and ``n``
-    when their count is odd.  Each level reads every quadrant digit and
-    applies the closed-form commands of :func:`gene.quadrant_commands` to
-    the low bits in O(n) whole-int operations.  The digits fill one 64-bit
-    field per point, ``64 // n`` levels at a time, each group unpacked with
-    one ``struct.unpack``.  Past ``k = 64``, :func:`_point_keys` runs.
+    component ``i + 1`` of every point is one ``int`` of ``W``-bit fields,
+    one per point, packed by :func:`core_bits.pack_column`.  Only the ``k``
+    levels below the bit length of the largest component run; the levels
+    above are all quadrant 0, so they collapse into one swap of components
+    1 and ``n`` when their count is odd.  ``W`` is 64 while ``k <= 64``, and
+    the least multiple of 64 that holds ``k`` above that.  Each level reads
+    every quadrant digit and applies the closed-form commands of
+    :func:`gene.quadrant_commands` to the low bits in O(n) whole-int
+    operations.  The digits fill one ``W``-bit field per point, ``W // n``
+    levels at a time, each group read back by :func:`core_bits.unpack_columns`.
     """
     n, m = params.n, params.m
     check_table_dimension(n)
@@ -122,17 +130,15 @@ def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     n, m = params.n, params.m
     count = len(values) // n
     k = max(values, default=0).bit_length()
-    if k > 64:
-        return _point_keys(n, m, values)
     if not k:
         return [0] * count
-    column = struct.Struct(f"<{count}Q")
-    c = [int.from_bytes(column.pack(*values[n - 1 - i::n]), "little") for i in range(n)]
+    width = 64 if k <= 64 else -(-k // 64) * 64  # the field of one point
+    c = [pack_column(values[n - 1 - i::n], width) for i in range(n)]
     if (m - k) & 1:
         c[0], c[-1] = c[-1], c[0]
-    ones = int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * count, "little")  # bit 0 of each field
+    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")  # bit 0 of each field
     last = n - 1
-    per = 64 // n  # levels whose digits fill one field
+    per = width // n  # levels whose digits fill one field
     keys: list[int] = []
     for top in range(k - 1, -1, -per):
         key = 0
@@ -180,7 +186,7 @@ def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
                 c[i] ^= t
                 moved ^= t
             c[last] ^= moved
-        part = column.unpack(key.to_bytes(8 * count, "little"))
+        part = unpack_columns([key], count, width)
         shift = n * (top - v + 1)  # v is the group's last level
         keys = [(a << shift) | z for a, z in zip(keys, part)] if keys else list(part)
     return keys
@@ -188,8 +194,12 @@ def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
 
 def curve_key(params: CurveParams) -> Callable[[Sequence[int]], int]:
     """Return the production encoder of one point, ``(x_1, .., x_n)`` as the
-    variants take it: :func:`curve_keys` of a batch of one.  The point is
-    checked as the variants check it, with the same messages."""
+    variants take it.  The point is checked as the variants check it, with
+    the same messages.
+
+    Each call runs :func:`curve_keys`'s kernel on a batch of one, which
+    costs a few hundred microseconds at n = 8, m = 32, so key many points
+    with one :func:`curve_keys` call instead."""
     check_table_dimension(params.n)
 
     def key(p: Sequence[int]) -> int:
@@ -197,61 +207,6 @@ def curve_key(params: CurveParams) -> Callable[[Sequence[int]], int]:
         return unchecked_keys(params, p[::-1])[0]
 
     return key
-
-
-def _point_keys(n: int, m: int, values: Sequence[int]) -> list[int]:
-    """:func:`curve_keys` of checked values, one point at a time: its bits are
-    interleaved into one integer ``z`` whose ``n``-bit plane at level ``v``
-    holds bit ``v`` of every component, and each level costs one xor on
-    ``z`` for its reverse command and one delta swap for its exchange."""
-    low = (1 << n) - 1
-    rep = ((1 << (n * m)) - 1) // low  # bit 0 of every plane
-    # Keyed by the plane g as read, which is the Gray code of the quadrant
-    # digit r, so no Gray inverse runs per level: r, that quadrant's reverse
-    # command as an n-bit mask, and its exchange as (distance between the
-    # two components, rep under the lower one).  A plane's entry is built
-    # the first time it occurs; quadrants with the same pair share one tuple.
-    commands: dict[int, tuple] = {}
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def command(g: int) -> tuple:
-        r = gray_code_inverse(g)  # no width: the cascade, not a 2**n table
-        flip, pair = quadrant_commands(n, r)
-        swap = None if pair is None else shared.setdefault(
-            pair, (pair[1] - pair[0], rep << pair[0]))
-        commands[g] = r, flip, swap
-        return commands[g]
-
-    spread = [0] * 256  # spread[c] moves bit j of the byte c to bit j * n
-    for c in range(1, 256):
-        spread[c] = (spread[c >> 1] << n) | (c & 1)
-    stride = 8 * n
-    top = n - 1
-    keys = []
-    for row in zip(*[iter(values)] * n):
-        z = 0
-        for i, c in enumerate(reversed(row)):
-            while c:
-                z |= spread[c & 255] << i
-                c >>= 8
-                i += stride
-        k = -(-z.bit_length() // n)  # levels the point occupies
-        if (m - k) & 1:
-            t = ((z >> top) ^ z) & rep
-            z ^= t ^ (t << top)
-        index = 0
-        for shift in range(n * (k - 1), -1, -n):
-            g = (z >> shift) & low
-            r, flip, swap = commands.get(g) or command(g)
-            index = (index << n) | r
-            # Bits of levels already read may change too; they are not read again.
-            z ^= flip * rep
-            if swap is not None:
-                d, mask = swap
-                t = ((z >> d) ^ z) & mask
-                z ^= t ^ (t << d)
-        keys.append(index)
-    return keys
 
 
 def _encode(

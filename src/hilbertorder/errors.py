@@ -17,13 +17,5 @@ class ResourceLimitError(HilbertError):
     """A request would exceed a configured size guard."""
 
 
-class GeneTableFormatError(HilbertError, ValueError):
-    """A persisted gene table could not be parsed."""
-
-
-class GeneTableValidationError(HilbertError):
-    """A gene table failed its structural or curve-level checks."""
-
-
 class PointFileError(HilbertError, ValueError):
     """A point file is malformed; the message names the offending row."""

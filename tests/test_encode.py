@@ -4,7 +4,6 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbertorder import encode
 from hilbertorder.core_bits import CurveParams, HilbertIndex, index_to_integer
 from hilbertorder.encode import (
     curve_key,
@@ -16,7 +15,9 @@ from hilbertorder.encode import (
     encode_bits_fast,
 )
 from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
-from hilbertorder.gene import gene_table, quadrant_commands
+from hilbertorder.gene import gene_table
+
+from conftest import reference_table
 
 ENCODERS = [encode_arith, encode_bits, encode_arith_fast, encode_bits_fast]
 LINEAR = [encode_arith, encode_bits]
@@ -203,9 +204,6 @@ def curve_points(draw):
     return n, m, point
 
 
-KEY_TABLES = {n: gene_table(n) for n in range(2, 13)}
-
-
 class TestCurveKey:
     @settings(max_examples=300, deadline=None)
     @given(curve_points())
@@ -218,7 +216,7 @@ class TestCurveKey:
     def test_equals_encode_arith(self, case):
         n, m, point = case
         params = CurveParams(n, m)
-        table = KEY_TABLES[n]
+        table = reference_table(n)
         expected = index_to_integer(encode_arith(point, params, table)[0])
         assert curve_key(params)(point) == expected
 
@@ -293,44 +291,54 @@ class TestCurveKeys:
     @example((3, 40, [(1, 0, 2), (2**39 + 5, 5, 3), (0, 0, 1)]))  # one large point
     @example((5, 13, [(2**13 - 1,) * 5, (1, 2, 3, 4, 5)]))  # n * k = 65: two key groups
     @example((12, 64, [(2**64 - 1,) * 12, (1,) * 12]))  # eleven key groups
-    @example((3, 70, [(2**69, 1, 2), (5, 6, 7)]))  # k > 64: one point at a time
+    @example((3, 70, [(2**69, 1, 2), (5, 6, 7)]))  # k > 64: 128-bit fields
     def test_equals_encode_arith(self, case):
         n, m, points = case
         params = CurveParams(n, m)
-        table = KEY_TABLES[n]
+        table = reference_table(n)
         expected = [index_to_integer(encode_arith(p, params, table)[0]) for p in points]
         assert curve_keys(params, flat(points)) == expected
         assert curve_keys(params, tuple(flat(points))) == expected
 
     @pytest.mark.parametrize("n", range(13, 21))
     def test_batch_kernel_equals_the_per_point_loop_at_large_n(self, n):
-        # A component of 65 bits sends the whole batch to the per-point loop;
-        # without it the batch kernel keys the same points.  No gene table is built.
+        # The per-point loop is encode_arith on the closed-form stand-in for
+        # a gene table; with a component of 65 bits the fields are 128 bits.
         rng = random.Random(n)
         params = CurveParams(n, 65)
         values = [rng.getrandbits(rng.choice((1, 3, 20, 64))) for _ in range(8 * n)]
         values[:n] = [0] * (n - 1) + [1]
-        keys = curve_keys(params, values)
-        assert curve_keys(params, values + [2**64] + [0] * (n - 1))[:-1] == keys
-        assert keys[0] == 1
+        for batch in (values, values + [2**64] + [0] * (n - 1)):
+            points = [tuple(batch[j:j + n][::-1]) for j in range(0, len(batch), n)]
+            assert curve_keys(params, batch) == [
+                index_to_integer(encode_arith(p, params, reference_table(n))[0]) for p in points]
+        assert curve_keys(params, values)[0] == 1
 
-    def test_per_point_loop_builds_each_plane_once(self, monkeypatch):
-        # Twenty points at n = 20 read at most 20 * 65 planes; the loop
-        # builds the commands of each distinct plane once, not of all 2**20.
-        calls = []
+    @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_equals_encode_arith_at_every_n(self, n, m):
+        rng = random.Random(n * 100 + m)
+        params = CurveParams(n, m)
+        values = [rng.getrandbits(rng.choice((min(1, m), m // 2, m))) for _ in range(5 * n)]
+        values[:n] = [2**m - 1] * n
+        points = [tuple(values[j:j + n][::-1]) for j in range(0, len(values), n)]
+        table = reference_table(n)
+        assert curve_keys(params, values) == [
+            index_to_integer(encode_arith(p, params, table)[0]) for p in points]
 
-        def counting(n, r):
-            calls.append(r)
-            return quadrant_commands(n, r)
-
-        monkeypatch.setattr(encode, "quadrant_commands", counting)
-        rng = random.Random(20)
-        params = CurveParams(20, 65)
-        values = [rng.getrandbits(64) for _ in range(20 * 20)]
-        values[:20] = [2**64] + [0] * 19  # past 64 bits: the per-point loop runs
-        keys = curve_keys(params, values)
-        assert len(calls) == len(set(calls)) <= 20 * 65
-        assert keys[1:] == curve_keys(params, values[20:])  # the batch kernel
+    @pytest.mark.parametrize("k", [64, 65, 128, 129])
+    @pytest.mark.parametrize("n", [2, 8, 9, 13, 20])
+    def test_equals_encode_arith_where_the_field_widens(self, n, k):
+        # The fields are 64 bits up to k = 64, then 128 up to k = 128, then
+        # 192; m = 129 leaves an odd and an even count of skipped levels.
+        rng = random.Random(n * 1000 + k)
+        params = CurveParams(n, 129)
+        values = [rng.getrandbits(rng.choice((1, k // 2, k))) for _ in range(4 * n)]
+        values[n + 1] = 2**(k - 1)
+        points = [tuple(values[j:j + n][::-1]) for j in range(0, len(values), n)]
+        table = reference_table(n)
+        assert curve_keys(params, values) == [
+            index_to_integer(encode_arith(p, params, table)[0]) for p in points]
 
     @pytest.mark.parametrize(
         "bad", [(-1, 0), (0, -5), (True, 0), (0, False), (4, 0), (0, 2**70), (1.0, 0), (0, "1")],

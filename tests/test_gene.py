@@ -1,26 +1,15 @@
-import io
-
 import pytest
 
 from hilbertorder.core_bits import CurveParams, integer_to_index
 from hilbertorder.decode import decode_arith
-from hilbertorder.errors import (
-    DomainError,
-    GeneTableFormatError,
-    GeneTableValidationError,
-    ResourceLimitError,
-)
-from hilbertorder import gene
+from hilbertorder.errors import DomainError, ResourceLimitError
 from hilbertorder.gene import (
-    CACHE_MAGIC,
     GeneEntry,
     GeneTable,
     entry_exit,
     format_table_text,
     gene_table,
-    load_table,
     quadrant_commands,
-    save_table,
     validate_gene_table,
 )
 
@@ -181,85 +170,6 @@ class TestValidation:
                 assert sum(abs(a - b) for a, b in zip(prev, point)) == 1
             prev = point
         assert len(seen) == 2 ** (n * m)
-
-
-class TestPersistence:
-    def test_round_trip_path(self, tmp_path):
-        table = gene_table(3)
-        target = tmp_path / "table.bin"
-        save_table(table, target)
-        assert load_table(target) == table
-
-    def test_round_trip_stream(self):
-        table = gene_table(4)
-        buffer = io.BytesIO()
-        save_table(table, buffer)
-        buffer.seek(0)
-        assert load_table(buffer) == table
-
-    def test_truncated_payload(self, tmp_path):
-        table = gene_table(3)
-        target = tmp_path / "table.bin"
-        save_table(table, target)
-        target.write_bytes(target.read_bytes()[:-1])
-        with pytest.raises(GeneTableFormatError):
-            load_table(target)
-
-    def test_bad_magic(self):
-        with pytest.raises(GeneTableFormatError):
-            load_table(io.BytesIO(b"NOPE" + bytes(10)))
-
-    def test_version_mismatch(self, tmp_path):
-        table = gene_table(2)
-        target = tmp_path / "table.bin"
-        save_table(table, target)
-        blob = bytearray(target.read_bytes())
-        blob[len(CACHE_MAGIC)] = 99
-        target.write_bytes(bytes(blob))
-        with pytest.raises(GeneTableFormatError):
-            load_table(target)
-
-    @pytest.mark.parametrize("record_half", [0, 1])  # exchange byte, reverse byte
-    def test_edited_bit_fails_validation(self, tmp_path, record_half):
-        table = gene_table(3)
-        target = tmp_path / "table.bin"
-        save_table(table, target)
-        blob = bytearray(target.read_bytes())
-        header = len(CACHE_MAGIC) + 1 + 2
-        blob[header + 2 * 1 + record_half] ^= 0b001  # quadrant 1
-        target.write_bytes(bytes(blob))
-        with pytest.raises(GeneTableValidationError):
-            load_table(target)
-
-    def test_every_payload_bit_is_checked(self):
-        # Padding bits included: the payload must equal the pinned table.
-        buffer = io.BytesIO()
-        save_table(gene_table(3), buffer)
-        blob = buffer.getvalue()
-        header = len(CACHE_MAGIC) + 1 + 2
-        for bit in range(8 * header, 8 * len(blob)):
-            edited = bytearray(blob)
-            edited[bit // 8] ^= 1 << (bit % 8)
-            with pytest.raises(GeneTableValidationError):
-                load_table(io.BytesIO(bytes(edited)))
-
-    def test_load_runs_no_curve_walk(self, monkeypatch):
-        def refuse(table):
-            raise AssertionError("load_table called validate_gene_table")
-
-        monkeypatch.setattr(gene, "validate_gene_table", refuse)
-        buffer = io.BytesIO()
-        save_table(gene_table(5), buffer)
-        buffer.seek(0)
-        assert load_table(buffer) == gene_table(5)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        table = gene_table(2)
-        target = tmp_path / "table.bin"
-        save_table(table, target)
-        target.write_bytes(target.read_bytes() + b"\x00")
-        with pytest.raises(GeneTableFormatError):
-            load_table(target)
 
 
 class TestTextDump:
