@@ -204,6 +204,15 @@ def curve_points(draw):
     return n, m, point
 
 
+def reference_keys(values, params):
+    """The keys of the points in ``values``, flat as curve_keys takes them, by
+    ``encode_arith``."""
+    n = params.n
+    table = reference_table(n)
+    return [index_to_integer(encode_arith(tuple(values[j:j + n][::-1]), params, table)[0])
+            for j in range(0, len(values), n)]
+
+
 class TestCurveKey:
     @settings(max_examples=300, deadline=None)
     @given(curve_points())
@@ -309,9 +318,7 @@ class TestCurveKeys:
         values = [rng.getrandbits(rng.choice((1, 3, 20, 64))) for _ in range(8 * n)]
         values[:n] = [0] * (n - 1) + [1]
         for batch in (values, values + [2**64] + [0] * (n - 1)):
-            points = [tuple(batch[j:j + n][::-1]) for j in range(0, len(batch), n)]
-            assert curve_keys(params, batch) == [
-                index_to_integer(encode_arith(p, params, reference_table(n))[0]) for p in points]
+            assert curve_keys(params, batch) == reference_keys(batch, params)
         assert curve_keys(params, values)[0] == 1
 
     @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 128, 129])
@@ -321,10 +328,7 @@ class TestCurveKeys:
         params = CurveParams(n, m)
         values = [rng.getrandbits(rng.choice((min(1, m), m // 2, m))) for _ in range(5 * n)]
         values[:n] = [2**m - 1] * n
-        points = [tuple(values[j:j + n][::-1]) for j in range(0, len(values), n)]
-        table = reference_table(n)
-        assert curve_keys(params, values) == [
-            index_to_integer(encode_arith(p, params, table)[0]) for p in points]
+        assert curve_keys(params, values) == reference_keys(values, params)
 
     @pytest.mark.parametrize("k", [64, 65, 128, 129])
     @pytest.mark.parametrize("n", [2, 8, 9, 13, 20])
@@ -335,10 +339,7 @@ class TestCurveKeys:
         params = CurveParams(n, 129)
         values = [rng.getrandbits(rng.choice((1, k // 2, k))) for _ in range(4 * n)]
         values[n + 1] = 2**(k - 1)
-        points = [tuple(values[j:j + n][::-1]) for j in range(0, len(values), n)]
-        table = reference_table(n)
-        assert curve_keys(params, values) == [
-            index_to_integer(encode_arith(p, params, table)[0]) for p in points]
+        assert curve_keys(params, values) == reference_keys(values, params)
 
     @pytest.mark.parametrize(
         "bad", [(-1, 0), (0, -5), (True, 0), (0, False), (4, 0), (0, 2**70), (1.0, 0), (0, "1")],
