@@ -2,12 +2,12 @@
 
 Quick start::
 
-    from hilbertorder import CurveParams, gene_table, encode_bits, decode_bits
+    from hilbertorder import CurveParams, curve_keys, curve_points, integer_to_index
 
     params = CurveParams(n=2, m=2)
-    table = gene_table(2)
-    idx, _ = encode_bits((1, 1), params, table)   # components (x1, x2, ...)
-    point, _ = decode_bits(idx, params, table)
+    keys = curve_keys(params, [1, 1, 2, 3])       # two points, each x2 x1
+    digits = [d for z in keys for d in integer_to_index(z, params).digits]
+    points = curve_points(params, digits)         # (1, 1, 2, 3) again
 """
 
 from .core_bits import (
@@ -26,7 +26,6 @@ from .core_bits import (
     vec_to_scalar,
 )
 from .decode import (
-    curve_point,
     curve_points,
     decode_arith,
     decode_arith_fast,
@@ -36,7 +35,6 @@ from .decode import (
 )
 from .encode import (
     StepCounter,
-    curve_key,
     curve_keys,
     effective_level,
     encode_arith,
@@ -94,9 +92,7 @@ __all__ = [
     "benchmark_records",
     "cached_gene_table",
     "coord_xor",
-    "curve_key",
     "curve_keys",
-    "curve_point",
     "curve_points",
     "decode_arith",
     "decode_arith_fast",

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .core_bits import CurveParams, integer_digits
 from .decode import unchecked_points
-from .encode import curve_key, unchecked_keys
+from .encode import curve_keys, unchecked_keys
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .gene import check_table_dimension, format_table_text, gene_table, validate_gene_table
 from .oracle import (
@@ -132,11 +132,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
     if bool(args.coords) == (args.input is not None):
         raise DomainError("give exactly one point as arguments or use --input")
+    check_table_dimension(params.n)
     if args.input is not None:
-        check_table_dimension(params.n)
         keys = unchecked_keys(params, read_points(args.input, params)[0])
     else:
-        keys = [curve_key(params)(parse_point(args.coords, params.n))]
+        keys = curve_keys(params, parse_point(args.coords, params.n)[::-1])
     line = index_formatter(params, args.digits)
     sys.stdout.write("".join([line(z) + "\n" for z in keys]))
     return 0

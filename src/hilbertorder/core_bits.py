@@ -184,10 +184,21 @@ def integer_digits(z: int, params: CurveParams) -> list[int]:
     return [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
 
 
+def field_width(bits: int) -> int:
+    """The field that holds ``bits`` bits: the least of 8, 16, 32 and 64
+    bits that does, and above 64 the least multiple of 64."""
+    return next((w for w in (8, 16, 32) if w >= bits), -(-bits // 64) * 64)
+
+
+def field_ones(count: int, width: int) -> int:
+    """Bit 0 of each of ``count`` fields ``width`` bits wide."""
+    return int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")
+
+
 def pack_column(values: Sequence[int], width: int) -> int:
     """One ``int`` whose ``width``-bit field ``j`` holds ``values[j]``.
 
-    ``width`` is 8, 16, 32 or a multiple of 64, and every value must fit
+    ``width`` is a :func:`field_width`, and every value must fit
     its field.  Up to 64 bits this is one ``struct.pack``; above that one
     ``int.to_bytes`` per value.
     """

@@ -12,7 +12,9 @@ decoder behind ``hilbert decode`` and ``hilbert validate`` is
 :func:`curve_points`, which places every index of a batch with O(n)
 operations per level on integers that each hold one component of every
 point, at any level, and reads the quadrant commands from closed forms,
-not from a gene table.  Past level 64 while ``n <= 8`` it places one index
+not from a gene table; it shares its command step (``gene.exchange_step``
+and ``gene.reverse_step``) and its field width (``core_bits.field_width``)
+with the batch encoder.  Past level 64 while ``n <= 8`` it places one index
 at a time, by byte planes, which is faster there.
 """
 
@@ -25,6 +27,8 @@ from .core_bits import (
     Coordinate,
     CurveParams,
     HilbertIndex,
+    field_ones,
+    field_width,
     gray_code,
     pack_column,
     reflect,
@@ -32,7 +36,13 @@ from .core_bits import (
 )
 from .encode import StepCounter
 from .errors import DimensionMismatchError, DomainError
-from .gene import GeneTable, check_table_dimension, quadrant_commands
+from .gene import (
+    GeneTable,
+    check_table_dimension,
+    exchange_step,
+    quadrant_commands,
+    reverse_step,
+)
 
 def index_effective_level(idx: HilbertIndex) -> int:
     """Position (1-based from the least significant end) of the highest nonzero digit.
@@ -85,8 +95,10 @@ def curve_points(
     written ``x_n .. x_1``, as a point file holds it, and point ``j``
     equals ``decode_arith(HilbertIndex(n, index_j), params, table)[0]``
     reversed.  Only a batch that fails the whole-batch checks (length,
-    types, least and greatest digit) is checked index by index, raising
-    as :func:`curve_point` does for the first bad index.
+    types, least and greatest digit) is checked index by index by
+    :func:`check_index`, which raises for the first bad index and names a
+    wrong digit count before a bad digit; a batch of one with the wrong
+    count is named by its whole digit count.
     """
     n, m = params.n, params.m
     check_table_dimension(n)
@@ -100,24 +112,6 @@ def curve_points(
         if len(digits) != count * m:  # only where count is 0
             raise DomainError(f"{len(digits)} digits given for {count} indices at level {m}")
     return unchecked_points(params, digits, count)
-
-
-def curve_point(params: CurveParams) -> Callable[[Sequence[int]], Coordinate]:
-    """Return the production decoder of one index, digits to ``(x_1, .., x_n)``
-    as the variants give it.  The digits are checked as ``HilbertIndex`` and
-    ``decode_arith`` check them, with the same messages, the digit count
-    first.
-
-    Each call runs :func:`curve_points`'s kernel on a batch of one, which
-    costs a few hundred microseconds at n = 8, m = 32, so place many
-    indices with one :func:`curve_points` call instead."""
-    check_table_dimension(params.n)
-
-    def point(digits: Sequence[int]) -> Coordinate:
-        check_index(digits, params)
-        return unchecked_points(params, digits, 1)[::-1]
-
-    return point
 
 
 def check_index(digits: Sequence[int], params: CurveParams) -> None:
@@ -134,15 +128,15 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
     form of J. Skilling ("Programming the Hilbert curve", AIP Conf. Proc.
     707, 2004), SIMD within a register (R. J. Fisher and H. G. Dietz, LCPC
     1998): component ``i + 1`` of every point is one ``int`` of ``W``-bit
-    fields, one per point.  ``W`` holds both the ``m`` bits of a component
-    and the ``n`` bits of a digit: the least of 8, 16, 32 and 64 that does,
-    and past 64 bits the least multiple of 64.  Per level ``v``, the digit
-    column of every index is packed by :func:`core_bits.pack_column`; with
-    ``v`` planes placed, quadrant ``r``'s exchange and then its reverse
-    command, the closed forms of :func:`gene.quadrant_commands`, act on the
-    low ``v`` bits in O(n) whole-int operations, and ``gray(r)`` becomes
-    bit ``v``.  :func:`core_bits.unpack_columns` reads the components back
-    in point order.
+    fields, one per point.  ``W`` is ``core_bits.field_width(max(m, n))``,
+    so it holds both the ``m`` bits of a component and the ``n`` bits of a
+    digit.  Per level ``v``, the digit column of every index is packed by
+    :func:`core_bits.pack_column`; with ``v`` planes placed,
+    :func:`gene.exchange_step` and then :func:`gene.reverse_step` apply
+    quadrant ``r``'s commands to the low ``v`` bits in O(n) whole-int
+    operations, and ``gray(r)`` becomes bit ``v``.
+    :func:`core_bits.unpack_columns` reads the components back in point
+    order.
 
     Past ``m = 64`` while ``n <= 8``, :func:`_byte_plane_point` places the
     points one at a time instead; there it is faster than fields of two or
@@ -154,49 +148,23 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
         return tuple(chain.from_iterable([place(digits[j:j + m]) for j in range(0, count * m, m)]))
     if not m:
         return (0,) * (n * count)
-    bits = max(m, n)  # a field holds a component and a packed digit
-    width = next((w for w in (8, 16, 32) if w >= bits), -(-bits // 64) * 64)
-    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")  # bit 0 of each field
-    last = n - 1
+    width = field_width(max(m, n))  # a field holds a component and a packed digit
+    ones = field_ones(count, width)
     c = [0] * n
     for v in range(m):
         packed = pack_column(digits[m - 1 - v::m], width)
         r = [(packed >> i) & ones for i in range(n)]  # the rank bits r_i of every digit
         top = [x << v for x in r]
         top.append(0)
-        if not v:
-            c = [top[i] ^ top[i + 1] for i in range(n)]
-            continue
-        # Spread each rank bit over the low v bits of its field, where the
-        # commands act; & and ^ act there as on the one bit.
-        low = (ones << v) - ones
-        r = [t - x for t, x in zip(top, r)]
-        # Exchange components d + 1 and n, d the lowest i >= 1 with
-        # r_i != r_0, else 0; none when d = n - 1.  A point has one d,
-        # so component n takes the xor of every swap's difference.
-        rest = low
-        moved = 0
-        for i in range(1, last):
-            pick = rest & (r[i] ^ r[0])
-            rest ^= pick
-            t = (c[i] ^ c[last]) & pick
-            c[i] ^= t
-            moved ^= t
-        rest ^= rest & (r[last] ^ r[0])
-        t = (c[0] ^ c[last]) & rest
-        c[0] ^= t
-        c[last] ^= moved ^ t
-        # Reverse the entry corner gray(s), s = (r - 1) & ~1, as
-        # curve_keys does, and set bit v to gray(r): its bit i is
-        # r_i ^ r_(i+1), and bit v is still zero in every field.
-        b = low ^ r[0]
-        s = [0] * (n + 1)
-        for i in range(1, n):
-            s[i] = r[i] ^ b
-            b &= s[i]
-        s[0] = s[n] = b
+        if v:
+            # Spread each rank bit over the low v bits of its field.
+            low = (ones << v) - ones
+            r = [t - x for t, x in zip(top, r)]
+            exchange_step(c, r, low)
+            reverse_step(c, r, low)
+        # Set bit v, zero in every field so far, to gray(r): bit i is r_i ^ r_(i+1).
         for i in range(n):
-            c[i] ^= s[i] ^ s[i + 1] ^ top[i] ^ top[i + 1]
+            c[i] ^= top[i] ^ top[i + 1]
     return unpack_columns(c[::-1], count, width)
 
 

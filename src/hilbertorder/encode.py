@@ -13,8 +13,10 @@ These four are the reference code the paper studies.  The production
 encoder behind ``hilbert sort`` and ``hilbert encode`` is
 :func:`curve_keys`, which keys a batch of points with O(n) operations
 per level on integers that each hold one component of every point, at
-any level, and reads the quadrant commands from closed forms, not from a
-gene table.
+any level.  It shares its command step (``gene.reverse_step`` and
+``gene.exchange_step``, the closed forms of the quadrant commands, not a
+gene table) and its field width (``core_bits.field_width``) with the
+batch decoder; one point is a batch of one.
 
 Each variant walks levels top down.  Per level it reads the current
 top bit of every component (giving the quadrant digit through the
@@ -30,13 +32,15 @@ from typing import Callable, Sequence
 from .core_bits import (
     CurveParams,
     HilbertIndex,
+    field_ones,
+    field_width,
     gray_code_inverse,
     pack_column,
     reflect,
     unpack_columns,
 )
 from .errors import DimensionMismatchError, DomainError
-from .gene import GeneTable, check_table_dimension
+from .gene import GeneTable, check_table_dimension, exchange_step, reverse_step
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,13 @@ def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     one per point, packed by :func:`core_bits.pack_column`.  Only the ``k``
     levels below the bit length of the largest component run; the levels
     above are all quadrant 0, so they collapse into one swap of components
-    1 and ``n`` when their count is odd.  ``W`` is 64 while ``k <= 64``, and
-    the least multiple of 64 that holds ``k`` above that.  Each level reads
-    every quadrant digit and applies the closed-form commands of
-    :func:`gene.quadrant_commands` to the low bits in O(n) whole-int
-    operations.  The digits fill one ``W``-bit field per point, ``W // n``
-    levels at a time, each group read back by :func:`core_bits.unpack_columns`.
+    1 and ``n`` when their count is odd.  ``W`` is
+    ``core_bits.field_width(max(k, n))``, so a field holds a component and
+    at least one level's digit.  Each level reads every quadrant digit and
+    applies :func:`gene.reverse_step` and then :func:`gene.exchange_step`
+    to the low bits in O(n) whole-int operations.  The digits fill one
+    ``W``-bit field per point, ``W // n`` levels at a time, each group read
+    back by :func:`core_bits.unpack_columns`.
     """
     n, m = params.n, params.m
     check_table_dimension(n)
@@ -132,12 +137,11 @@ def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     k = max(values, default=0).bit_length()
     if not k:
         return [0] * count
-    width = 64 if k <= 64 else -(-k // 64) * 64  # the field of one point
+    width = field_width(max(k, n))  # a field holds a component and a digit
     c = [pack_column(values[n - 1 - i::n], width) for i in range(n)]
     if (m - k) & 1:
         c[0], c[-1] = c[-1], c[0]
-    ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")  # bit 0 of each field
-    last = n - 1
+    ones = field_ones(count, width)
     per = width // n  # levels whose digits fill one field
     keys: list[int] = []
     for top in range(k - 1, -1, -per):
@@ -147,7 +151,7 @@ def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
             # The rank bits of the plane g at bit v: r_i = g_i ^ .. ^ g_(n-1).
             r = [0] * n
             acc = 0
-            for i in range(last, -1, -1):
+            for i in range(n - 1, -1, -1):
                 acc ^= c[i] & bit
                 r[i] = acc
             digit = 0
@@ -156,57 +160,15 @@ def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
             key = (key << n) | digit
             if not v:
                 break
-            # Spread each rank bit over the low v bits of its field, where the
-            # commands act; & and ^ act there as on the one bit.
+            # Spread each rank bit over the low v bits of its field.
             low = bit - ones
             r = [x - (x >> v) for x in r]
-            # Reverse the entry corner gray(s), s = (r - 1) & ~1.  b is the borrow
-            # of r - 1 into bit i, so s_i = r_i ^ b; past the top bit it flags
-            # r = 0, where s_0 = s_n = b makes s all ones, flipping nothing.
-            b = low ^ r[0]
-            s = [0] * (n + 1)
-            for i in range(1, n):
-                s[i] = r[i] ^ b
-                b &= s[i]
-            s[0] = s[n] = b
-            for i in range(n):
-                c[i] ^= s[i] ^ s[i + 1]
-            # Exchange components d + 1 and n, d the lowest i >= 1 with
-            # r_i != r_0, else 0; none when d = n - 1.  A point has one d,
-            # so component n takes the xor of every swap's difference.
-            rest = low
-            pick = [0] * n
-            for i in range(1, n):
-                pick[i] = rest & (r[i] ^ r[0])
-                rest ^= pick[i]
-            pick[0] = rest
-            moved = 0
-            for i in range(last):
-                t = (c[i] ^ c[last]) & pick[i]
-                c[i] ^= t
-                moved ^= t
-            c[last] ^= moved
+            reverse_step(c, r, low)
+            exchange_step(c, r, low)
         part = unpack_columns([key], count, width)
         shift = n * (top - v + 1)  # v is the group's last level
         keys = [(a << shift) | z for a, z in zip(keys, part)] if keys else list(part)
     return keys
-
-
-def curve_key(params: CurveParams) -> Callable[[Sequence[int]], int]:
-    """Return the production encoder of one point, ``(x_1, .., x_n)`` as the
-    variants take it.  The point is checked as the variants check it, with
-    the same messages.
-
-    Each call runs :func:`curve_keys`'s kernel on a batch of one, which
-    costs a few hundred microseconds at n = 8, m = 32, so key many points
-    with one :func:`curve_keys` call instead."""
-    check_table_dimension(params.n)
-
-    def key(p: Sequence[int]) -> int:
-        check_point(p, params)
-        return unchecked_keys(params, p[::-1])[0]
-
-    return key
 
 
 def _encode(

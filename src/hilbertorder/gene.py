@@ -31,6 +31,7 @@ first), matching coordinate output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .core_bits import BitVec, CurveParams, gray_code, integer_to_index
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
@@ -64,7 +65,8 @@ class GeneTable:
     """Commands for all ``2**n`` quadrants of one dimension.
 
     Instances are immutable and safe to share between threads; the
-    codecs read only the derived ``swap_pairs`` and ``reverse_slots``.
+    reference variants read only the derived ``swap_pairs`` and
+    ``reverse_slots``, and the batch kernels read no table.
     """
 
     n: int
@@ -158,6 +160,48 @@ def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
     y = ((r >> 1) ^ -(r & 1)) & ((1 << (n - 1)) - 1)  # bit i - 1: r_i != r_0
     d = (y & -y).bit_length()
     return _entry_mask(r), None if d == n - 1 else (d, n - 1)
+
+
+# The two commands bit-sliced, for the batch kernels: c[i] holds component
+# i + 1 of every point, one field each, and r[i] is bit i of each point's
+# quadrant, spread over the bits the commands act on, which ``low`` marks.
+# Within ``low``, & and ^ act on every bit as on one point's bit.
+
+
+def reverse_step(c: list[int], r: Sequence[int], low: int) -> None:
+    """Apply each point's reverse command of :func:`quadrant_commands` to ``c``."""
+    # The entry corner is gray(s), s = (r - 1) & ~1.  b is the borrow of
+    # r - 1 into bit i, so s_i = r_i ^ b; past the top bit it flags r = 0,
+    # where s_0 = s_n = b makes s all ones, flipping nothing.
+    n = len(c)
+    b = low ^ r[0]
+    s = [0] * (n + 1)
+    for i in range(1, n):
+        s[i] = r[i] ^ b
+        b &= s[i]
+    s[0] = s[n] = b
+    for i in range(n):
+        c[i] ^= s[i] ^ s[i + 1]
+
+
+def exchange_step(c: list[int], r: Sequence[int], low: int) -> None:
+    """Apply each point's exchange command of :func:`quadrant_commands` to ``c``."""
+    # Swap components d + 1 and n, d the lowest i >= 1 with r_i != r_0,
+    # else 0; none when d = n - 1.  A point has one d, so component n
+    # takes the xor of every swap's difference.
+    last = len(c) - 1
+    rest = low
+    moved = 0
+    for i in range(1, last):
+        pick = rest & (r[i] ^ r[0])
+        rest ^= pick
+        t = (c[i] ^ c[last]) & pick
+        c[i] ^= t
+        moved ^= t
+    rest ^= rest & (r[last] ^ r[0])
+    t = (c[0] ^ c[last]) & rest
+    c[0] ^= t
+    c[last] ^= moved ^ t
 
 
 def validate_gene_table(table: GeneTable) -> GeneValidationReport:

@@ -86,12 +86,6 @@ def format_point(point: Coordinate) -> str:
     return " ".join(map(str, reversed(point)))
 
 
-def format_points(points: Sequence[Coordinate], n: int) -> str:
-    """The text lines of ``n``-component points, as :func:`format_point` writes
-    each: :func:`format_flat` of their components."""
-    return format_flat(tuple(chain.from_iterable(map(reversed, points))), n)
-
-
 def format_flat(flat: tuple[int, ...], n: int) -> str:
     """Text lines of ``n`` components each, from their values in line order,
     as :func:`format_point` writes each point, through one ``%``-format of

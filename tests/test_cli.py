@@ -256,7 +256,7 @@ class TestIndexDigits:
             digits = [rng.randrange(2**n) for _ in range(40)]
             token = pointio.DIGIT_PREFIX + ".".join(map(str, digits))
             assert pointio.index_digits(token, params) == digits
-        # Digits no dict holds: leading zeros, and 2**n, which curve_point rejects.
+        # Digits no dict holds: leading zeros, and 2**n, which curve_points rejects.
         token = f"{pointio.DIGIT_PREFIX}007.000.{2**n}"
         assert pointio.index_digits(token, CurveParams(n, 3)) == [7, 0, 2**n]
 
@@ -279,8 +279,8 @@ class TestFormatPoints:
         points = [tuple(rng.randrange(2 ** rng.randrange(1, 200)) for _ in range(n))
                   for _ in range(50)] + [(0,) * n]
         expected = "".join(pointio.format_point(p) + "\n" for p in points)
-        assert pointio.format_points(points, n) == expected
-        assert pointio.format_points([], n) == ""
+        assert pointio.format_flat(tuple(c for p in points for c in p[::-1]), n) == expected
+        assert pointio.format_flat((), n) == ""
 
 
 class TestDecodeCommand:

@@ -9,6 +9,8 @@ from hilbertorder.core_bits import (
     CurveParams,
     HilbertIndex,
     coord_xor,
+    field_ones,
+    field_width,
     gray_code,
     gray_code_inverse,
     index_to_integer,
@@ -255,3 +257,10 @@ class TestColumns:
         assert unpack_columns(packed, 5, width) == tuple(v for row in zip(*columns) for v in row)
         assert unpack_columns(packed[:1], 5, width) == tuple(columns[0])
         assert pack_column([], width) == 0 and unpack_columns([0, 0], 0, width) == ()
+
+    def test_field_width_is_the_least_that_holds_the_bits(self):
+        widths = {bits: field_width(bits) for bits in (1, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129)}
+        assert widths == {1: 8, 8: 8, 9: 16, 16: 16, 17: 32, 32: 32, 33: 64, 64: 64,
+                          65: 128, 128: 128, 129: 192}
+        assert field_ones(3, 16) == 1 | 1 << 16 | 1 << 32
+        assert field_ones(2, 128) == 1 | 1 << 128

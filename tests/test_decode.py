@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from hilbertorder import decode
 from hilbertorder.core_bits import CurveParams, HilbertIndex, integer_digits, integer_to_index
 from hilbertorder.decode import (
-    curve_point,
     curve_points,
     decode_arith,
     decode_arith_fast,
@@ -16,7 +15,7 @@ from hilbertorder.decode import (
     decode_bits_fast,
     index_effective_level,
 )
-from hilbertorder.encode import curve_key, curve_keys, encode_arith, encode_bits
+from hilbertorder.encode import curve_keys, encode_arith, encode_bits
 from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
 from hilbertorder.gene import gene_table
 
@@ -72,12 +71,14 @@ class TestFourWayEquivalence:
     def test_exhaustive_small(self, n, m):
         params = CurveParams(n, m)
         table = TABLES[n]
-        point = curve_point(params)
+        digits, points = [], []
         for z in range(2 ** (n * m)):
             idx = integer_to_index(z, params)
             results = [decoder(idx, params, table)[0] for decoder in DECODERS]
             assert results[0] == results[1] == results[2] == results[3]
-            assert point(idx.digits) == results[0]
+            digits += idx.digits
+            points += results[0][::-1]
+        assert curve_points(params, digits) == tuple(points)
 
     def test_random_indices_at_level_sixty_four(self):
         rng = random.Random(0x5A)
@@ -238,6 +239,8 @@ def sample_indices(n, m, seed):
 
 
 class TestCurvePoint:
+    """One index, placed as a batch of one: ``curve_points(params, digits, 1)``."""
+
     # The batch kernel runs everywhere but n <= 8, m > 64, where the
     # byte-plane kernel runs; past m = 64 its fields are two words or more.
     # Every property below is drawn on all three sides.
@@ -259,7 +262,7 @@ class TestCurvePoint:
         params = CurveParams(n, m)
         table = reference_table(n)
         expected, _ = decode_arith(HilbertIndex(n, tuple(digits)), params, table)
-        assert curve_point(params)(digits) == expected
+        assert curve_points(params, digits, 1) == expected[::-1]
 
     @settings(max_examples=100, deadline=None)
     @given(curve_point_cases())
@@ -267,8 +270,9 @@ class TestCurvePoint:
     def test_inverts_curve_key(self, case):
         n, m, point = case
         params = CurveParams(n, m)
-        digits = integer_to_index(curve_key(params)(point), params).digits
-        assert curve_point(params)(digits) == point
+        [key] = curve_keys(params, point[::-1])
+        digits = integer_to_index(key, params).digits
+        assert curve_points(params, digits, 1) == point[::-1]
 
     @pytest.mark.parametrize(
         "digits",
@@ -284,9 +288,6 @@ class TestCurvePoint:
                 with pytest.raises(DomainError) as reference:
                     decode_arith(HilbertIndex(n, at_n), params, reference_table(n))
                 for given_as in (tuple, list):
-                    with pytest.raises(type(reference.value),
-                                       match=re.escape(str(reference.value))):
-                        curve_point(params)(given_as(at_n))
                     with pytest.raises(type(reference.value),
                                        match=re.escape(str(reference.value))):
                         curve_points(params, given_as(at_n), 1)
@@ -324,8 +325,7 @@ class TestCurvePoint:
         params = CurveParams(8, 1000)
         tracemalloc.start()
         try:
-            point = curve_point(params)
-            point([0] * 999 + [1])
+            curve_points(params, [0] * 999 + [1], 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -336,8 +336,7 @@ class TestCurvePoint:
         params = CurveParams(12, 1000)
         tracemalloc.start()
         try:
-            point = curve_point(params)
-            point([0] * 999 + [1])
+            curve_points(params, [0] * 999 + [1], 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -346,16 +345,17 @@ class TestCurvePoint:
     def test_refuses_a_dimension_above_the_cap(self):
         message = "gene table for dimension 21 exceeds the cap of 20"
         with pytest.raises(ResourceLimitError, match=message):
-            curve_point(CurveParams(21, 2))
+            curve_points(CurveParams(21, 2), [0, 0], 1)
         with pytest.raises(ResourceLimitError, match=message):
             curve_points(CurveParams(21, 2), [])
 
 
 class TestCurvePoints:
-    @pytest.mark.parametrize("m", [0, 1, 8, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("m", [0, 1, 8, 16, 17, 32, 33, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("n", range(2, 21))
     def test_equals_decode_arith_at_every_n(self, n, m):
-        # m = 8 at n >= 9 and m = 1 hold the fields that must be wider than m.
+        # The fields are field_width(max(m, n)) bits; m = 1, m = 8 at n >= 9
+        # and m = 16 at n = 17..20 hold the fields that must be wider than m.
         params = CurveParams(n, m)
         indices = sample_indices(n, m, n * 100 + m)
         flat = [d for index in indices for d in index]
@@ -364,8 +364,7 @@ class TestCurvePoints:
         assert curve_points(params, tuple(flat), len(indices)) == expected
         if m:
             assert curve_points(params, flat) == expected
-        point = curve_point(params)
-        assert tuple(c for index in indices for c in point(index)[::-1]) == expected
+        assert tuple(c for index in indices for c in curve_points(params, index, 1)) == expected
 
     @pytest.mark.parametrize("m", [1, 8, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("n", range(2, 21))
@@ -391,7 +390,7 @@ class TestCurvePoints:
         bad = tuple(8 if d is TOP else d for d in bad)
         bad = bad[:1] + (0,) * (m - 2) + bad[1:]
         with pytest.raises(DomainError) as reference:
-            curve_point(params)(bad)
+            curve_points(params, bad, 1)
         good = [1] * m
         values = good + list(bad) + [2] * m + [-1] * m  # a later bad index is not named
         with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder.core_bits import CurveParams, HilbertIndex, index_to_integer
 from hilbertorder.encode import (
-    curve_key,
     curve_keys,
     effective_level,
     encode_arith,
@@ -90,16 +89,14 @@ class TestFourWayEquivalence:
     def test_exhaustive_small(self, n, m):
         params = CurveParams(n, m)
         table = TABLES[n]
-        key = curve_key(params)
-        seen = set()
+        keys = []
         for point in grid(n, m):
             results = [encoder(point, params, table)[0] for encoder in ENCODERS]
             assert results[0] == results[1] == results[2] == results[3]
-            seen.add(index_to_integer(results[0]))
-            assert key(point) == index_to_integer(results[0])
+            keys.append(index_to_integer(results[0]))
         # Encoding the whole grid is a bijection onto the index range.
-        assert seen == set(range(2 ** (n * m)))
-        assert curve_keys(params, flat(grid(n, m))) == list(map(key, grid(n, m)))
+        assert set(keys) == set(range(2 ** (n * m)))
+        assert curve_keys(params, flat(grid(n, m))) == keys
 
     def test_random_points_at_level_sixty_four(self):
         rng = random.Random(0xA5)
@@ -213,7 +210,17 @@ def reference_keys(values, params):
             for j in range(0, len(values), n)]
 
 
+def batch_message(error, point, n):
+    """The message of ``error`` for ``point`` as a batch of one: a point longer
+    than ``n`` is a whole point and a partial one, and the partial one is named."""
+    if len(point) > n:
+        return re.escape(f"point has {len(point) - n} components, curve dimension is {n}")
+    return re.escape(str(error))
+
+
 class TestCurveKey:
+    """One point, keyed as a batch of one: ``curve_keys(params, point[::-1])``."""
+
     @settings(max_examples=300, deadline=None)
     @given(curve_points())
     @example((2, 0, (0, 0)))  # level 0: the key is 0
@@ -227,7 +234,7 @@ class TestCurveKey:
         params = CurveParams(n, m)
         table = reference_table(n)
         expected = index_to_integer(encode_arith(point, params, table)[0])
-        assert curve_key(params)(point) == expected
+        assert curve_keys(params, point[::-1]) == [expected]
 
     @pytest.mark.parametrize(
         "point",
@@ -237,8 +244,8 @@ class TestCurveKey:
         params = CurveParams(2, 2)
         with pytest.raises(DomainError) as reference:
             encode_arith(point, params, TABLES[2])
-        with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
-            curve_key(params)(point)
+        with pytest.raises(type(reference.value), match=batch_message(reference.value, point, 2)):
+            curve_keys(params, point[::-1])
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize(
@@ -251,8 +258,8 @@ class TestCurveKey:
         params = CurveParams(n, 2)
         with pytest.raises(DomainError) as reference:
             encode_arith(point, params, TABLES[n])
-        with pytest.raises(type(reference.value), match=re.escape(str(reference.value))):
-            curve_key(params)(point)
+        with pytest.raises(type(reference.value), match=batch_message(reference.value, point, n)):
+            curve_keys(params, point[::-1])
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_keys_an_int_subclass_as_the_variants_do(self, n):
@@ -260,18 +267,18 @@ class TestCurveKey:
             pass
 
         params = CurveParams(n, 4)
-        key = curve_key(params)
         rng = random.Random(n)
         for _ in range(20):
             point = tuple(rng.randrange(16) for _ in range(n))
             for given in (tuple(map(Int, point)), point[:-1] + (Int(point[-1]),)):
-                assert key(given) == index_to_integer(encode_arith(given, params, TABLES[n])[0])
-                assert type(key(given)) is int
+                [key] = curve_keys(params, given[::-1])
+                assert key == index_to_integer(encode_arith(given, params, TABLES[n])[0])
+                assert type(key) is int
 
     def test_refuses_a_dimension_above_the_cap(self):
         message = "gene table for dimension 21 exceeds the cap of 20"
         with pytest.raises(ResourceLimitError, match=message):
-            curve_key(CurveParams(21, 2))
+            curve_keys(CurveParams(21, 2), [1] * 21)
         with pytest.raises(ResourceLimitError, match=message):
             curve_keys(CurveParams(21, 2), [])
 
@@ -330,11 +337,13 @@ class TestCurveKeys:
         values[:n] = [2**m - 1] * n
         assert curve_keys(params, values) == reference_keys(values, params)
 
-    @pytest.mark.parametrize("k", [64, 65, 128, 129])
+    @pytest.mark.parametrize("k", [7, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129])
     @pytest.mark.parametrize("n", [2, 8, 9, 13, 20])
     def test_equals_encode_arith_where_the_field_widens(self, n, k):
-        # The fields are 64 bits up to k = 64, then 128 up to k = 128, then
-        # 192; m = 129 leaves an odd and an even count of skipped levels.
+        # The fields are field_width(max(k, n)) bits: 8, 16, 32 or 64, then
+        # 128 up to k = 128, then 192; at n = 9, 13 and 20 they are set by n
+        # while k is small.  m = 129 leaves an odd and an even count of
+        # skipped levels.
         rng = random.Random(n * 1000 + k)
         params = CurveParams(n, 129)
         values = [rng.getrandbits(rng.choice((1, k // 2, k))) for _ in range(4 * n)]

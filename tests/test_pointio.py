@@ -3,7 +3,7 @@ whole-file reader and the row loop.
 
 The command-line tests drive ``cli.main`` only, so they hold for any
 layout of the reading and writing code.  The property tests hold
-``read_points`` and ``format_points`` against per-line references.
+``read_points`` and ``format_flat`` against per-line references.
 """
 
 import contextlib
@@ -337,7 +337,7 @@ class TestWholeFileReader:
     def test_format_points_is_format_point_per_line(self, drawn):
         n, points = drawn
         expected = "".join(pointio.format_point(p) + "\n" for p in points)
-        assert pointio.format_points(points, n) == expected
+        assert pointio.format_flat(tuple(c for p in points for c in p[::-1]), n) == expected
 
     def test_plain_digit_file_takes_the_whole_file_path(self):
         data = b"1 2 3\n\n4\t5  6\n 7 8 9 \n10 11 12"
