@@ -132,6 +132,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
     if bool(args.coords) == (args.input is not None):
         raise DomainError("give exactly one point as arguments or use --input")
+    _check_level(params.m)
     check_table_dimension(params.n)
     if args.input is not None:
         keys = unchecked_keys(params, read_points(args.input, params)[0])
@@ -142,17 +143,22 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_level(m: int) -> None:
+    """Refuse a level whose coordinates can exceed CPython's digit limit."""
+    limit = int_max_str_digits()
+    top = (10**limit).bit_length() - 1  # highest m with 2**m - 1 < 10**limit
+    if limit and m > top:
+        raise DomainError(
+            f"level {m} is above {top}: coordinates below 2**{m} can exceed "
+            f"the {limit}-digit limit of sys.get_int_max_str_digits()"
+        )
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
     if bool(args.indices) == (args.input is not None):
         raise DomainError("give index values as arguments or use --input")
-    limit = int_max_str_digits()
-    top = (10**limit).bit_length() - 1  # highest m with 2**m - 1 < 10**limit
-    if limit and params.m > top:
-        raise DomainError(
-            f"level {params.m} is above {top}: coordinates below 2**{params.m} can exceed "
-            f"the {limit}-digit limit of sys.get_int_max_str_digits()"
-        )
+    _check_level(params.m)
     check_table_dimension(params.n)
     if args.input is not None:
         digits, count = read_indices(args.input, params)
@@ -239,6 +245,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               for part in args.levels.split(",") if part != ""]
     if not levels:
         raise DomainError("no levels given")
+    for m in levels:
+        _check_level(m)
     table = gene_table(len(point))
     report = run_counter_benchmark(point, levels, table, repeats=args.repeats)
     if args.records:

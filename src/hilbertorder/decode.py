@@ -14,13 +14,11 @@ operations per level on integers that each hold one component of every
 point, at any level, and reads the quadrant commands from closed forms,
 not from a gene table; it shares its command step (``gene.exchange_step``
 and ``gene.reverse_step``) and its field width (``core_bits.field_width``)
-with the batch encoder.  Past level 64 while ``n <= 8`` it places one index
-at a time, by byte planes, which is faster there.
+with the batch encoder.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, Sequence
 
 from .core_bits import (
@@ -40,7 +38,6 @@ from .gene import (
     GeneTable,
     check_table_dimension,
     exchange_step,
-    quadrant_commands,
     reverse_step,
 )
 
@@ -128,30 +125,30 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
     form of J. Skilling ("Programming the Hilbert curve", AIP Conf. Proc.
     707, 2004), SIMD within a register (R. J. Fisher and H. G. Dietz, LCPC
     1998): component ``i + 1`` of every point is one ``int`` of ``W``-bit
-    fields, one per point.  ``W`` is ``core_bits.field_width(max(m, n))``,
-    so it holds both the ``m`` bits of a component and the ``n`` bits of a
-    digit.  Per level ``v``, the digit column of every index is packed by
-    :func:`core_bits.pack_column`; with ``v`` planes placed,
-    :func:`gene.exchange_step` and then :func:`gene.reverse_step` apply
-    quadrant ``r``'s commands to the low ``v`` bits in O(n) whole-int
-    operations, and ``gray(r)`` becomes bit ``v``.
-    :func:`core_bits.unpack_columns` reads the components back in point
-    order.
-
-    Past ``m = 64`` while ``n <= 8``, :func:`_byte_plane_point` places the
-    points one at a time instead; there it is faster than fields of two or
-    more words.
+    fields, one per point.  ``W`` starts at
+    ``core_bits.field_width(max(min(m, 64), n))``, so it holds the ``n``
+    bits of a digit and, up to ``m = 64``, the ``m`` bits of a component;
+    past that every field grows by one 64-bit word each time the placed
+    levels fill it, to ``field_width(m)`` at the end.  Per level ``v``, the
+    digit column of every index is packed by :func:`core_bits.pack_column`;
+    with ``v`` planes placed, :func:`gene.exchange_step` and then
+    :func:`gene.reverse_step` apply quadrant ``r``'s commands to the low
+    ``v`` bits in O(n) whole-int operations, and ``gray(r)`` becomes bit
+    ``v``.  :func:`core_bits.unpack_columns` reads the components back in
+    point order.
     """
     n, m = params.n, params.m
-    if m > 64 and n <= 8:
-        place = _byte_plane_point(n, m)
-        return tuple(chain.from_iterable([place(digits[j:j + m]) for j in range(0, count * m, m)]))
     if not m:
         return (0,) * (n * count)
-    width = field_width(max(m, n))  # a field holds a component and a packed digit
+    width = field_width(max(min(m, 64), n))  # a field holds a packed digit
     ones = field_ones(count, width)
     c = [0] * n
     for v in range(m):
+        if v == width:  # the placed levels fill every field: widen it by a word
+            values = unpack_columns(c, count, width)
+            width += 64
+            c = [pack_column(values[i::n], width) for i in range(n)]
+            ones = field_ones(count, width)
         packed = pack_column(digits[m - 1 - v::m], width)
         r = [(packed >> i) & ones for i in range(n)]  # the rank bits r_i of every digit
         top = [x << v for x in r]
@@ -166,60 +163,6 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
         for i in range(n):
             c[i] ^= top[i] ^ top[i + 1]
     return unpack_columns(c[::-1], count, width)
-
-
-def _byte_plane_point(n: int, m: int) -> Callable[[Sequence[int]], Coordinate]:
-    """One index's point, ``x_n .. x_1``, while ``n <= 8``, with one byte per plane.
-
-    The placed planes are one ``bytes`` object, byte ``v`` holding bit
-    ``v`` of every component (component ``i + 1`` at bit ``i``), and a
-    digit costs one ``bytes.translate`` through quadrant ``r``'s 256-byte
-    table plus one appended byte.  An 8 x 8 bit transpose per eight
-    planes then gives each component its bytes.
-    """
-    ones = int.from_bytes(bytes([1]) * 256, "little")  # bit 0 of every byte
-    every = int.from_bytes(bytes(range(256)), "little")  # byte c holds c
-    # moves[r][c] is the plane c after quadrant r's exchange and then its
-    # reverse command.  All 256 planes take an exchange at once, as the
-    # bytes of one int (a delta swap of two bits per byte), once per pair;
-    # a reverse command is then one xor per quadrant.
-    swapped = {None: every}
-    moves = []
-    for r in range(1 << n):
-        flip, pair = quadrant_commands(n, r)
-        if pair not in swapped:
-            a, b = pair
-            t = ((every >> (b - a)) ^ every) & (ones << a)
-            swapped[pair] = every ^ t ^ (t << (b - a))
-        moves.append((swapped[pair] ^ flip * ones).to_bytes(256, "little"))
-    offsets = [bytes([r ^ (r >> 1)]) for r in range(1 << n)]
-    # The planes padded to whole words of eight, and the masks of an 8 x 8
-    # bit transpose of every 64-bit word (H. S. Warren, Hacker's Delight,
-    # 7-3): plane j of a word at bit 8 * j + i becomes component i + 1 at
-    # bit 8 * i + j, so byte i of word w holds bits 8 * w .. 8 * w + 7 of
-    # component i + 1.
-    words = -(-m // 8)
-    pad = bytes(8 * words - m)
-    rep = int.from_bytes(bytes([1] + [0] * 7) * words, "little")  # bit 0 of every word
-    mask7, mask14, mask28 = (0x00AA00AA00AA00AA * rep, 0x0000CCCC0000CCCC * rep,
-                             0x00000000F0F0F0F0 * rep)
-    components = range(n - 1, -1, -1)
-
-    def point(digits: Sequence[int]) -> Coordinate:
-        planes = b""
-        for r in reversed(digits):
-            planes = planes.translate(moves[r]) + offsets[r]
-        x = int.from_bytes(planes + pad, "little")
-        t = ((x >> 7) ^ x) & mask7
-        x ^= t ^ (t << 7)
-        t = ((x >> 14) ^ x) & mask14
-        x ^= t ^ (t << 14)
-        t = ((x >> 28) ^ x) & mask28
-        x ^= t ^ (t << 28)
-        columns = x.to_bytes(8 * words, "little")
-        return tuple([int.from_bytes(columns[i::8], "little") for i in components])
-
-    return point
 
 
 def _decode(

@@ -247,11 +247,10 @@ def check_point(p: Sequence[int], params: CurveParams) -> None:
         raise DimensionMismatchError(
             f"point has {len(p)} components, curve dimension is {params.n}"
         )
-    limit = 1 << params.m
     for i, c in enumerate(p):
         if not isinstance(c, int) or isinstance(c, bool):
             raise DomainError(f"component {i + 1} is not an integer: {c!r}")
-        if not 0 <= c < limit:
+        if c < 0 or c >> params.m:
             raise DomainError(
                 f"component {i + 1} out of range for level {params.m}: {c}"
             )

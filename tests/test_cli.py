@@ -35,6 +35,12 @@ def digit_cap():
     sys.set_int_max_str_digits(saved)
 
 
+HUGE_LEVEL = str(10**12)
+HUGE_LEVEL_ERROR = (f"error: level {HUGE_LEVEL} is above 14284: coordinates below "
+                    f"2**{HUGE_LEVEL} can exceed the 4300-digit limit of "
+                    "sys.get_int_max_str_digits()\n")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -64,6 +70,13 @@ def variant_decode(variant, z, n, m):
 
 
 class TestEncodeCommand:
+    def test_refuses_a_huge_level_as_decode_does(self, capsys, tmp_path, digit_cap):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        for args in (["1", "2", "3"], ["--input", str(empty)]):
+            code, out, err = run(capsys, "encode", "-n", "3", "-m", HUGE_LEVEL, *args)
+            assert (code, out, err) == (2, "", HUGE_LEVEL_ERROR)
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_single_point(self, capsys, variant):
         code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "2", "1", "1")
@@ -588,6 +601,16 @@ class TestSortCommand:
         assert (code, out) == (2, "")
         assert err == "error: gene table for dimension 21 exceeds the cap of 20\n"
 
+    def test_sorts_commas_at_a_huge_level_as_spaces(self, capsys, tmp_path, digit_cap):
+        # The points' own digits are under the cap, so sort takes any level.
+        outputs = []
+        for name, text in (("commas", "1,2,3\n0,0,1\n"), ("spaces", "1 2 3\n0 0 1\n")):
+            source, target = tmp_path / f"{name}.txt", tmp_path / f"{name}.out"
+            source.write_text(text)
+            assert run(capsys, "sort", "-n", "3", "-m", HUGE_LEVEL, str(source), str(target))[0] == 0
+            outputs.append(target.read_text())
+        assert outputs == ["0 0 1\n1 2 3\n"] * 2
+
     def test_level_one_walk_order(self, capsys, tmp_path):
         source = tmp_path / "points.txt"
         source.write_text("1 0\n0 0\n1 1\n0 1\n")
@@ -796,6 +819,10 @@ class TestBenchCommand:
         lines = out.splitlines()
         assert len(lines) == 4
         assert all(line.startswith("algo=") for line in lines)
+
+    def test_refuses_a_huge_level_as_decode_does(self, capsys, digit_cap):
+        code, out, err = run(capsys, "bench", "--point", "1,1", "--levels", f"4,{HUGE_LEVEL}")
+        assert (code, out, err) == (2, "", HUGE_LEVEL_ERROR)
 
     def test_rejects_tiny_point(self, capsys):
         code, _, err = run(capsys, "bench", "--point", "5", "--levels", "4")

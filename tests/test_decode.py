@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbertorder import decode
 from hilbertorder.core_bits import CurveParams, HilbertIndex, integer_digits, integer_to_index
 from hilbertorder.decode import (
     curve_points,
@@ -241,9 +240,8 @@ def sample_indices(n, m, seed):
 class TestCurvePoint:
     """One index, placed as a batch of one: ``curve_points(params, digits, 1)``."""
 
-    # The batch kernel runs everywhere but n <= 8, m > 64, where the
-    # byte-plane kernel runs; past m = 64 its fields are two words or more.
-    # Every property below is drawn on all three sides.
+    # The fields start at one word or less; past m = 64 they widen by a word
+    # every 64 placed levels.  Every property below is drawn on both sides.
     @settings(max_examples=300, deadline=None)
     @given(curve_indices(max_n=10))
     @example((2, 0, []))  # level 0: the origin
@@ -267,7 +265,7 @@ class TestCurvePoint:
     @settings(max_examples=100, deadline=None)
     @given(curve_point_cases())
     @example((8, 40, (2**40 - 1,) * 8))
-    def test_inverts_curve_key(self, case):
+    def test_inverts_curve_keys_of_one_point(self, case):
         n, m, point = case
         params = CurveParams(n, m)
         [key] = curve_keys(params, point[::-1])
@@ -306,22 +304,20 @@ class TestCurvePoint:
 
     @pytest.mark.parametrize(
         "n, m",
-        [(n, m) for n in (8, 9) for m in (0, 1, 7, 9, 33, 63, 64, 65, 66, 128, 129)] + [(8, 200)],
+        [(n, m) for n in (8, 9) for m in (0, 1, 7, 9, 33, 63, 64, 65, 66, 128, 129, 192, 193)]
+        + [(8, 200)],
     )
-    def test_equals_decode_arith_at_the_cut_over(self, n, m, monkeypatch):
-        # The byte-plane kernel is set up once for the batch where n <= 8
-        # and m > 64; everywhere else the batch kernel places every index.
-        made = []
-        kernel = decode._byte_plane_point
-        monkeypatch.setattr(decode, "_byte_plane_point", lambda *args: made.append(args) or kernel(*args))
+    def test_equals_decode_arith_at_the_cut_over(self, n, m):
+        # The cut-over from one-word fields to wider ones: the fields widen
+        # at levels 64, 128 and 192, so m = 65, 129 and 193 place one level
+        # in a field just widened.
         params = CurveParams(n, m)
         indices = sample_indices(n, m, n * 1000 + m)
         assert curve_points(params, [d for i in indices for d in i], len(indices)) == (
             reference_points(indices, params))
-        assert made == ([(n, m)] if n <= 8 and m > 64 else [])
 
-    def test_byte_plane_set_up_is_small(self):
-        # 256 translation tables of 256 bytes each, and masks of m bits.
+    def test_one_index_at_level_1000_is_small(self):
+        # Fields of 16 words at the end, one per component.
         params = CurveParams(8, 1000)
         tracemalloc.start()
         try:
@@ -351,11 +347,12 @@ class TestCurvePoint:
 
 
 class TestCurvePoints:
-    @pytest.mark.parametrize("m", [0, 1, 8, 16, 17, 32, 33, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("m", [0, 1, 8, 16, 17, 32, 33, 63, 64, 65, 128, 129, 192, 193])
     @pytest.mark.parametrize("n", range(2, 21))
     def test_equals_decode_arith_at_every_n(self, n, m):
-        # The fields are field_width(max(m, n)) bits; m = 1, m = 8 at n >= 9
-        # and m = 16 at n = 17..20 hold the fields that must be wider than m.
+        # The fields start at field_width(max(min(m, 64), n)) bits; m = 1,
+        # m = 8 at n >= 9 and m = 16 at n = 17..20 hold the fields that must
+        # be wider than m, and m > 64 the fields that widen as levels are placed.
         params = CurveParams(n, m)
         indices = sample_indices(n, m, n * 100 + m)
         flat = [d for index in indices for d in index]

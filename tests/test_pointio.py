@@ -334,7 +334,7 @@ class TestWholeFileReader:
     @given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
         st.tuples(*[st.integers(0, 2**70) | st.integers(0, 20)] * n), max_size=20))))
     @example((2, []))
-    def test_format_points_is_format_point_per_line(self, drawn):
+    def test_format_flat_is_format_point_per_line(self, drawn):
         n, points = drawn
         expected = "".join(pointio.format_point(p) + "\n" for p in points)
         assert pointio.format_flat(tuple(c for p in points for c in p[::-1]), n) == expected
