@@ -241,7 +241,8 @@ class TestCurvePoint:
     """One index, placed as a batch of one: ``curve_points(params, digits, 1)``."""
 
     # The fields start at one word or less; past m = 64 they widen by a word
-    # every 64 placed levels.  Every property below is drawn on both sides.
+    # every 64 placed levels.  Every property below is drawn on both sides
+    # of m = 64.
     @settings(max_examples=300, deadline=None)
     @given(curve_indices(max_n=10))
     @example((2, 0, []))  # level 0: the origin
