@@ -8,116 +8,40 @@ Quick start::
     keys = curve_keys(params, [1, 1, 2, 3])       # two points, each x2 x1
     digits = [d for z in keys for d in integer_to_index(z, params).digits]
     points = curve_points(params, digits)         # (1, 1, 2, 3) again
+
+Each public name is imported from its module on first use, so importing
+one module, such as the command line's, loads none of the others.
 """
 
-from .core_bits import (
-    BitVec,
-    Coordinate,
-    CurveParams,
-    HilbertIndex,
-    coord_xor,
-    gray_code,
-    gray_code_inverse,
-    index_to_integer,
-    integer_to_index,
-    parity_prefix,
-    reflect,
-    vec_of_scalar,
-    vec_to_scalar,
-)
-from .decode import (
-    curve_points,
-    decode_arith,
-    decode_arith_fast,
-    decode_bits,
-    decode_bits_fast,
-    index_effective_level,
-)
-from .encode import (
-    StepCounter,
-    curve_keys,
-    effective_level,
-    encode_arith,
-    encode_arith_fast,
-    encode_bits,
-    encode_bits_fast,
-)
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    HilbertError,
-    PointFileError,
-    ResourceLimitError,
-)
-from .gene import (
-    EntryExit,
-    GeneEntry,
-    GeneTable,
-    GeneValidationReport,
-    cached_gene_table,
-    entry_exit,
-    format_table_text,
-    gene_table,
-    validate_gene_table,
-)
-from .oracle import (
-    BenchmarkReport,
-    CurveEnumeration,
-    benchmark_records,
-    enumerate_recursive,
-    format_benchmark_text,
-    run_counter_benchmark,
-    table3_update,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkReport",
-    "BitVec",
-    "Coordinate",
-    "CurveEnumeration",
-    "CurveParams",
-    "DimensionMismatchError",
-    "DomainError",
-    "EntryExit",
-    "GeneEntry",
-    "GeneTable",
-    "GeneValidationReport",
-    "HilbertError",
-    "HilbertIndex",
-    "PointFileError",
-    "ResourceLimitError",
-    "StepCounter",
-    "benchmark_records",
-    "cached_gene_table",
-    "coord_xor",
-    "curve_keys",
-    "curve_points",
-    "decode_arith",
-    "decode_arith_fast",
-    "decode_bits",
-    "decode_bits_fast",
-    "effective_level",
-    "encode_arith",
-    "encode_arith_fast",
-    "encode_bits",
-    "encode_bits_fast",
-    "entry_exit",
-    "enumerate_recursive",
-    "format_benchmark_text",
-    "format_table_text",
-    "gene_table",
-    "gray_code",
-    "gray_code_inverse",
-    "index_effective_level",
-    "index_to_integer",
-    "integer_to_index",
-    "parity_prefix",
-    "reflect",
-    "run_counter_benchmark",
-    "table3_update",
-    "validate_gene_table",
-    "vec_of_scalar",
-    "vec_to_scalar",
-]
+# The public names of each module; ``__all__`` and the lookup derive from it.
+_EXPORTS = {
+    "core_bits": "BitVec Coordinate HilbertIndex coord_xor gray_code gray_code_inverse "
+                 "index_to_integer integer_to_index parity_prefix reflect vec_of_scalar "
+                 "vec_to_scalar",
+    "curve": "CurveParams curve_keys curve_points",
+    "decode": "decode_arith decode_arith_fast decode_bits decode_bits_fast "
+              "index_effective_level",
+    "encode": "StepCounter effective_level encode_arith encode_arith_fast encode_bits "
+              "encode_bits_fast",
+    "errors": "DimensionMismatchError DomainError HilbertError PointFileError "
+              "ResourceLimitError",
+    "gene": "EntryExit GeneEntry GeneTable GeneValidationReport cached_gene_table entry_exit "
+            "format_table_text gene_table validate_gene_table",
+    "oracle": "BenchmarkReport CurveEnumeration benchmark_records enumerate_recursive "
+              "format_benchmark_text run_counter_benchmark table3_update",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -5,11 +5,14 @@ point-file and index-token formats, and how files are read and
 written, live in :mod:`hilbertorder.pointio`.
 
 ``encode`` and ``sort`` key all their points with one call of the
-production encoder's kernel ``unchecked_keys``, and ``decode`` places all
-its indices with one call of the production decoder's kernel
-``unchecked_points``; neither builds a gene table.  The readers of
+production encoder's kernel ``curve.unchecked_keys``, and ``decode``
+places all its indices with one call of the production decoder's kernel
+``curve.unchecked_points``; neither builds a gene table.  The readers of
 :mod:`pointio` check the values once per file, naming a bad row by its
-row, so the kernels do not check them again.
+row, so the kernels do not check them again.  These commands load only
+``curve``, ``pointio`` and ``errors`` of the package; ``gene``,
+``validate`` and ``bench`` import the gene tables and the oracle when
+they run.
 """
 
 from __future__ import annotations
@@ -21,18 +24,10 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .core_bits import CurveParams, integer_digits
-from .decode import unchecked_points
-from .encode import curve_keys, unchecked_keys
-from .errors import DomainError, HilbertError, ResourceLimitError
-from .gene import check_table_dimension, format_table_text, gene_table, validate_gene_table
-from .oracle import (
-    ENUMERATION_MAX_BITS,
-    benchmark_records,
-    enumerate_recursive,
-    format_benchmark_text,
-    run_counter_benchmark,
+from .curve import (
+    CurveParams, check_table_dimension, curve_keys, integer_digits, unchecked_keys, unchecked_points,
 )
+from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
     format_flat,
     index_formatter,
@@ -181,6 +176,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_gene(args: argparse.Namespace) -> int:
+    from .gene import format_table_text, gene_table
+
     table = gene_table(args.dim)
     if args.dump_text:
         print(format_table_text(table))
@@ -190,6 +187,9 @@ def _cmd_gene(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .gene import gene_table, validate_gene_table
+    from .oracle import ENUMERATION_MAX_BITS, enumerate_recursive
+
     params_check = CurveParams(args.dim, max(args.max_level, 0))
     top = ENUMERATION_MAX_BITS // params_check.n
     if params_check.m > top:
@@ -236,6 +236,9 @@ def _walk_matches_codecs(enumeration, params: CurveParams) -> tuple[bool, str]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .gene import gene_table
+    from .oracle import benchmark_records, format_benchmark_text, run_counter_benchmark
+
     display = [parse_decimal(part, "--point component")
                for part in args.point.split(",") if part != ""]
     if len(display) < 2:

@@ -1,4 +1,4 @@
-"""Integer and bit-vector primitives shared by the Hilbert-order codecs.
+"""Integer and bit-vector primitives shared by the reference codecs.
 
 Conventions used throughout the package:
 
@@ -18,36 +18,14 @@ Everything here is pure and operates on non-negative integers only.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
+from .curve import CurveParams, check_digits, check_dimension, integer_digits
 from .errors import DimensionMismatchError, DomainError
 
 Coordinate = tuple[int, ...]
 BitVec = tuple[int, ...]
-
-# Widths up to this many bits get a precomputed Gray-decode table;
-# wider values fall back to the xor-shift cascade.  2**width entries.
-GRAY_TABLE_MAX_BITS = 16
-
-# The struct code of a field of each width in bits up to one word.
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
-@dataclass(frozen=True)
-class CurveParams:
-    """Dimension and level of one curve; fixes the coordinate domain."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 0:
-            raise DomainError(f"level must be a non-negative integer, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -58,15 +36,9 @@ class HilbertIndex:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
+        check_dimension(self.n)
         object.__setattr__(self, "digits", tuple(self.digits))
-        radix = 1 << self.n
-        for pos, digit in enumerate(self.digits):
-            if not isinstance(digit, int) or not 0 <= digit < radix:
-                raise DomainError(
-                    f"digit {len(self.digits) - pos} out of range for dimension {self.n}: {digit!r}"
-                )
+        check_digits(self.digits, self.n)
 
     @property
     def level(self) -> int:
@@ -110,32 +82,18 @@ def gray_code(j: int) -> int:
 
 
 def gray_code_inverse(g: int, width: int | None = None) -> int:
-    """Invert :func:`gray_code`.
-
-    When ``width`` is given and small enough a lookup table is used;
-    otherwise the cumulative xor is computed with a doubling cascade.
-    """
+    """Invert :func:`gray_code` with a doubling xor cascade; a given
+    ``width`` bounds ``g``."""
     if g < 0:
         raise DomainError(f"expected a non-negative integer, got {g}")
-    if width is not None:
-        if not 0 <= g < (1 << width):
-            raise DomainError(f"value {g} does not fit in {width} bits")
-        if 0 < width <= GRAY_TABLE_MAX_BITS:
-            return _gray_inverse_table(width)[g]
+    if width is not None and not 0 <= g < (1 << width):
+        raise DomainError(f"value {g} does not fit in {width} bits")
     j = g
     shift = 1
     while shift < g.bit_length():
         j ^= j >> shift
         shift <<= 1
     return j
-
-
-@lru_cache(maxsize=None)
-def _gray_inverse_table(width: int) -> tuple[int, ...]:
-    table = [0] * (1 << width)
-    for j in range(1 << width):
-        table[j ^ (j >> 1)] = j
-    return tuple(table)
 
 
 def vec_to_scalar(a: Sequence[int]) -> int:
@@ -173,65 +131,6 @@ def index_to_integer(idx: HilbertIndex) -> int:
 def integer_to_index(z: int, params: CurveParams) -> HilbertIndex:
     """Split ``z`` into ``m`` radix ``2**n`` digits, most significant first."""
     return HilbertIndex(params.n, tuple(integer_digits(z, params)))
-
-
-def integer_digits(z: int, params: CurveParams) -> list[int]:
-    """The digits of :func:`integer_to_index` as a list, without checking them again."""
-    n, m = params.n, params.m
-    if not 0 <= z < (1 << (n * m)):
-        raise DomainError(f"index {z} out of range for dimension {n}, level {m}")
-    low = (1 << n) - 1
-    return [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
-
-
-def field_width(bits: int) -> int:
-    """The field that holds ``bits`` bits: the least of 8, 16, 32 and 64
-    bits that does, and above 64 the least multiple of 64."""
-    return next((w for w in (8, 16, 32) if w >= bits), -(-bits // 64) * 64)
-
-
-def field_ones(count: int, width: int) -> int:
-    """Bit 0 of each of ``count`` fields ``width`` bits wide."""
-    return int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")
-
-
-def pack_column(values: Sequence[int], width: int) -> int:
-    """One ``int`` whose ``width``-bit field ``j`` holds ``values[j]``.
-
-    ``width`` is a :func:`field_width`, and every value must fit
-    its field.  Up to 64 bits this is one ``struct.pack``; above that one
-    ``int.to_bytes`` per value.
-    """
-    code = _FIELD_CODES.get(width)
-    if code:
-        return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
-    size = width // 8
-    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
-
-
-def unpack_columns(columns: Sequence[int], count: int, width: int) -> tuple[int, ...]:
-    """Invert :func:`pack_column` on each of ``columns``, ``count`` fields
-    each, and interleave them: field 0 of every column in order, then
-    field 1, and so on.
-
-    A ``memoryview`` of whole fields up to 64 bits, and of 64-bit words
-    above, does the interleaving.  Up to 64 bits the fields are then read
-    with one ``struct.unpack``; above that with one ``int.from_bytes`` each.
-    """
-    size = width // 8
-    word = min(width, 64)
-    code = _FIELD_CODES[word]
-    per = width // word  # words per field
-    stride = per * len(columns)
-    data = bytearray(size * count * len(columns))
-    words = memoryview(data).cast(code)
-    for i, column in enumerate(columns):
-        source = memoryview(column.to_bytes(size * count, "little")).cast(code)
-        for t in range(per):
-            words[i * per + t::stride] = source[t::per]
-    if width <= 64:
-        return struct.unpack(f"<{count * len(columns)}{code}", data)
-    return tuple([int.from_bytes(data[j:j + size], "little") for j in range(0, len(data), size)])
 
 
 def _check_bits(a: Sequence[int]) -> None:

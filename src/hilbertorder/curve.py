@@ -1,0 +1,379 @@
+"""The production codec: one batch kernel per direction, and its input checks.
+
+A curve is a :class:`CurveParams`: the dimension ``n`` (at least 2) and
+the level ``m``, every component in ``[0, 2**m)``.  A Hilbert index is
+``m`` radix ``2**n`` digits, most significant first.  :func:`curve_keys`
+keys a batch of points and :func:`curve_points` places a batch of
+indices; each is one whole-batch check and an unchecked kernel, which
+the command line runs directly once its readers have checked a file.
+
+Both kernels run the transposed-form walk of J. Skilling ("Programming
+the Hilbert curve", AIP Conf. Proc. 707, 2004) on all points at once,
+SIMD within a register (R. J. Fisher and H. G. Dietz, "Compiling for
+SIMD within a register", LCPC 1998): component ``i + 1`` of every point
+is one ``int`` of ``W``-bit fields, one field per point, packed by
+:func:`pack_column` and read back by :func:`unpack_columns`, with ``W``
+from :func:`field_width`.  Per level, :func:`reverse_step` and
+:func:`exchange_step` apply every point's quadrant commands in O(n)
+whole-int operations.  They compute the commands from closed forms in
+the quadrant digit (those of ``gene.quadrant_commands``), so no gene
+table is built.  The tests hold both kernels to the paper's reference
+variants in ``encode`` and ``decode``.
+
+This module imports nothing of the package but ``errors``, so the codec
+commands load no reference code and no dataclass.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Sequence
+
+from .errors import DimensionMismatchError, DomainError, ResourceLimitError
+
+# Table construction is O(2**n); refuse dimensions above this cap.
+GENE_DIMENSION_CAP = 20
+
+# The struct code of a field of each width in bits up to one word.
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+class CurveParams:
+    """Dimension and level of one curve; fixes the coordinate domain.
+
+    Immutable; equal, and hashed alike, when ``n`` and ``m`` are.
+    """
+
+    __slots__ = ("n", "m")
+    n: int
+    m: int
+
+    def __init__(self, n: int, m: int) -> None:
+        check_dimension(n)
+        if not isinstance(m, int) or m < 0:
+            raise DomainError(f"level must be a non-negative integer, got {m!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m) == (other.n, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; __setattr__ refuses them.
+        return type(self), (self.n, self.m)
+
+
+def check_dimension(n: int) -> None:
+    """Raise unless ``n`` is an integer dimension of at least 2."""
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+
+
+def check_table_dimension(n: int) -> None:
+    """Raise unless ``n`` is a dimension of at least 2 and at most
+    ``GENE_DIMENSION_CAP``."""
+    check_dimension(n)
+    if n > GENE_DIMENSION_CAP:
+        raise ResourceLimitError(
+            f"gene table for dimension {n} exceeds the cap of {GENE_DIMENSION_CAP}"
+        )
+
+
+def check_point(p: Sequence[int], params: CurveParams) -> None:
+    """Raise as the variants do unless ``p`` has ``n`` integer components,
+    none a ``bool``, each in ``[0, 2**m)``."""
+    if len(p) != params.n:
+        raise DimensionMismatchError(
+            f"point has {len(p)} components, curve dimension is {params.n}"
+        )
+    for i, c in enumerate(p):
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise DomainError(f"component {i + 1} is not an integer: {c!r}")
+        if c < 0 or c >> params.m:
+            raise DomainError(
+                f"component {i + 1} out of range for level {params.m}: {c}"
+            )
+
+
+def check_index(digits: Sequence[int], params: CurveParams) -> None:
+    """Raise as ``HilbertIndex`` and ``decode_arith`` do unless ``digits`` are
+    ``m`` integers in ``[0, 2**n)``; a wrong count is named first."""
+    check_digit_count(len(digits), params.m)
+    check_digits(digits, params.n)
+
+
+def check_digit_count(count: int, m: int) -> None:
+    """Raise unless an index of ``count`` digits fits level ``m``."""
+    if count != m:
+        raise DomainError(f"index has {count} digits, curve level is {m}")
+
+
+def check_digits(digits: Sequence[int], n: int) -> None:
+    """Raise for the first of ``digits`` that is not an integer in
+    ``[0, 2**n)``, numbering the last digit 1."""
+    radix = 1 << n
+    for pos, digit in enumerate(digits):
+        if not isinstance(digit, int) or not 0 <= digit < radix:
+            raise DomainError(
+                f"digit {len(digits) - pos} out of range for dimension {n}: {digit!r}"
+            )
+
+
+def integer_digits(z: int, params: CurveParams) -> list[int]:
+    """Split ``z`` into ``m`` radix ``2**n`` digits, most significant first."""
+    n, m = params.n, params.m
+    if not 0 <= z < (1 << (n * m)):
+        raise DomainError(f"index {z} out of range for dimension {n}, level {m}")
+    low = (1 << n) - 1
+    return [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]
+
+
+def field_width(bits: int) -> int:
+    """The field that holds ``bits`` bits: the least of 8, 16, 32 and 64
+    bits that does, and above 64 the least multiple of 64."""
+    return next((w for w in (8, 16, 32) if w >= bits), -(-bits // 64) * 64)
+
+
+def field_ones(count: int, width: int) -> int:
+    """Bit 0 of each of ``count`` fields ``width`` bits wide."""
+    return int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")
+
+
+def pack_column(values: Sequence[int], width: int) -> int:
+    """One ``int`` whose ``width``-bit field ``j`` holds ``values[j]``.
+
+    ``width`` is a :func:`field_width`, and every value must fit
+    its field.  Up to 64 bits this is one ``struct.pack``; above that one
+    ``int.to_bytes`` per value.
+    """
+    code = _FIELD_CODES.get(width)
+    if code:
+        return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+    size = width // 8
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
+
+def unpack_columns(columns: Sequence[int], count: int, width: int) -> tuple[int, ...]:
+    """Invert :func:`pack_column` on each of ``columns``, ``count`` fields
+    each, and interleave them: field 0 of every column in order, then
+    field 1, and so on.
+
+    A ``memoryview`` of whole fields up to 64 bits, and of 64-bit words
+    above, does the interleaving.  Up to 64 bits the fields are then read
+    with one ``struct.unpack``; above that with one ``int.from_bytes`` each.
+    """
+    size = width // 8
+    word = min(width, 64)
+    code = _FIELD_CODES[word]
+    per = width // word  # words per field
+    stride = per * len(columns)
+    data = bytearray(size * count * len(columns))
+    words = memoryview(data).cast(code)
+    for i, column in enumerate(columns):
+        source = memoryview(column.to_bytes(size * count, "little")).cast(code)
+        for t in range(per):
+            words[i * per + t::stride] = source[t::per]
+    if width <= 64:
+        return struct.unpack(f"<{count * len(columns)}{code}", data)
+    return tuple([int.from_bytes(data[j:j + size], "little") for j in range(0, len(data), size)])
+
+
+# The two commands bit-sliced, for the batch kernels: c[i] holds component
+# i + 1 of every point, one field each, and r[i] is bit i of each point's
+# quadrant, spread over the bits the commands act on, which ``low`` marks.
+# Within ``low``, & and ^ act on every bit as on one point's bit.
+
+
+def reverse_step(c: list[int], r: Sequence[int], low: int) -> None:
+    """Apply each point's reverse command of ``gene.quadrant_commands`` to ``c``."""
+    # The entry corner is gray(s), s = (r - 1) & ~1.  b is the borrow of
+    # r - 1 into bit i, so s_i = r_i ^ b; past the top bit it flags r = 0,
+    # where s_0 = s_n = b makes s all ones, flipping nothing.
+    n = len(c)
+    b = low ^ r[0]
+    s = [0] * (n + 1)
+    for i in range(1, n):
+        s[i] = r[i] ^ b
+        b &= s[i]
+    s[0] = s[n] = b
+    for i in range(n):
+        c[i] ^= s[i] ^ s[i + 1]
+
+
+def exchange_step(c: list[int], r: Sequence[int], low: int) -> None:
+    """Apply each point's exchange command of ``gene.quadrant_commands`` to ``c``."""
+    # Swap components d + 1 and n, d the lowest i >= 1 with r_i != r_0,
+    # else 0; none when d = n - 1.  A point has one d, so component n
+    # takes the xor of every swap's difference.
+    last = len(c) - 1
+    rest = low
+    moved = 0
+    for i in range(1, last):
+        pick = rest & (r[i] ^ r[0])
+        rest ^= pick
+        t = (c[i] ^ c[last]) & pick
+        c[i] ^= t
+        moved ^= t
+    rest ^= rest & (r[last] ^ r[0])
+    t = (c[0] ^ c[last]) & rest
+    c[0] ^= t
+    c[last] ^= moved ^ t
+
+
+def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
+    """Return the index of every point of a batch as one ``int`` each.
+
+    ``values`` holds the points flat, each written ``x_n .. x_1`` as in a
+    point file, and key ``j`` equals ``index_to_integer(encode_arith(...)[0])``
+    of point ``j``.  Only a batch that fails the whole-batch checks (length,
+    types, least and greatest value) is checked point by point, raising as
+    the variants do for the first bad point; an int subclass passes.
+    """
+    n, m = params.n, params.m
+    check_table_dimension(n)
+    if len(values) % n or set(map(type, values)) - {int} or values and (
+        min(values) < 0 or max(values) >> m
+    ):
+        for j in range(0, len(values), n):
+            check_point(values[j:j + n][::-1], params)
+    return unchecked_keys(params, values)
+
+
+def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
+    """:func:`curve_keys` of values that are checked: whole points of
+    integers in ``[0, 2**m)``.
+
+    The walk runs top down, over only the ``k`` levels below the bit
+    length of the largest component; the levels above are all quadrant 0,
+    so they collapse into one swap of components 1 and ``n`` when their
+    count is odd.  ``W`` is ``field_width(max(k, n))``, so a field holds a
+    component and at least one level's digit.  Each level reads every
+    quadrant digit and applies :func:`reverse_step` and then
+    :func:`exchange_step` to the low bits.  The digits fill one ``W``-bit
+    field per point, ``W // n`` levels at a time, each group read back by
+    :func:`unpack_columns`.
+    """
+    n, m = params.n, params.m
+    count = len(values) // n
+    k = max(values, default=0).bit_length()
+    if not k:
+        return [0] * count
+    width = field_width(max(k, n))  # a field holds a component and a digit
+    c = [pack_column(values[n - 1 - i::n], width) for i in range(n)]
+    if (m - k) & 1:
+        c[0], c[-1] = c[-1], c[0]
+    ones = field_ones(count, width)
+    per = width // n  # levels whose digits fill one field
+    keys: list[int] = []
+    for top in range(k - 1, -1, -per):
+        key = 0
+        for v in range(top, max(top - per, -1), -1):
+            bit = ones << v
+            # The rank bits of the plane g at bit v: r_i = g_i ^ .. ^ g_(n-1).
+            r = [0] * n
+            acc = 0
+            for i in range(n - 1, -1, -1):
+                acc ^= c[i] & bit
+                r[i] = acc
+            digit = 0
+            for i in range(n):
+                digit |= r[i] >> (v - i) if v >= i else r[i] << (i - v)
+            key = (key << n) | digit
+            if not v:
+                break
+            # Spread each rank bit over the low v bits of its field.
+            low = bit - ones
+            r = [x - (x >> v) for x in r]
+            reverse_step(c, r, low)
+            exchange_step(c, r, low)
+        part = unpack_columns([key], count, width)
+        shift = n * (top - v + 1)  # v is the group's last level
+        keys = [(a << shift) | z for a, z in zip(keys, part)] if keys else list(part)
+    return keys
+
+
+def curve_points(
+    params: CurveParams, digits: Sequence[int], count: int | None = None
+) -> tuple[int, ...]:
+    """Return the point of every index of a batch, its components flat.
+
+    ``digits`` holds ``count`` indices flat, ``m`` radix ``2**n`` digits
+    each, most significant first (as in ``HilbertIndex.digits``);
+    ``count`` is ``len(digits) / m`` by default, and must be given at
+    ``m = 0``, where an index has no digits.  The result holds each point
+    written ``x_n .. x_1``, as a point file holds it, and point ``j``
+    equals ``decode_arith(HilbertIndex(n, index_j), params, table)[0]``
+    reversed.  Only a batch that fails the whole-batch checks (length,
+    types, least and greatest digit) is checked index by index by
+    :func:`check_index`, which raises for the first bad index and names a
+    wrong digit count before a bad digit; a batch of one with the wrong
+    count is named by its whole digit count.
+    """
+    n, m = params.n, params.m
+    check_table_dimension(n)
+    if count is None:
+        count = -(-len(digits) // m) if m else 0
+    if len(digits) != count * m or set(map(type, digits)) - {int} or digits and (
+        min(digits) < 0 or max(digits) >> n
+    ):
+        for j in range(count):  # the last index takes the digits left over
+            check_index(digits[j * m:(j + 1) * m if j + 1 < count else None], params)
+        if len(digits) != count * m:  # only where count is 0
+            raise DomainError(f"{len(digits)} digits given for {count} indices at level {m}")
+    return unchecked_points(params, digits, count)
+
+
+def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> tuple[int, ...]:
+    """:func:`curve_points` of ``count`` indices whose digits are checked.
+
+    The walk places every index bottom up.  ``W`` starts at
+    ``field_width(max(min(m, 64), n))``, so it holds the ``n`` bits of a
+    digit and, up to ``m = 64``, the ``m`` bits of a component; past that
+    every field grows by one 64-bit word each time the placed levels fill
+    it, to ``field_width(m)`` at the end.  Per level ``v``, the digit
+    column of every index is packed by :func:`pack_column`; with ``v``
+    planes placed, :func:`exchange_step` and then :func:`reverse_step`
+    apply quadrant ``r``'s commands to the low ``v`` bits, and ``gray(r)``
+    becomes bit ``v``.  :func:`unpack_columns` reads the components back
+    in point order.
+    """
+    n, m = params.n, params.m
+    if not m:
+        return (0,) * (n * count)
+    width = field_width(max(min(m, 64), n))  # a field holds a packed digit
+    ones = field_ones(count, width)
+    c = [0] * n
+    for v in range(m):
+        if v == width:  # the placed levels fill every field: widen it by a word
+            values = unpack_columns(c, count, width)
+            width += 64
+            c = [pack_column(values[i::n], width) for i in range(n)]
+            ones = field_ones(count, width)
+        packed = pack_column(digits[m - 1 - v::m], width)
+        r = [(packed >> i) & ones for i in range(n)]  # the rank bits r_i of every digit
+        top = [x << v for x in r]
+        top.append(0)
+        if v:
+            # Spread each rank bit over the low v bits of its field.
+            low = (ones << v) - ones
+            r = [t - x for t, x in zip(top, r)]
+            exchange_step(c, r, low)
+            reverse_step(c, r, low)
+        # Set bit v, zero in every field so far, to gray(r): bit i is r_i ^ r_(i+1).
+        for i in range(n):
+            c[i] ^= top[i] ^ top[i + 1]
+    return unpack_columns(c[::-1], count, width)

@@ -31,13 +31,10 @@ first), matching coordinate output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .core_bits import BitVec, CurveParams, gray_code, integer_to_index
-from .errors import DimensionMismatchError, DomainError, ResourceLimitError
-
-# Table construction is O(2**n); refuse dimensions above this cap.
-GENE_DIMENSION_CAP = 20
+from .core_bits import BitVec, gray_code, integer_to_index
+from .curve import CurveParams, check_dimension, check_table_dimension
+from .errors import DimensionMismatchError, DomainError
 
 # Full curve walks during validation are capped like the enumeration
 # oracle; above this the level-2 walk is skipped, not failed.
@@ -119,7 +116,7 @@ class GeneValidationReport:
 
 def entry_exit(n: int, i: int) -> EntryExit:
     """Entry and exit corner of quadrant ``i`` for dimension ``n``."""
-    _check_dimension(n)
+    check_dimension(n)
     if not 0 <= i < (1 << n):
         raise DomainError(f"quadrant {i} out of range for dimension {n}")
     return EntryExit(
@@ -128,9 +125,9 @@ def entry_exit(n: int, i: int) -> EntryExit:
     )
 
 
-def gene_table(n: int, max_dimension: int | None = None) -> GeneTable:
+def gene_table(n: int) -> GeneTable:
     """Build the full gene table for dimension ``n``."""
-    check_table_dimension(n, GENE_DIMENSION_CAP if max_dimension is None else max_dimension)
+    check_table_dimension(n)
     top = 1 << (n - 1)
     entries = []
     corners = []
@@ -144,13 +141,6 @@ def gene_table(n: int, max_dimension: int | None = None) -> GeneTable:
     return GeneTable(n, tuple(entries), tuple(corners))
 
 
-def check_table_dimension(n: int, cap: int = GENE_DIMENSION_CAP) -> None:
-    """Raise unless ``n`` is a dimension of at least 2 and at most ``cap``."""
-    _check_dimension(n)
-    if n > cap:
-        raise ResourceLimitError(f"gene table for dimension {n} exceeds the cap of {cap}")
-
-
 def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
     """Quadrant ``r``'s reverse command as an ``n``-bit mask, and its exchange
     as ``swap_pairs`` holds it, from closed forms in ``r`` alone, in O(1):
@@ -160,48 +150,6 @@ def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
     y = ((r >> 1) ^ -(r & 1)) & ((1 << (n - 1)) - 1)  # bit i - 1: r_i != r_0
     d = (y & -y).bit_length()
     return _entry_mask(r), None if d == n - 1 else (d, n - 1)
-
-
-# The two commands bit-sliced, for the batch kernels: c[i] holds component
-# i + 1 of every point, one field each, and r[i] is bit i of each point's
-# quadrant, spread over the bits the commands act on, which ``low`` marks.
-# Within ``low``, & and ^ act on every bit as on one point's bit.
-
-
-def reverse_step(c: list[int], r: Sequence[int], low: int) -> None:
-    """Apply each point's reverse command of :func:`quadrant_commands` to ``c``."""
-    # The entry corner is gray(s), s = (r - 1) & ~1.  b is the borrow of
-    # r - 1 into bit i, so s_i = r_i ^ b; past the top bit it flags r = 0,
-    # where s_0 = s_n = b makes s all ones, flipping nothing.
-    n = len(c)
-    b = low ^ r[0]
-    s = [0] * (n + 1)
-    for i in range(1, n):
-        s[i] = r[i] ^ b
-        b &= s[i]
-    s[0] = s[n] = b
-    for i in range(n):
-        c[i] ^= s[i] ^ s[i + 1]
-
-
-def exchange_step(c: list[int], r: Sequence[int], low: int) -> None:
-    """Apply each point's exchange command of :func:`quadrant_commands` to ``c``."""
-    # Swap components d + 1 and n, d the lowest i >= 1 with r_i != r_0,
-    # else 0; none when d = n - 1.  A point has one d, so component n
-    # takes the xor of every swap's difference.
-    last = len(c) - 1
-    rest = low
-    moved = 0
-    for i in range(1, last):
-        pick = rest & (r[i] ^ r[0])
-        rest ^= pick
-        t = (c[i] ^ c[last]) & pick
-        c[i] ^= t
-        moved ^= t
-    rest ^= rest & (r[last] ^ r[0])
-    t = (c[0] ^ c[last]) & rest
-    c[0] ^= t
-    c[last] ^= moved ^ t
 
 
 def validate_gene_table(table: GeneTable) -> GeneValidationReport:
@@ -274,11 +222,6 @@ def _bits_to_mask(bits: BitVec) -> int:
         if bit:
             mask |= 1 << i
     return mask
-
-
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
 
 
 def _check_shape(table: GeneTable) -> ValidationCheck:

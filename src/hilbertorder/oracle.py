@@ -10,11 +10,13 @@ records loop passes and wall time per encoder variant across levels.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
-from .core_bits import Coordinate, CurveParams, gray_code
+from .core_bits import Coordinate, gray_code
+from .curve import CurveParams
 from .encode import ENCODERS, effective_level
 from .errors import DomainError, ResourceLimitError
 from .gene import GeneTable
@@ -58,9 +60,7 @@ class BenchmarkReport:
         return all(row.counter_ok for row in self.rows)
 
 
-def enumerate_recursive(
-    params: CurveParams, table: GeneTable, max_bits: int | None = None
-) -> CurveEnumeration:
+def enumerate_recursive(params: CurveParams, table: GeneTable) -> CurveEnumeration:
     """Build the full visit order by expanding one level at a time.
 
     Each pass replaces the level ``t - 1`` point list by ``2**n``
@@ -68,10 +68,10 @@ def enumerate_recursive(
     exchange pair, reflect the reverse components within the old box,
     then shift into the quadrant.
     """
-    cap = ENUMERATION_MAX_BITS if max_bits is None else max_bits
-    if params.n * params.m > cap:
+    if params.n * params.m > ENUMERATION_MAX_BITS:
         raise ResourceLimitError(
-            f"enumerating 2**{params.n * params.m} points exceeds the guard of 2**{cap}"
+            f"enumerating 2**{params.n * params.m} points exceeds the guard of "
+            f"2**{ENUMERATION_MAX_BITS}"
         )
     table.check_dimension(params.n)
     n = params.n
@@ -131,8 +131,6 @@ def run_counter_benchmark(
     Counters are exact (loop passes per call); the timing medians are
     informational only.
     """
-    import statistics  # here, not at the top: every CLI call imports this module
-
     if repeats < 1:
         raise DomainError(f"repeats must be positive, got {repeats}")
     point = tuple(point)

@@ -10,9 +10,9 @@ else as ``digits:`` and their radix ``2**n`` digits, most significant first.
 
 A reader opens its file once and takes the format from its bytes, so a
 pipe works as an input.  :func:`read_points` gives the components flat,
-in file order, as :func:`encode.curve_keys` takes them, and
+in file order, as :func:`curve.curve_keys` takes them, and
 :func:`read_indices` the digits of every index flat, as
-:func:`decode.curve_points` takes them; each checks its values once per
+:func:`curve.curve_points` takes them; each checks its values once per
 file, so the codec that follows need not check them again.  A binary file,
 and a text file of ASCII digits, spaces, tabs, ``\n`` or ``\r\n`` line
 ends and UTF-8 ``#`` comment lines, ``n`` components on every other line
@@ -37,9 +37,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core_bits import Coordinate, CurveParams, integer_digits
-from .decode import check_index
-from .encode import check_point
+from .curve import CurveParams, check_index, check_point, integer_digits
 from .errors import DomainError, PointFileError
 
 POINT_MAGIC = b"HPTS"
@@ -75,14 +73,14 @@ def parse_decimal(token: str, what: str) -> int:
         ) from None
 
 
-def parse_point(parts: Sequence[str], n: int) -> Coordinate:
+def parse_point(parts: Sequence[str], n: int) -> tuple[int, ...]:
     """Read components written ``x_n .. x_1`` as the point ``(x_1, .., x_n)``."""
     if len(parts) != n:
         raise DomainError(f"expected {n} components, found {len(parts)}")
     return tuple(reversed([parse_decimal(part, "component") for part in parts]))
 
 
-def format_point(point: Coordinate) -> str:
+def format_point(point: tuple[int, ...]) -> str:
     return " ".join(map(str, reversed(point)))
 
 
@@ -123,7 +121,7 @@ def index_digits(token: str, params: CurveParams) -> Sequence[int]:
 
 def parse_index(token: str, params: CurveParams) -> Sequence[int]:
     """Digits of an index token, checked against the curve as
-    :func:`decode.check_index` checks them."""
+    :func:`curve.check_index` checks them."""
     digits = index_digits(token, params)
     check_index(digits, params)
     return digits

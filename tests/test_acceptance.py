@@ -10,21 +10,19 @@ import sys
 import time
 
 from hilbertorder.core_bits import (
-    CurveParams,
     index_to_integer,
     integer_to_index,
     vec_of_scalar,
     vec_to_scalar,
 )
+from hilbertorder.curve import CurveParams, curve_keys, curve_points
 from hilbertorder.decode import (
-    curve_points,
     decode_arith,
     decode_arith_fast,
     decode_bits,
     decode_bits_fast,
 )
 from hilbertorder.encode import (
-    curve_keys,
     encode_arith,
     encode_arith_fast,
     encode_bits,

@@ -10,15 +10,12 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hilbertorder import cli, gene, pointio
+from hilbertorder import cli, gene, oracle, pointio
 from hilbertorder.cli import main
-from hilbertorder.core_bits import (
-    CurveParams, index_to_integer, integer_digits, integer_to_index,
-)
-from hilbertorder.decode import (
-    decode_arith, decode_arith_fast, decode_bits, decode_bits_fast, unchecked_points,
-)
-from hilbertorder.encode import ENCODERS, encode_arith, encode_bits, unchecked_keys
+from hilbertorder.core_bits import index_to_integer, integer_to_index
+from hilbertorder.curve import CurveParams, integer_digits, unchecked_keys, unchecked_points
+from hilbertorder.decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
+from hilbertorder.encode import ENCODERS, encode_arith, encode_bits
 from hilbertorder.errors import DomainError
 from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
 
@@ -355,7 +352,7 @@ class TestDecodeCommand:
         def refuse(n):
             raise AssertionError("decode must not build a gene table")
 
-        monkeypatch.setattr(cli, "gene_table", refuse)
+        monkeypatch.setattr(gene, "gene_table", refuse)
         code, out, _ = run(capsys, "decode", "-n", "16", "-m", "8", "5")
         assert code == 0
         assert out == "1 0 0 0 0 0 0 0 0 0 0 0 0 1 1 0\n"  # as when it built one
@@ -748,7 +745,7 @@ class TestValidateCommand:
         entries = list(table.entries)
         entries[0] = GeneEntry(entries[0].exchange, (1, 1))
         broken = GeneTable(2, tuple(entries), table.corners)
-        monkeypatch.setattr(cli, "gene_table", lambda n: broken)
+        monkeypatch.setattr(gene, "gene_table", lambda n: broken)
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
@@ -758,7 +755,7 @@ class TestValidateCommand:
         def walk(*args, **kwargs):
             raise AssertionError("no curve may be walked")
 
-        monkeypatch.setattr(cli, "enumerate_recursive", walk)
+        monkeypatch.setattr(oracle, "enumerate_recursive", walk)
         code, out, err = run(capsys, "validate", "--dim", "5", "--max-level", "5")
         assert code == 2
         assert out == ""
@@ -792,7 +789,6 @@ class TestValidateCommand:
             calls.append(table.n)
             return validate_gene_table(table)
 
-        monkeypatch.setattr(cli, "validate_gene_table", counting)
         monkeypatch.setattr(gene, "validate_gene_table", counting)
         for _ in range(2):
             code, _, _ = run(capsys, "validate", "--dim", "3", "--max-level", "1")
@@ -991,8 +987,36 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "2\n"
 
-    def test_import_leaves_statistics_unloaded(self):
-        # statistics pulls in fractions and decimal; only `hilbert bench` needs it.
-        code = "import hilbertorder.cli, sys; print('statistics' in sys.modules)"
+    def test_import_leaves_statistics_unloaded(self, tmp_path):
+        # statistics pulls in fractions and decimal, and dataclasses costs more
+        # than a one-point codec call; only `gene`, `validate` and `bench` load
+        # these modules.  The child checks after the import and after the calls.
+        source, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
+        source.write_text("1 2\n0 3\n")
+        code = f"""if True:
+            import sys
+            import hilbertorder.cli
+            unwanted = {{"dataclasses", "statistics"}} | {{"hilbertorder." + name for name in
+                ("core_bits", "encode", "decode", "gene", "oracle")}}
+            print(sorted(unwanted & set(sys.modules)))
+            for argv in (["encode", "-n", "2", "-m", "2", "1", "1"],
+                         ["decode", "-n", "2", "-m", "2", "2"],
+                         ["sort", "-n", "2", "-m", "2", {str(source)!r}, {str(target)!r}]):
+                assert hilbertorder.cli.main(argv) == 0
+            print(sorted(unwanted & set(sys.modules)))
+        """
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (result.returncode, result.stdout) == (0, "False\n")
+        assert (result.returncode, result.stdout) == (0, "[]\n2\n1 1\n[]\n")
+        assert target.read_text() == "0 3\n1 2\n"  # keys 5 and 7
+
+    def test_package_resolves_every_public_name(self):
+        import hilbertorder
+
+        namespace = {}
+        exec("from hilbertorder import *", namespace)
+        for name in hilbertorder.__all__:
+            assert getattr(hilbertorder, name) is namespace[name]
+        assert len(hilbertorder.__all__) == len(set(hilbertorder.__all__)) == 47
+        assert hilbertorder.__version__ == "0.1.0"
+        with pytest.raises(AttributeError, match="no attribute 'curve_key'"):
+            hilbertorder.curve_key

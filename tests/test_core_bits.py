@@ -1,27 +1,30 @@
+import copy
+import pickle
 import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hilbertorder import core_bits
 from hilbertorder.core_bits import (
-    CurveParams,
     HilbertIndex,
     coord_xor,
-    field_ones,
-    field_width,
     gray_code,
     gray_code_inverse,
     index_to_integer,
-    integer_digits,
     integer_to_index,
-    pack_column,
     parity_prefix,
     reflect,
-    unpack_columns,
     vec_of_scalar,
     vec_to_scalar,
+)
+from hilbertorder.curve import (
+    CurveParams,
+    field_ones,
+    field_width,
+    integer_digits,
+    pack_column,
+    unpack_columns,
 )
 from hilbertorder.errors import DimensionMismatchError, DomainError
 
@@ -56,6 +59,18 @@ class TestCurveParams:
     def test_rejects_bad_parameters(self, n, m):
         with pytest.raises(DomainError):
             CurveParams(n, m)
+
+    def test_behaves_as_a_frozen_value(self):
+        params = CurveParams(n=3, m=8)
+        assert params == CurveParams(3, 8) != CurveParams(3, 9)
+        assert params != (3, 8)
+        assert hash(params) == hash(CurveParams(3, 8))
+        assert repr(params) == "CurveParams(n=3, m=8)"
+        with pytest.raises(AttributeError):
+            params.m = 9
+        with pytest.raises(AttributeError):
+            del params.n
+        assert pickle.loads(pickle.dumps(params)) == copy.deepcopy(params) == params
 
 
 class TestCoordXor:
@@ -185,12 +200,6 @@ class TestGrayHelpers:
         step = max(1, (1 << width) // 4096)
         for j in range(0, 1 << width, step):
             assert gray_code_inverse(gray_code(j), width) == j
-
-    def test_cascade_matches_table(self, monkeypatch):
-        want = [gray_code_inverse(g, 10) for g in range(1024)]
-        monkeypatch.setattr(core_bits, "GRAY_TABLE_MAX_BITS", 0)
-        got = [gray_code_inverse(g, 10) for g in range(1024)]
-        assert got == want
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):

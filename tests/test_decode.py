@@ -5,16 +5,16 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbertorder.core_bits import CurveParams, HilbertIndex, integer_digits, integer_to_index
+from hilbertorder.core_bits import HilbertIndex, integer_to_index
+from hilbertorder.curve import CurveParams, curve_keys, curve_points, integer_digits
 from hilbertorder.decode import (
-    curve_points,
     decode_arith,
     decode_arith_fast,
     decode_bits,
     decode_bits_fast,
     index_effective_level,
 )
-from hilbertorder.encode import curve_keys, encode_arith, encode_bits
+from hilbertorder.encode import encode_arith, encode_bits
 from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
 from hilbertorder.gene import gene_table
 

@@ -4,9 +4,9 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbertorder.core_bits import CurveParams, HilbertIndex, index_to_integer
+from hilbertorder.core_bits import HilbertIndex, index_to_integer
+from hilbertorder.curve import CurveParams, curve_keys
 from hilbertorder.encode import (
-    curve_keys,
     effective_level,
     encode_arith,
     encode_arith_fast,

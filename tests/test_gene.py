@@ -1,6 +1,7 @@
 import pytest
 
-from hilbertorder.core_bits import CurveParams, integer_to_index
+from hilbertorder.core_bits import integer_to_index
+from hilbertorder.curve import CurveParams
 from hilbertorder.decode import decode_arith
 from hilbertorder.errors import DomainError, ResourceLimitError
 from hilbertorder.gene import (
@@ -91,8 +92,6 @@ class TestGeneTable:
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
             gene_table(21)
-        with pytest.raises(ResourceLimitError):
-            gene_table(4, max_dimension=3)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(DomainError):

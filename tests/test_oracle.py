@@ -1,6 +1,7 @@
 import pytest
 
-from hilbertorder.core_bits import CurveParams, integer_to_index, vec_to_scalar
+from hilbertorder.core_bits import integer_to_index, vec_to_scalar
+from hilbertorder.curve import CurveParams
 from hilbertorder.decode import decode_arith
 from hilbertorder.encode import encode_arith
 from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
@@ -81,11 +82,6 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_recursive(CurveParams(3, 9), TABLES[3])
-        with pytest.raises(ResourceLimitError):
-            enumerate_recursive(CurveParams(2, 2), TABLES[2], max_bits=3)
-        # the override also widens the guard
-        enum = enumerate_recursive(CurveParams(2, 2), TABLES[2], max_bits=4)
-        assert len(enum.points) == 16
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

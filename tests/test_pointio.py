@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder import pointio
 from hilbertorder.cli import main
-from hilbertorder.core_bits import CurveParams
+from hilbertorder.curve import CurveParams
 from hilbertorder.encode import encode_arith
 from hilbertorder.errors import DomainError, PointFileError
 from hilbertorder.gene import gene_table
