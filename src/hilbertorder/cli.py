@@ -30,7 +30,7 @@ from .curve import (
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
     format_flat,
-    index_formatter,
+    format_indices,
     int_max_str_digits,
     parse_decimal,
     parse_index,
@@ -133,8 +133,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         keys = unchecked_keys(params, read_points(args.input, params)[0])
     else:
         keys = curve_keys(params, parse_point(args.coords, params.n)[::-1])
-    line = index_formatter(params, args.digits)
-    sys.stdout.write("".join([line(z) + "\n" for z in keys]))
+    sys.stdout.write(format_indices(keys, params, args.digits))
     return 0
 
 

@@ -136,7 +136,7 @@ def check_digits(digits: Sequence[int], n: int) -> None:
 def integer_digits(z: int, params: CurveParams) -> list[int]:
     """Split ``z`` into ``m`` radix ``2**n`` digits, most significant first."""
     n, m = params.n, params.m
-    if not 0 <= z < (1 << (n * m)):
+    if z < 0 or z >> (n * m):
         raise DomainError(f"index {z} out of range for dimension {n}, level {m}")
     low = (1 << n) - 1
     return [(z >> shift) & low for shift in range(n * (m - 1), -1, -n)]

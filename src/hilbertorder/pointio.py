@@ -49,7 +49,7 @@ _POINT_HEADER = len(POINT_MAGIC) + _POINT_FIELDS.size
 _PLAIN_TEXT_BYTES = b"0123456789 \t\n"
 
 DIGIT_PREFIX = "digits:"
-# Strings one digit table of index_formatter may hold.  It holds 2**(n * L)
+# Strings one digit table of format_indices may hold.  It holds 2**(n * L)
 # strings for L digits per lookup, so L = 6, 4, 3 at n = 2, 3, 4 and 1 up
 # to n = 12; from n = 13 no table fits.  index_digits reads digits through
 # a dict of the L = 1 table under the same cap.
@@ -127,49 +127,48 @@ def parse_index(token: str, params: CurveParams) -> Sequence[int]:
     return digits
 
 
-def index_formatter(params: CurveParams, force_digits: bool) -> Callable[[int], str]:
-    """A function from an index to its output line: the decimal value while
+def format_indices(keys: Sequence[int], params: CurveParams, force_digits: bool) -> str:
+    """The lines ``encode`` prints for ``keys``: the decimal value while
     ``n * m <= 64``, the ``digits:`` token beyond that, and both where
     ``force_digits`` asks for the token at every size.
 
-    While ``2**n <= _DIGIT_TABLE_STRINGS`` the token's body is read ``L``
-    digits at a time from the table of :func:`_digit_strings`, the
-    ``m mod L`` leading digits from a shorter one; above that, one ``str``
-    per digit.  An index outside ``0 <= z < 2**(n * m)`` raises as
-    :func:`integer_digits` does.
+    Every key sits below ``2**(n * k)``, ``k`` the levels the largest key
+    uses (one at least while ``m > 0``), so each token's ``m - k`` leading
+    digits are one constant ``0.`` prefix.  The ``k`` digits are read as
+    columns over all keys: ``L`` digits per lookup in the table of
+    :func:`_digit_strings` while ``2**n <= _DIGIT_TABLE_STRINGS``, the
+    ``k mod L`` leading ones from a shorter table; above that, one ``str``
+    per digit.  One join per key then makes its token.  The first key
+    outside ``0 <= z < 2**(n * m)`` raises as :func:`integer_digits` does.
     """
     n, m = params.n, params.m
-    top = 1 << (n * m)
+    if keys and (min(keys) < 0 or max(keys) >> (n * m)):
+        integer_digits(next(z for z in keys if z < 0 or z >> (n * m)), params)  # raises
+    decimal = n * m <= 64
+    if decimal and not force_digits:
+        return format_flat(tuple(keys), 1)
+    k = min(m, -(-max(keys, default=0).bit_length() // n) or 1)
     levels = (_DIGIT_TABLE_STRINGS.bit_length() - 1) // n  # largest L with 2**(n * L) <= cap
     if levels:
         width = n * levels
         chunk = (1 << width) - 1
+        lead = width * (k // levels)  # the leading k mod L digits sit above this bit
+        columns = []
+        if k % levels:
+            leading = _digit_strings(n, k % levels)
+            columns.append([leading[z >> lead] for z in keys])
         strings = _digit_strings(n, levels)
-        lead = width * (m // levels)  # the leading m mod L digits sit above this bit
-        leading = _digit_strings(n, m % levels) if m % levels else None
-        shifts = range(lead - width, -1, -width)
-
-        def body(z: int) -> str:
-            parts = [strings[(z >> shift) & chunk] for shift in shifts]
-            if leading is not None:
-                parts.insert(0, leading[z >> lead])
-            return ".".join(parts)
+        for shift in range(lead - width, -1, -width):
+            columns.append([strings[(z >> shift) & chunk] for z in keys])
     else:
-        def body(z: int) -> str:
-            return ".".join(map(str, integer_digits(z, params)))
-
-    decimal = n * m <= 64
-    digits = force_digits or not decimal
-
-    def line(z: int) -> str:
-        if not 0 <= z < top:
-            raise DomainError(f"index {z} out of range for dimension {n}, level {m}")
-        if not digits:
-            return str(z)
-        token = DIGIT_PREFIX + body(z)
-        return f"{z} {token}" if decimal else token
-
-    return line
+        low = (1 << n) - 1
+        shifts = range(n * (k - 1), -1, -n)
+        columns = [[str((z >> shift) & low) for z in keys] for shift in shifts]
+    prefix = DIGIT_PREFIX + "0." * (m - k)
+    tokens = [prefix + ".".join(row) for row in zip(*columns)] if columns else [prefix] * len(keys)
+    if decimal:
+        tokens = [f"{z} {token}" for z, token in zip(keys, tokens)]
+    return "\n".join(tokens + [""])
 
 
 @functools.lru_cache(maxsize=None)

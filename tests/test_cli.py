@@ -144,6 +144,14 @@ class TestEncodeCommand:
         assert code == 0
         assert out.splitlines() == ["3", "0", "2", "1"]
 
+    def test_empty_binary_input_prints_nothing(self, capsys, tmp_path):
+        source = tmp_path / "points.bin"
+        pointio.write_points(source, 3, [], binary=True)
+        for level, digits in (("2", []), ("2", ["--digits"]), ("40", [])):
+            code, out, err = run(capsys, "encode", "--dim", "3", "--level", level,
+                                 "--input", str(source), *digits)
+            assert (code, out, err) == (0, "", "")
+
     def test_binary_input_dimension_mismatch(self, capsys, tmp_path):
         source = tmp_path / "points.bin"
         pointio.write_points(source, 3, [(0, 0, 0)], binary=True)
@@ -170,10 +178,13 @@ class TestEncodeCommand:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 6), m=st.integers(0, 40), digits=st.booleans())
     def test_input_file_matches_reference(self, tmp_path_factory, data, n, m, digits):
-        # Points below 2**k for k <= m, so the top digits are often zero.
+        # Points below 2**k for k <= m, so the top digits are often zero;
+        # the origin and the far corner, when drawn, mix the widest k in.
         k = data.draw(st.integers(0, m))
         component = st.integers(0, (1 << k) - 1)
-        points = data.draw(st.lists(st.tuples(*[component] * n), min_size=1, max_size=4))
+        points = data.draw(st.lists(st.tuples(*[component] * n), min_size=1, max_size=20))
+        points += data.draw(st.sets(st.sampled_from([(0,) * n, ((1 << m) - 1,) * n])))
+        points = data.draw(st.permutations(points))
         path = tmp_path_factory.mktemp("encode") / "points.txt"
         path.write_text("".join(" ".join(map(str, p[::-1])) + "\n" for p in points))
         argv = ["encode", "--dim", str(n), "--level", str(m), "--input", str(path)]
@@ -205,6 +216,11 @@ def digits_per_lookup(n):
     return max((count for count in range(1, 13) if 2 ** (n * count) <= 4096), default=0)
 
 
+def reference_text(keys, params, force_digits):
+    """What ``encode`` prints for ``keys``: one reference line each."""
+    return "".join(reference_line(z, params, force_digits) + "\n" for z in keys)
+
+
 class TestIndexFormatter:
     @pytest.mark.parametrize("force_digits", [False, True])
     @pytest.mark.parametrize("n", range(2, 15))
@@ -213,22 +229,43 @@ class TestIndexFormatter:
         per = digits_per_lookup(n)
         for m in {0, 1, per - 1, per, per + 1, 40} - {-1}:
             params = CurveParams(n, m)
-            line = pointio.index_formatter(params, force_digits)
             top = 2 ** (n * m) - 1
-            for z in {0, min(1, top), top, *(rng.randint(0, top) for _ in range(20))}:
-                assert line(z) == reference_line(z, params, force_digits), (m, z)
+            keys = [0, min(1, top), top, *(rng.randint(0, top) for _ in range(20))]
+            for batch in [keys, *([z] for z in keys)]:
+                expected = reference_text(batch, params, force_digits)
+                assert pointio.format_indices(batch, params, force_digits) == expected, (m, batch)
+
+    @pytest.mark.parametrize("force_digits", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 13, 14])
+    def test_batch_shapes(self, n, force_digits):
+        # n = 12 holds the last table (L = 1); from n = 13 no table fits.
+        rng = random.Random(100 + n)
+        per = max(digits_per_lookup(n), 1)
+        for m in {3 * per + 2, 64 // n + 1}:  # the second prints digits only
+            params = CurveParams(n, m)
+            top = 2 ** (n * m) - 1
+            assert pointio.format_indices([], params, force_digits) == ""
+            batches = [[0], [0, 0, 0], [0, top], [top, 0], [0, 1, 0]]
+            # Keys below 2**(n * k) for every k, most not a multiple of L.
+            batches += [[rng.getrandbits(n * k) for _ in range(6)] + [2 ** (n * k) - 1] * (k > 0)
+                        for k in range(m + 1)]
+            for batch in batches:
+                expected = reference_text(batch, params, force_digits)
+                assert pointio.format_indices(batch, params, force_digits) == expected, (m, batch)
 
     @pytest.mark.parametrize("force_digits", [False, True])
     @pytest.mark.parametrize("n", range(2, 15))
     def test_out_of_range_raises_as_integer_digits(self, n, force_digits):
         for m in (0, 1, 5, 40):
             params = CurveParams(n, m)
-            line = pointio.index_formatter(params, force_digits)
-            for z in (-1, 2 ** (n * m)):
+            top = 2 ** (n * m)
+            for z in (-1, top):
                 with pytest.raises(DomainError) as split:
                     integer_digits(z, params)
-                with pytest.raises(DomainError, match=f"^{re.escape(str(split.value))}$"):
-                    line(z)
+                # The first bad key in batch order is named, wherever it sits.
+                for batch in ([z], [0, z], [top - 1, z, 0, -2 - z, top + 1]):
+                    with pytest.raises(DomainError, match=f"^{re.escape(str(split.value))}$"):
+                        pointio.format_indices(batch, params, force_digits)
 
     def test_digit_tables_hold_at_most_4096_strings(self, monkeypatch):
         built = []
@@ -241,7 +278,8 @@ class TestIndexFormatter:
         monkeypatch.setattr(pointio, "_digit_strings", record)
         for n in range(2, 21):
             for m in (1, 2, 7, 40):
-                pointio.index_formatter(CurveParams(n, m), True)
+                for k in range(m + 1):
+                    pointio.format_indices([0, 2 ** (n * k) - 1], CurveParams(n, m), True)
         assert {n for n, _ in built} == set(range(2, 13))
         assert max(len(strings) for _, strings in built) <= 4096
 
@@ -250,7 +288,7 @@ class TestIndexFormatter:
         pointio._digit_strings.cache_clear()
         tracemalloc.start()
         try:
-            pointio.index_formatter(CurveParams(n, 40), True)
+            pointio.format_indices([2 ** (n * 40) - 1], CurveParams(n, 40), True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
