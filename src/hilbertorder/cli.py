@@ -24,14 +24,12 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .curve import (
-    CurveParams, check_table_dimension, curve_keys, integer_digits, unchecked_keys, unchecked_points,
-)
+from .curve import CurveParams, curve_keys, integer_digits, unchecked_keys, unchecked_points
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
+    check_bit_count,
     format_flat,
     format_indices,
-    int_max_str_digits,
     parse_decimal,
     parse_index,
     parse_point,
@@ -53,6 +51,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
             # What stdout still holds goes nowhere, so exit cannot fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 
@@ -127,8 +128,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
     if bool(args.coords) == (args.input is not None):
         raise DomainError("give exactly one point as arguments or use --input")
-    _check_level(params.m)
-    check_table_dimension(params.n)
+    check_bit_count(params.m, "level", "coordinates")
+    check_bit_count(params.n, "dimension", "digits")  # a digits: digit has n bits
     if args.input is not None:
         keys = unchecked_keys(params, read_points(args.input, params)[0])
     else:
@@ -137,23 +138,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_level(m: int) -> None:
-    """Refuse a level whose coordinates can exceed CPython's digit limit."""
-    limit = int_max_str_digits()
-    top = (10**limit).bit_length() - 1  # highest m with 2**m - 1 < 10**limit
-    if limit and m > top:
-        raise DomainError(
-            f"level {m} is above {top}: coordinates below 2**{m} can exceed "
-            f"the {limit}-digit limit of sys.get_int_max_str_digits()"
-        )
-
-
 def _cmd_decode(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
     if bool(args.indices) == (args.input is not None):
         raise DomainError("give index values as arguments or use --input")
-    _check_level(params.m)
-    check_table_dimension(params.n)
+    check_bit_count(params.m, "level", "coordinates")
     if args.input is not None:
         digits, count = read_indices(args.input, params)
     else:
@@ -165,7 +154,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
-    check_table_dimension(params.n)
     values, binary = read_points(args.input, params)
     keys = unchecked_keys(params, values)
     rows = list(zip(*[iter(values)] * params.n))  # as the file writes them, x_n first
@@ -186,15 +174,15 @@ def _cmd_gene(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .gene import gene_table, validate_gene_table
-    from .oracle import ENUMERATION_MAX_BITS, enumerate_recursive
+    from .gene import WALK_MAX_BITS, gene_table, validate_gene_table
+    from .oracle import enumerate_recursive
 
     params_check = CurveParams(args.dim, max(args.max_level, 0))
-    top = ENUMERATION_MAX_BITS // params_check.n
+    top = WALK_MAX_BITS // params_check.n
     if params_check.m > top:
         raise ResourceLimitError(
             f"--max-level {params_check.m} is above {top}, the largest allowed at dimension "
-            f"{params_check.n}: a curve walk is capped at 2**{ENUMERATION_MAX_BITS} points"
+            f"{params_check.n}: a curve walk is capped at 2**{WALK_MAX_BITS} points"
         )
     table = gene_table(params_check.n)
     results = []
@@ -248,7 +236,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not levels:
         raise DomainError("no levels given")
     for m in levels:
-        _check_level(m)
+        check_bit_count(m, "level", "coordinates")
     table = gene_table(len(point))
     report = run_counter_benchmark(point, levels, table, repeats=args.repeats)
     if args.records:

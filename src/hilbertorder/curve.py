@@ -29,10 +29,7 @@ from __future__ import annotations
 import struct
 from typing import Sequence
 
-from .errors import DimensionMismatchError, DomainError, ResourceLimitError
-
-# Table construction is O(2**n); refuse dimensions above this cap.
-GENE_DIMENSION_CAP = 20
+from .errors import DimensionMismatchError, DomainError
 
 # The struct code of a field of each width in bits up to one word.
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
@@ -81,16 +78,6 @@ def check_dimension(n: int) -> None:
     """Raise unless ``n`` is an integer dimension of at least 2."""
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
-
-
-def check_table_dimension(n: int) -> None:
-    """Raise unless ``n`` is a dimension of at least 2 and at most
-    ``GENE_DIMENSION_CAP``."""
-    check_dimension(n)
-    if n > GENE_DIMENSION_CAP:
-        raise ResourceLimitError(
-            f"gene table for dimension {n} exceeds the cap of {GENE_DIMENSION_CAP}"
-        )
 
 
 def check_point(p: Sequence[int], params: CurveParams) -> None:
@@ -244,7 +231,6 @@ def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     the variants do for the first bad point; an int subclass passes.
     """
     n, m = params.n, params.m
-    check_table_dimension(n)
     if len(values) % n or set(map(type, values)) - {int} or values and (
         min(values) < 0 or max(values) >> m
     ):
@@ -324,7 +310,6 @@ def curve_points(
     count is named by its whole digit count.
     """
     n, m = params.n, params.m
-    check_table_dimension(n)
     if count is None:
         count = -(-len(digits) // m) if m else 0
     if len(digits) != count * m or set(map(type, digits)) - {int} or digits and (

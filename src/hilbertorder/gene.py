@@ -33,12 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core_bits import BitVec, gray_code, integer_to_index
-from .curve import CurveParams, check_dimension, check_table_dimension
-from .errors import DimensionMismatchError, DomainError
+from .curve import CurveParams, check_dimension
+from .errors import DimensionMismatchError, DomainError, ResourceLimitError
 
-# Full curve walks during validation are capped like the enumeration
-# oracle; above this the level-2 walk is skipped, not failed.
-_WALK_MAX_BITS = 24
+# A table has 2**n entries; gene_table refuses dimensions above this cap.
+GENE_DIMENSION_CAP = 20
+# A full curve walk visits 2**(n * m) points.  Above 2**WALK_MAX_BITS the
+# enumeration oracle and ``hilbert validate`` refuse a walk, and
+# validate_gene_table skips its level-2 walk rather than fail it.
+WALK_MAX_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,12 @@ def entry_exit(n: int, i: int) -> EntryExit:
 
 
 def gene_table(n: int) -> GeneTable:
-    """Build the full gene table for dimension ``n``."""
-    check_table_dimension(n)
+    """Build the full gene table for dimension ``n``, at most ``GENE_DIMENSION_CAP``."""
+    check_dimension(n)
+    if n > GENE_DIMENSION_CAP:
+        raise ResourceLimitError(
+            f"gene table for dimension {n} exceeds the cap of {GENE_DIMENSION_CAP}"
+        )
     top = 1 << (n - 1)
     entries = []
     corners = []
@@ -172,7 +179,7 @@ def validate_gene_table(table: GeneTable) -> GeneValidationReport:
             checks.append(
                 ValidationCheck(name, False, "not run: structural checks failed")
             )
-        elif table.n * m > _WALK_MAX_BITS:
+        elif table.n * m > WALK_MAX_BITS:
             checks.append(
                 ValidationCheck(name, True, f"skipped: 2**{table.n * m} points exceed the walk guard")
             )

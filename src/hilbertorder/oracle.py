@@ -19,10 +19,7 @@ from .core_bits import Coordinate, gray_code
 from .curve import CurveParams
 from .encode import ENCODERS, effective_level
 from .errors import DomainError, ResourceLimitError
-from .gene import GeneTable
-
-# 2**bits total cells; keeps a full enumeration near desk scale.
-ENUMERATION_MAX_BITS = 24
+from .gene import WALK_MAX_BITS, GeneTable
 
 _LINEAR_VARIANTS = frozenset({"arith", "bits"})
 
@@ -68,10 +65,10 @@ def enumerate_recursive(params: CurveParams, table: GeneTable) -> CurveEnumerati
     exchange pair, reflect the reverse components within the old box,
     then shift into the quadrant.
     """
-    if params.n * params.m > ENUMERATION_MAX_BITS:
+    if params.n * params.m > WALK_MAX_BITS:
         raise ResourceLimitError(
             f"enumerating 2**{params.n * params.m} points exceeds the guard of "
-            f"2**{ENUMERATION_MAX_BITS}"
+            f"2**{WALK_MAX_BITS}"
         )
     table.check_dimension(params.n)
     n = params.n

@@ -73,6 +73,18 @@ def parse_decimal(token: str, what: str) -> int:
         ) from None
 
 
+def check_bit_count(bits: int, what: str, values: str) -> None:
+    """Refuse a ``what`` of ``bits`` when ``values`` below ``2**bits`` can have
+    more decimal digits than ``int_max_str_digits()`` allows to print."""
+    limit = int_max_str_digits()
+    top = (10**limit).bit_length() - 1  # highest bits with 2**bits - 1 < 10**limit
+    if limit and bits > top:
+        raise DomainError(
+            f"{what} {bits} is above {top}: {values} below 2**{bits} can exceed "
+            f"the {limit}-digit limit of sys.get_int_max_str_digits()"
+        )
+
+
 def parse_point(parts: Sequence[str], n: int) -> tuple[int, ...]:
     """Read components written ``x_n .. x_1`` as the point ``(x_1, .., x_n)``."""
     if len(parts) != n:

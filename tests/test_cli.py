@@ -13,11 +13,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hilbertorder import cli, gene, oracle, pointio
 from hilbertorder.cli import main
 from hilbertorder.core_bits import index_to_integer, integer_to_index
-from hilbertorder.curve import CurveParams, integer_digits, unchecked_keys, unchecked_points
+from hilbertorder.curve import (
+    CurveParams, curve_keys, integer_digits, unchecked_keys, unchecked_points,
+)
 from hilbertorder.decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
 from hilbertorder.encode import ENCODERS, encode_arith, encode_bits
 from hilbertorder.errors import DomainError
 from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
+
+from conftest import reference_table
 
 DIGIT_CAP = 4300  # CPython's default int_max_str_digits
 
@@ -73,6 +77,37 @@ class TestEncodeCommand:
         for args in (["1", "2", "3"], ["--input", str(empty)]):
             code, out, err = run(capsys, "encode", "-n", "3", "-m", HUGE_LEVEL, *args)
             assert (code, out, err) == (2, "", HUGE_LEVEL_ERROR)
+
+    def test_refuses_a_dimension_whose_digits_can_exceed_the_digit_cap(
+        self, capsys, tmp_path, digit_cap
+    ):
+        # A digits: digit has n bits: 2**14284 - 1 has 4300 decimal digits,
+        # 2**14285 - 1 has 4301.  The check comes before the input is read.
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, "encode", "-n", "14285", "-m", "1", "--input", missing)
+        assert (code, out, err) == (2, "", "error: dimension 14285 is above 14284: digits below "
+                                    "2**14285 can exceed the 4300-digit limit of "
+                                    "sys.get_int_max_str_digits()\n")
+        code, out, err = run(capsys, "encode", "-n", "14284", "-m", "1", "--input", missing)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("argv, step", [
+        (["encode", "-n", "3", "-m", "40", "1", "2", "3"], "format_indices"),
+        (["encode", "-n", "2", "-m", "2", "1", "1"], "curve_keys"),
+        (["decode", "-n", "2", "-m", "2", "5"], "unchecked_points"),
+        (["sort", "-n", "2", "-m", "2", "{source}", "{target}"], "unchecked_keys"),
+    ], ids=["printer", "encode", "decode", "sort"])
+    def test_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch, argv, step):
+        # A huge level with no digit cap, or a batch too large for memory.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, step, exhausted)
+        source = tmp_path / "points.txt"
+        source.write_text("1 1\n")
+        argv = [a.format(source=source, target=tmp_path / "sorted.txt") for a in argv]
+        assert run(capsys, *argv) == (2, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_single_point(self, capsys, variant):
@@ -395,10 +430,18 @@ class TestDecodeCommand:
         assert code == 0
         assert out == "1 0 0 0 0 0 0 0 0 0 0 0 0 1 1 0\n"  # as when it built one
 
-    def test_refuses_a_dimension_above_the_cap(self, capsys):
-        code, out, err = run(capsys, "decode", "-n", "21", "-m", "2", "5")
-        assert (code, out) == (2, "")
-        assert err == "error: gene table for dimension 21 exceeds the cap of 20\n"
+    @pytest.mark.parametrize("n", [21, 64, 1024])
+    def test_takes_a_dimension_above_the_gene_table_cap(self, capsys, n):
+        # decode and encode build no gene table, so its cap is no limit.
+        params = CurveParams(n, 2)
+        z = (1 << (2 * n)) // 3
+        point, _ = decode_arith(integer_to_index(z, params), params, reference_table(n))
+        code, out, err = run(capsys, "decode", "-n", str(n), "-m", "2", str(z))
+        assert (code, out, err) == (0, pointio.format_point(point) + "\n", "")
+        code, out, err = run(capsys, "encode", "-n", str(n), "-m", "2", *out.split())
+        digits = "digits:" + ".".join(map(str, integer_digits(z, params)))
+        token = f"{z}" if 2 * n <= 64 else digits
+        assert (code, out, err) == (0, token + "\n", "")
 
     @pytest.mark.parametrize("rows, line, message", [
         ("digits:1.2.3\npony\n", 1, "index has 3 digits, curve level is 2"),
@@ -625,16 +668,30 @@ class TestRoundTripThroughText:
 
 
 class TestSortCommand:
-    @pytest.mark.parametrize("command", [
-        ["sort", "-n", "21", "-m", "2", "{missing}", "{out}"],
-        ["encode", "-n", "21", "-m", "2", "--input", "{missing}"],
-    ], ids=["sort", "encode"])
-    def test_refuses_a_dimension_above_the_cap_before_reading(self, capsys, tmp_path, command):
-        argv = [a.format(missing=tmp_path / "missing.txt", out=tmp_path / "out.txt")
-                for a in command]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "error: gene table for dimension 21 exceeds the cap of 20\n"
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_round_trips_a_file_above_the_gene_table_cap(self, capsys, tmp_path, binary):
+        # sort, encode --input and decode --input at n = 64, past the gene
+        # table's cap, against encode_arith on the closed-form stand-in.
+        n = m = 64
+        params = CurveParams(n, m)
+        rng = random.Random(64)
+        points = [tuple(rng.getrandbits(rng.choice((3, 64))) for _ in range(n)) for _ in range(20)]
+        source, target, indices = tmp_path / "points", tmp_path / "sorted", tmp_path / "indices"
+        pointio.write_points(source, n, points, binary)
+        code, out, err = run(capsys, "sort", "-n", "64", "-m", "64", str(source), str(target))
+        assert (code, out, err) == (0, "", "")
+        table = reference_table(n)
+        keys = {p: index_to_integer(encode_arith(p[::-1], params, table)[0]) for p in points}
+        expected = sorted(points, key=keys.__getitem__)
+        values, is_binary = pointio.read_points(target, params)
+        assert (list(values), is_binary) == ([c for p in expected for c in p], binary)
+        code, out, err = run(capsys, "encode", "-n", "64", "-m", "64", "--input", str(target))
+        tokens = "".join("digits:" + ".".join(map(str, integer_digits(keys[p], params))) + "\n"
+                         for p in expected)
+        assert (code, out, err) == (0, tokens, "")
+        indices.write_text(out)
+        code, out, err = run(capsys, "decode", "-n", "64", "-m", "64", "--input", str(indices))
+        assert (code, out, err) == (0, "".join(" ".join(map(str, p)) + "\n" for p in expected), "")
 
     def test_sorts_commas_at_a_huge_level_as_spaces(self, capsys, tmp_path, digit_cap):
         # The points' own digits are under the cap, so sort takes any level.
@@ -761,6 +818,17 @@ class TestGeneCommand:
         code, out, _ = run(capsys, "gene", "--dim", "3")
         assert code == 0
         assert out == "gene table for dimension 3: 8 quadrants\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gene", "-n", "21"],
+        ["validate", "-n", "21", "--max-level", "1"],
+        ["bench", "--point", ",".join(["1"] * 21), "--levels", "4"],
+    ], ids=["gene", "validate", "bench"])
+    def test_refuses_a_dimension_above_the_cap(self, capsys, argv):
+        # The commands that build a gene table keep its cap.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: gene table for dimension 21 exceeds the cap of 20\n"
 
 
 class TestValidateCommand:
@@ -1031,6 +1099,11 @@ class TestModuleEntryPoint:
         # these modules.  The child checks after the import and after the calls.
         source, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
         source.write_text("1 2\n0 3\n")
+        # n = 32 is past the gene table's cap, so only the codec path runs it.
+        wide = [str(i % 8) for i in range(32)]
+        params = CurveParams(32, 3)
+        [key] = curve_keys(params, list(map(int, wide)))
+        token = "digits:" + ".".join(map(str, integer_digits(key, params)))
         code = f"""if True:
             import sys
             import hilbertorder.cli
@@ -1039,12 +1112,15 @@ class TestModuleEntryPoint:
             print(sorted(unwanted & set(sys.modules)))
             for argv in (["encode", "-n", "2", "-m", "2", "1", "1"],
                          ["decode", "-n", "2", "-m", "2", "2"],
-                         ["sort", "-n", "2", "-m", "2", {str(source)!r}, {str(target)!r}]):
+                         ["sort", "-n", "2", "-m", "2", {str(source)!r}, {str(target)!r}],
+                         ["encode", "-n", "32", "-m", "3", *{wide!r}],
+                         ["decode", "-n", "32", "-m", "3", {token!r}]):
                 assert hilbertorder.cli.main(argv) == 0
             print(sorted(unwanted & set(sys.modules)))
         """
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (result.returncode, result.stdout) == (0, "[]\n2\n1 1\n[]\n")
+        lines = f"2\n1 1\n{token}\n{' '.join(wide)}\n"
+        assert (result.returncode, result.stdout) == (0, f"[]\n{lines}[]\n")
         assert target.read_text() == "0 3\n1 2\n"  # keys 5 and 7
 
     def test_package_resolves_every_public_name(self):

@@ -15,7 +15,7 @@ from hilbertorder.decode import (
     index_effective_level,
 )
 from hilbertorder.encode import encode_arith, encode_bits
-from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
+from hilbertorder.errors import DimensionMismatchError, DomainError
 from hilbertorder.gene import gene_table
 
 from conftest import reference_table
@@ -339,21 +339,25 @@ class TestCurvePoint:
             tracemalloc.stop()
         assert peak < 2_000_000
 
-    def test_refuses_a_dimension_above_the_cap(self):
-        message = "gene table for dimension 21 exceeds the cap of 20"
-        with pytest.raises(ResourceLimitError, match=message):
-            curve_points(CurveParams(21, 2), [0, 0], 1)
-        with pytest.raises(ResourceLimitError, match=message):
-            curve_points(CurveParams(21, 2), [])
+    @pytest.mark.parametrize("n", [21, 64, 1024])
+    def test_takes_a_dimension_above_the_gene_table_cap(self, n):
+        # The kernel builds no gene table, so the table's cap is no limit.
+        params = CurveParams(n, 3)
+        indices = sample_indices(n, 3, n)
+        assert curve_points(params, [d for i in indices for d in i]) == (
+            reference_points(indices, params))
+        assert curve_points(params, []) == ()
 
 
 class TestCurvePoints:
     @pytest.mark.parametrize("m", [0, 1, 8, 16, 17, 32, 33, 63, 64, 65, 128, 129, 192, 193])
-    @pytest.mark.parametrize("n", range(2, 21))
+    @pytest.mark.parametrize("n", [*range(2, 22), 32, 64, 100])
     def test_equals_decode_arith_at_every_n(self, n, m):
         # The fields start at field_width(max(min(m, 64), n)) bits; m = 1,
-        # m = 8 at n >= 9 and m = 16 at n = 17..20 hold the fields that must
-        # be wider than m, and m > 64 the fields that widen as levels are placed.
+        # m = 8 at n >= 9 and m = 16 at n >= 17 hold the fields that must
+        # be wider than m, and m > 64 the fields that widen as levels are
+        # placed.  Past the gene table's cap of n = 20 the reference runs
+        # on the closed-form stand-in; the kernel takes any n.
         params = CurveParams(n, m)
         indices = sample_indices(n, m, n * 100 + m)
         flat = [d for index in indices for d in index]
@@ -365,7 +369,7 @@ class TestCurvePoints:
         assert tuple(c for index in indices for c in curve_points(params, index, 1)) == expected
 
     @pytest.mark.parametrize("m", [1, 8, 63, 64, 65, 128, 129])
-    @pytest.mark.parametrize("n", range(2, 21))
+    @pytest.mark.parametrize("n", [*range(2, 22), 32, 64, 100])
     def test_inverts_curve_keys(self, n, m):
         rng = random.Random(n * 100 + m)
         params = CurveParams(n, m)

@@ -13,7 +13,7 @@ from hilbertorder.encode import (
     encode_bits,
     encode_bits_fast,
 )
-from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
+from hilbertorder.errors import DimensionMismatchError, DomainError
 from hilbertorder.gene import gene_table
 
 from conftest import reference_table
@@ -275,12 +275,13 @@ class TestCurveKey:
                 assert key == index_to_integer(encode_arith(given, params, TABLES[n])[0])
                 assert type(key) is int
 
-    def test_refuses_a_dimension_above_the_cap(self):
-        message = "gene table for dimension 21 exceeds the cap of 20"
-        with pytest.raises(ResourceLimitError, match=message):
-            curve_keys(CurveParams(21, 2), [1] * 21)
-        with pytest.raises(ResourceLimitError, match=message):
-            curve_keys(CurveParams(21, 2), [])
+    @pytest.mark.parametrize("n", [21, 64, 1024])
+    def test_takes_a_dimension_above_the_gene_table_cap(self, n):
+        # The kernel builds no gene table, so the table's cap is no limit.
+        params = CurveParams(n, 3)
+        values = [(7 * i) % 8 for i in range(n)]
+        assert curve_keys(params, values) == reference_keys(values, params)
+        assert curve_keys(params, []) == []
 
 
 @st.composite
@@ -329,8 +330,10 @@ class TestCurveKeys:
         assert curve_keys(params, values)[0] == 1
 
     @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 128, 129])
-    @pytest.mark.parametrize("n", range(2, 21))
+    @pytest.mark.parametrize("n", [*range(2, 22), 32, 64, 100])
     def test_equals_encode_arith_at_every_n(self, n, m):
+        # Past the gene table's cap of n = 20 the reference runs on the
+        # closed-form stand-in; the kernel takes any n.
         rng = random.Random(n * 100 + m)
         params = CurveParams(n, m)
         values = [rng.getrandbits(rng.choice((min(1, m), m // 2, m))) for _ in range(5 * n)]
