@@ -18,6 +18,7 @@ they run.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from itertools import chain
@@ -40,6 +41,16 @@ from .pointio import (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command: ``argv``, or the process's arguments when it is None.
+
+    With no ``argv`` this is the process's entry point (the ``hilbert``
+    script, ``python -m hilbertorder``), and the objects start-up and the
+    imports made live until exit: they are frozen, so no collection, the
+    one at exit included, walks them again.  A caller that passes ``argv``
+    keeps its collector as it was.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

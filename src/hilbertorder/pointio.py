@@ -18,11 +18,15 @@ and a text file of ASCII digits, spaces, tabs, ``\n`` or ``\r\n`` line
 ends and UTF-8 ``#`` comment lines, ``n`` components on every other line
 that is not blank, is read whole: one ``struct`` unpack, or one split and
 one ``map(int, ...)``, and one range check of the largest component, with
-no Python loop per row.  Any other text file, and any file with a
-component out of range, goes through a row loop, which names the first
-bad row in file order (``line N`` or ``record N``) with the same message
-either way.  The writer replaces a regular output whole, so a failed run
-leaves it intact.
+no Python loop per row.  An index file of ``digits:`` tokens alone, one
+per line, each of ``m`` digits below ``2**n`` written as ``str`` writes
+them, is read in blocks of lines: per block one ``translate`` checks the
+shape of every line, and one ``replace``, one ``split`` and one ``map``
+through a digit table read the digits, again with no loop per row.  Any
+other text file, and any file with a component or digit out of range,
+goes through a row loop, which names the first bad row in file order
+(``line N`` or ``record N``) with the same message either way.  The
+writer replaces a regular output whole, so a failed run leaves it intact.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ DIGIT_PREFIX = "digits:"
 # to n = 12; from n = 13 no table fits.  index_digits reads digits through
 # a dict of the L = 1 table under the same cap.
 _DIGIT_TABLE_STRINGS = 4096
+# Lines per block of the digits: reader.  A block's digit strings are freed
+# before the next block is split, so their memory is reused while still in
+# cache; splitting the whole file at once reads it more slowly.
+_DIGIT_BLOCK_LINES = 1024
 
 # CPython's cap on decimal digits per int <-> str conversion; 0 means no
 # cap, as on interpreters that predate it.
@@ -204,11 +212,17 @@ def _digit_values(n: int) -> dict[str, int] | None:
 def read_indices(path: Path, params: CurveParams) -> tuple[list[int], int]:
     """The digits of every index of a text index file, flat and in file order
     (``m`` per index, most significant first), and the number of indices.
-    The rows' digit counts and largest digit are checked once per file; a
-    file that fails, or has a row that does not parse, is read again with
-    each row checked as it is read, which names the first bad row in file
-    order."""
+
+    A file of ``digits:`` tokens alone, one per line, is read by
+    :func:`_digit_token_values` in blocks of lines.  Any other file takes
+    two passes: one that parses each row and checks the rows' digit counts
+    and largest digit once per file, and, if that fails or a row does not
+    parse, one that checks each row as it is read, which names the first
+    bad row in file order."""
     data = path.read_bytes()
+    found = _digit_token_values(data, params)
+    if found is not None:
+        return found
     try:
         rows = _text_rows(path, data, lambda line: index_digits(line, params))
     except PointFileError:  # the row loop below names the first bad row
@@ -219,6 +233,48 @@ def read_indices(path: Path, params: CurveParams) -> tuple[list[int], int]:
             return digits, len(rows)
     rows = _text_rows(path, data, lambda line: parse_index(line, params))
     return list(chain.from_iterable(rows)), len(rows)
+
+
+def _digit_token_values(data: bytes, params: CurveParams) -> tuple[list[int], int] | None:
+    """The digits of an index file, flat, and its line count, if every line is
+    ``digits:`` and ``m`` digits below ``2**n`` (``m > 0``), each written
+    as ``str`` writes it while ``2**n <= _DIGIT_TABLE_STRINGS``; ``None``
+    for any other file.
+
+    ``_DIGIT_BLOCK_LINES`` lines at a time, one ``translate`` that drops
+    the digits checks that the block is the prefix and ``m - 1`` dots on
+    every line and nothing else; a digit written inside a prefix leaves
+    its colon in a digit string, which no lookup and no ``int`` takes.
+    One ``replace`` and one ``split`` then give the digit strings, read
+    through a bytes-keyed copy of :func:`_digit_values`, or by ``int`` and
+    one check of the largest digit past that table.
+    """
+    n, m = params.n, params.m
+    if not m:
+        return None
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the end of the last line
+    table = _digit_values(n)
+    if table is None:
+        read = int
+    else:
+        read = {key.encode(): value for key, value in table.items()}.__getitem__
+    prefix = DIGIT_PREFIX.encode()
+    shape = prefix + b"." * (m - 1)
+    digits: list[int] = []
+    for start in range(0, len(lines), _DIGIT_BLOCK_LINES):
+        rows = lines[start:start + _DIGIT_BLOCK_LINES]
+        block = b"\n".join(rows)
+        if block.translate(None, b"0123456789") != b"\n".join([shape] * len(rows)):
+            return None
+        try:
+            digits += map(read, block[len(prefix):].replace(b"\n" + prefix, b".").split(b"."))
+        except (KeyError, ValueError):  # a digit the table lacks, or not an int
+            return None
+    if table is None and max(digits, default=0) >> n:
+        return None
+    return digits, len(lines)
 
 
 def read_points(path: Path, params: CurveParams) -> tuple[Sequence[int], bool]:

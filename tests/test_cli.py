@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import random
@@ -1092,6 +1093,40 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "2\n"
+
+    def test_python_dash_m_decode(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "hilbertorder",
+             "decode", "--dim", "2", "--level", "2", "13"],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "2 1\n", "")
+
+    def test_entry_point_freezes_the_start_up_heap(self):
+        code = """if True:
+            import gc, sys
+            from hilbertorder.cli import main
+            sys.argv = ["hilbert", "decode", "--dim", "2", "--level", "2", "13"]
+            assert gc.get_freeze_count() == 0
+            assert main() == 0
+            print(gc.get_freeze_count() > 0, gc.isenabled())
+        """
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "2 1\nTrue True\n", "")
+
+    def test_in_process_call_leaves_the_collector_as_it_was(self, capsys, tmp_path):
+        path = tmp_path / "indices.txt"
+        path.write_text("digits:3.1\n13\n")
+        before = gc.isenabled(), gc.get_freeze_count()
+        try:
+            gc.disable()
+            assert run(capsys, "decode", "-n", "2", "-m", "2", "--input", str(path)) == (
+                0, "2 1\n2 1\n", "")
+            assert (gc.isenabled(), gc.get_freeze_count()) == (False, before[1])
+        finally:
+            gc.enable()
+        assert run(capsys, "decode", "-n", "2", "-m", "2", "13") == (0, "2 1\n", "")
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
     def test_import_leaves_statistics_unloaded(self, tmp_path):
         # statistics pulls in fractions and decimal, and dataclasses costs more

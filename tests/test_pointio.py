@@ -1,5 +1,5 @@
-"""Point files: read once, written whole, and read the same way by the
-whole-file reader and the row loop.
+"""Point and index files: read once, written whole, and read the same way
+by the whole-file or block readers and the row loop.
 
 The command-line tests drive ``cli.main`` only, so they hold for any
 layout of the reading and writing code.  The property tests hold
@@ -8,6 +8,7 @@ layout of the reading and writing code.  The property tests hold
 
 import contextlib
 import os
+import random
 import stat
 import struct
 import sys
@@ -394,3 +395,100 @@ class TestNamedRows:
         code, out, err = _sort(capsys, path)
         assert (code, out, err) == (0, "", "")
         assert path.with_suffix(".out").read_bytes() == b"0 0\n3 0\n"
+
+
+BLOCK = pointio._DIGIT_BLOCK_LINES
+DIGIT_LEVEL = 3  # digits per index in the block reader's files
+
+
+def digit_lines(n, count, seed=0):
+    """``count`` lines of ``digits:`` tokens at dimension ``n``, level ``DIGIT_LEVEL``."""
+    rng = random.Random(seed)
+    return ["digits:" + ".".join(str(rng.getrandbits(n)) for _ in range(DIGIT_LEVEL))
+            for _ in range(count)]
+
+
+def _put(lines, j, *new):
+    """``lines`` with line ``j`` replaced by the lines ``new``."""
+    return lines[:j] + list(new) + lines[j + 1:]
+
+
+def _with_digit(line, digit):
+    """``line``'s token with its second digit written as ``digit``."""
+    digits = line[len("digits:"):].split(".")
+    digits[1] = str(digit)
+    return "digits:" + ".".join(digits)
+
+
+# Files the block reader does not take, as a change at line j of a file of
+# digits: tokens; the row passes read them, and accept or refuse each.
+REJECTIONS = {
+    "blank-line": lambda lines, j, n: _put(lines, j, "", lines[j]),
+    "crlf": lambda lines, j, n: _put(lines, j, lines[j] + "\r"),
+    "lone-cr": lambda lines, j, n: _put(lines[:j + 1] + lines[j + 2:], j,
+                                        lines[j] + "\r" + lines[j + 1]),
+    "comment": lambda lines, j, n: _put(lines, j, "# x", lines[j]),
+    "padded": lambda lines, j, n: _put(lines, j, f" \t{lines[j]} "),
+    "leading-zero": lambda lines, j, n: _put(lines, j, lines[j].replace(":", ":00", 1)),
+    "empty-digit": lambda lines, j, n: _put(lines, j, _with_digit(lines[j], "")),
+    "digit-too-large": lambda lines, j, n: _put(lines, j, _with_digit(lines[j], 1 << n)),
+    "over-long-digit": lambda lines, j, n: _put(
+        lines, j, _with_digit(lines[j], "1" * (pointio.int_max_str_digits() + 1))),
+    # m + 1 digits on line j, m - 1 on the next
+    "digit-moved-up": lambda lines, j, n: _put(
+        lines[:j + 1] + lines[j + 2:], j,
+        lines[j] + "." + lines[j + 1].rpartition(".")[2], lines[j + 1].rpartition(".")[0]),
+    "no-prefix": lambda lines, j, n: _put(lines, j, lines[j][len("digits:"):]),
+    "prefix-twice": lambda lines, j, n: _put(lines, j, "digits:" + lines[j]),
+    "digit-in-prefix": lambda lines, j, n: _put(lines, j, "di5" + lines[j][2:]),
+    "decimal-token": lambda lines, j, n: _put(lines, j, "5"),
+}
+
+
+class TestDigitBlockReader:
+    """decode --input gives the same stdout, stderr and exit code whether the
+    block reader takes a file or the row passes read it."""
+
+    @staticmethod
+    def both_readers(capsys, monkeypatch, path, n, m=DIGIT_LEVEL):
+        argv = ["decode", "--dim", n, "--level", m, "--input", path]
+        blocks = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+            rows = run(capsys, *argv)
+        return blocks, rows
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
+    def test_takes_a_file_of_digit_tokens(self, capsys, monkeypatch, tmp_path, n, count, end):
+        path = tmp_path / "indices.txt"
+        lines = digit_lines(n, count, seed=count)
+        path.write_text("\n".join(lines) + (end if lines else ""))  # "\n" alone is a blank line
+        blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
+        assert blocks == rows
+        assert blocks[0] == 0 and len(blocks[1].splitlines()) == count
+        taken = pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL))
+        assert taken is not None and taken[1] == count
+
+    @pytest.mark.parametrize("j", [0, BLOCK, BLOCK + 1], ids=["first-line", "block-start", "in-block"])
+    @pytest.mark.parametrize("kind", sorted(REJECTIONS))
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
+    def test_other_files_read_as_the_row_passes_read_them(
+            self, capsys, monkeypatch, tmp_path, n, kind, j):
+        lines = REJECTIONS[kind](digit_lines(n, BLOCK + 3), j, n)
+        path = tmp_path / "indices.txt"
+        path.write_text("\n".join(lines) + "\n")
+        blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
+        assert blocks == rows
+        taken = pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL))
+        # Past the digit table, int reads 007 as 7, as the row passes do.
+        assert (taken is not None) == (kind == "leading-zero" and n > 12)
+
+    @pytest.mark.parametrize("text", ["", "\n", "digits:\n", "digits:\ndigits:", "0\ndigits:\n",
+                                      "5digits:\n", "digits:0\n", "digits:.\n"])
+    def test_level_zero(self, capsys, monkeypatch, tmp_path, text):
+        path = tmp_path / "indices.txt"
+        path.write_text(text)
+        blocks, rows = self.both_readers(capsys, monkeypatch, path, 2, 0)
+        assert blocks == rows
