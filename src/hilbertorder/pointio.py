@@ -55,8 +55,8 @@ _PLAIN_TEXT_BYTES = b"0123456789 \t\n"
 DIGIT_PREFIX = "digits:"
 # Strings one digit table of format_indices may hold.  It holds 2**(n * L)
 # strings for L digits per lookup, so L = 6, 4, 3 at n = 2, 3, 4 and 1 up
-# to n = 12; from n = 13 no table fits.  index_digits reads digits through
-# a dict of the L = 1 table under the same cap.
+# to n = 12; from n = 13 no table fits.  index_digits and the block reader
+# read digits through a dict of the L = 1 table under the same cap.
 _DIGIT_TABLE_STRINGS = 4096
 # Lines per block of the digits: reader.  A block's digit strings are freed
 # before the next block is split, so their memory is reused while still in
