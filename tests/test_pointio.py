@@ -469,7 +469,8 @@ class TestDigitBlockReader:
         assert blocks == rows
         assert blocks[0] == 0 and len(blocks[1].splitlines()) == count
         taken = pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL))
-        assert taken is not None and taken[1] == count
+        # Past the digit table (n > 12), and for an empty file, the row passes read it.
+        assert (taken and taken[1]) == (count if n <= 12 and count else None)
 
     @pytest.mark.parametrize("j", [0, BLOCK, BLOCK + 1], ids=["first-line", "block-start", "in-block"])
     @pytest.mark.parametrize("kind", sorted(REJECTIONS))
@@ -481,9 +482,7 @@ class TestDigitBlockReader:
         path.write_text("\n".join(lines) + "\n")
         blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
         assert blocks == rows
-        taken = pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL))
-        # Past the digit table, int reads 007 as 7, as the row passes do.
-        assert (taken is not None) == (kind == "leading-zero" and n > 12)
+        assert pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL)) is None
 
     @pytest.mark.parametrize("text", ["", "\n", "digits:\n", "digits:\ndigits:", "0\ndigits:\n",
                                       "5digits:\n", "digits:0\n", "digits:.\n"])
