@@ -325,33 +325,29 @@ def curve_points(
 def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> tuple[int, ...]:
     """:func:`curve_points` of ``count`` indices whose digits are checked.
 
-    The walk places every index bottom up.  ``W`` starts at
-    ``field_width(max(min(m, 64), n))``, so it holds the ``n`` bits of a
-    digit and, up to ``m = 64``, the ``m`` bits of a component; past that
-    every field grows by one 64-bit word each time the placed levels fill
-    it, to ``field_width(m)`` at the end.  Per level ``v``, the digit
-    column of every index is packed by :func:`pack_column`; with ``v``
-    planes placed, :func:`exchange_step` and then :func:`reverse_step`
-    apply quadrant ``r``'s commands to the low ``v`` bits, and ``gray(r)``
-    becomes bit ``v``.  :func:`unpack_columns` reads the components back
-    in point order.
-    """
+    The walk places every index bottom up, on fields ``field_width(n)``
+    bits wide that :func:`_spread` widens to ``field_width(W + 1)`` when
+    the ``W`` placed levels fill them.  Per level ``v`` it lays the level's
+    digits in one column from their bytes, written once; then
+    :func:`exchange_step` and :func:`reverse_step` apply every digit's
+    quadrant ``r`` to the low ``v`` bits, and ``gray(r)`` becomes bit ``v``."""
     n, m = params.n, params.m
     if not m:
         return (0,) * (n * count)
-    width = field_width(max(min(m, 64), n))  # a field holds a packed digit
-    ones = field_ones(count, width)
-    c = [0] * n
+    size = field_width(n) // 8  # bytes per digit
+    data = memoryview(bytes(digits) if size == 1 else pack_column(digits, 8 * size).to_bytes(
+        len(digits) * size, "little"))
+    c, width = [0] * n, 0
     for v in range(m):
-        if v == width:  # the placed levels fill every field: widen it by a word
-            values = unpack_columns(c, count, width)
-            width += 64
-            c = [pack_column(values[i::n], width) for i in range(n)]
+        if v == width:  # the placed levels fill every field: widen them
+            width = field_width(max(v + 1, n))
+            column = bytearray(count * width // 8)  # no bit of it above a digit is read
+            if v:  # else no level is placed yet, and every field is 0
+                c = [_spread(column, width, x.to_bytes(count * v // 8, "little"), v, v) for x in c]
             ones = field_ones(count, width)
-        packed = pack_column(digits[m - 1 - v::m], width)
+        packed = _spread(column, width, data[(m - 1 - v) * size:], 8 * m * size, 8 * size)
         r = [(packed >> i) & ones for i in range(n)]  # the rank bits r_i of every digit
-        top = [x << v for x in r]
-        top.append(0)
+        top = [x << v for x in r] + [0]
         if v:
             # Spread each rank bit over the low v bits of its field.
             low = (ones << v) - ones
@@ -361,4 +357,16 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
         # Set bit v, zero in every field so far, to gray(r): bit i is r_i ^ r_(i+1).
         for i in range(n):
             c[i] ^= top[i] ^ top[i + 1]
+    del data, column, packed, r, top  # the output reuses their memory
     return unpack_columns(c[::-1], count, width)
+
+
+def _spread(column: bytearray, width: int, src: bytes | memoryview, stride: int, size: int) -> int:
+    """Copy the ``size`` bits at bit ``j * stride`` of ``src`` into field ``j``
+    of ``column`` (``width`` bits each) for every ``j``; return ``column`` as an int."""
+    word = min(size, 64)  # bits per strided copy: one copy, or one per word of a wider field
+    code = _FIELD_CODES[word]
+    fields, src = memoryview(column).cast(code), memoryview(src).cast(code)
+    for t in range(size // word):
+        fields[t::width // word] = src[t::stride // word]
+    return int.from_bytes(column, "little")

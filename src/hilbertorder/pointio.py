@@ -13,21 +13,15 @@ pipe works as an input.  :func:`read_points` gives the components flat,
 in file order, as :func:`curve.curve_keys` takes them, and
 :func:`read_indices` the digits of every index flat, as
 :func:`curve.curve_points` takes them; each checks its values once per
-file, so the codec that follows need not check them again.  A binary file,
-and a text file of ASCII digits, spaces, tabs, ``\n`` or ``\r\n`` line
-ends and UTF-8 ``#`` comment lines, ``n`` components on every other line
-that is not blank, is read whole: one ``struct`` unpack, or one split and
-one ``map(int, ...)``, and one range check of the largest component, with
-no Python loop per row.  An index file of ``digits:`` tokens alone, one
-per line, each of ``m`` digits below ``2**n <= 4096`` written as ``str``
-writes them, is read in blocks of lines: one ``translate`` checks the
-shape of every line, then per block one ``replace``, one ``split`` and
-one ``map`` through a digit table read the digits, again with no loop
-per row.  Any other index file is parsed row by row and checked once per
-file.  Any other text file, and any file with a component or digit out
-of range, goes through a row loop, which names the first bad row in file
-order (``line N`` or ``record N``) with the same message either way.  The
-writer replaces a regular output whole, so a failed run leaves it intact.
+file, so the codec that follows need not check them again.  A binary
+file, a plain text point file (:func:`_plain_text_values`) and a file of
+``digits:`` index tokens alone (:func:`_digit_token_values`) are read
+with no Python loop per row.  Any other index file is parsed row by row
+and checked once per file.  Any other text file, and any file with a
+component or digit out of range, goes through a row loop, which names the
+first bad row in file order (``line N`` or ``record N``) with the same
+message either way.  The writer replaces a regular output whole, so a
+failed run leaves it intact.
 """
 
 from __future__ import annotations
@@ -59,10 +53,10 @@ DIGIT_PREFIX = "digits:"
 # to n = 12; from n = 13 no table fits.  index_digits and the block reader
 # read digits through a dict of the L = 1 table under the same cap.
 _DIGIT_TABLE_STRINGS = 4096
-# Lines per block of the digits: reader.  A block's digit strings are freed
-# before the next block is split, so their memory is reused while still in
-# cache; splitting the whole file at once reads it more slowly.
-_DIGIT_BLOCK_LINES = 1024
+# Bytes per block of the digits: reader.  A block and its digit list stay below
+# glibc malloc's 128 KiB mmap threshold, so the next one reuses their pages: 10k
+# n = 8, m = 32 tokens take 1,600 minor faults, 5,000 in 1,024-line blocks.
+_DIGIT_BLOCK_BYTES = 16384
 
 # CPython's cap on decimal digits per int <-> str conversion; 0 means no
 # cap, as on interpreters that predate it.
@@ -214,19 +208,16 @@ def read_indices(path: Path, params: CurveParams) -> tuple[list[int], int]:
     """The digits of every index of a text index file, flat and in file order
     (``m`` per index, most significant first), and the number of indices.
 
-    A file of ``digits:`` tokens alone, one per line, with ``2**n <= 4096``
-    is read by :func:`_digit_token_values` in blocks of lines.  Any other
-    file takes two passes: one that parses each row and checks the rows'
-    digit counts and largest digit once per file, and, if that fails or a
-    row does not parse, one that checks each row as it is read, which
-    names the first bad row in file order."""
+    A file of ``digits:`` tokens alone is read by :func:`_digit_token_values`.
+    Any other file (decimal indices, comments, blank lines, ``\r\n``, digits
+    past the table) takes two passes: one that parses each row and checks the
+    rows' digit counts and largest digit once per file, in half to three
+    quarters the time of :func:`parse_index` per row, and, if that fails or a
+    row does not parse, one that checks each row and names the first bad one."""
     data = path.read_bytes()
     found = _digit_token_values(data, params)
     if found is not None:
         return found
-    # Decimal indices, digits: files with comments, blank lines or \r\n, and
-    # digits past the table: checking the digits once per file, not per row
-    # as parse_index does, reads such files in half to three quarters the time.
     try:
         rows = _text_rows(path, data, lambda line: index_digits(line, params))
     except PointFileError:  # the row loop below names the first bad row
@@ -241,35 +232,35 @@ def read_indices(path: Path, params: CurveParams) -> tuple[list[int], int]:
 
 def _digit_token_values(data: bytes, params: CurveParams) -> tuple[list[int], int] | None:
     """The digits of an index file, flat, and its line count, if every line is
-    ``digits:`` and ``m`` digits below ``2**n`` (``m > 0``), each written
-    as ``str`` writes it, while ``2**n <= _DIGIT_TABLE_STRINGS``; ``None``
-    for any other file.
+    ``digits:`` and ``m > 0`` digits below ``2**n <= _DIGIT_TABLE_STRINGS``,
+    each written as ``str`` writes it; ``None`` for any other file.
 
-    One ``translate`` that drops the digits checks, before any split, that
-    the file is the prefix and ``m - 1`` dots on every line and nothing
-    else; a digit written inside a prefix leaves its colon in a digit
-    string, which no lookup takes.  Then ``_DIGIT_BLOCK_LINES`` lines at a
-    time, one ``replace`` and one ``split`` give the digit strings, read
-    through a bytes-keyed copy of :func:`_digit_values`.
-    """
-    n, m = params.n, params.m
-    table = _digit_values(n)
+    One ``translate`` that drops the digits checks that every line is the
+    prefix and ``m - 1`` dots; a digit inside a prefix leaves its colon in a
+    digit string, which no lookup takes.  Per block, cut at the first line
+    end ``_DIGIT_BLOCK_BYTES`` or more past its start, one ``replace`` and one
+    ``split`` give the digit strings, read through a bytes-keyed :func:`_digit_values`."""
+    m, table = params.m, _digit_values(params.n)
     prefix = DIGIT_PREFIX.encode()
     if not m or table is None or not data.startswith(prefix):
         return None
-    body = data[:-1] if data.endswith(b"\n") else data  # the end of the last line
-    count = body.count(b"\n") + 1
-    if body.translate(None, b"0123456789") != b"\n".join([prefix + b"." * (m - 1)] * count):
+    end = len(data) - data.endswith(b"\n")  # the end of the last line
+    count = data.count(b"\n", 0, end) + 1
+    if data.translate(None, b"0123456789") != (
+            b"\n".join([prefix + b"." * (m - 1)] * count) + data[end:]):  # freed before the split
         return None
     read = {key.encode(): value for key, value in table.items()}.__getitem__
-    lines = body.split(b"\n")
     digits: list[int] = []
-    for start in range(0, count, _DIGIT_BLOCK_LINES):
-        block = b"\n".join(lines[start:start + _DIGIT_BLOCK_LINES])
+    start = 0
+    while start < end:
+        stop = data.find(b"\n" + prefix, start + _DIGIT_BLOCK_BYTES, end)
+        stop = end if stop < 0 else stop
+        block = data[start + len(prefix):stop].replace(b"\n" + prefix, b".")
         try:
-            digits += map(read, block[len(prefix):].replace(b"\n" + prefix, b".").split(b"."))
+            digits += map(read, block.split(b"."))
         except KeyError:  # an empty digit, a leading zero or one of 2**n or more
             return None
+        start = stop + 1
     return digits, count
 
 
@@ -326,7 +317,8 @@ def _plain_text_values(data: bytes, n: int) -> list[int] | None:
     """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
     only once ``\r\n`` becomes ``\n`` and its UTF-8 comment lines go, with ``n``
     components on each line that is not blank, none past the digit-count cap;
-    ``None`` for any other file, which the row loop reads."""
+    ``None`` for any other file, which the row loop reads.  One split and one
+    ``map(int, ...)`` read it whole, and the caller checks the largest value."""
     data = data.replace(b"\r\n", b"\n")
     if b"\r" in data:
         return None

@@ -240,9 +240,9 @@ def sample_indices(n, m, seed):
 class TestCurvePoint:
     """One index, placed as a batch of one: ``curve_points(params, digits, 1)``."""
 
-    # The fields start at one word or less; past m = 64 they widen by a word
-    # every 64 placed levels.  Every property below is drawn on both sides
-    # of m = 64.
+    # The fields start at field_width(n) bits and widen each time the placed
+    # levels fill them, at v = 8, 16, 32, 64, 128, ...  Every property below
+    # is drawn on both sides of m = 64.
     @settings(max_examples=300, deadline=None)
     @given(curve_indices(max_n=10))
     @example((2, 0, []))  # level 0: the origin
@@ -310,8 +310,8 @@ class TestCurvePoint:
     )
     def test_equals_decode_arith_at_the_cut_over(self, n, m):
         # The cut-over from one-word fields to wider ones: the fields widen
-        # at levels 64, 128 and 192, so m = 65, 129 and 193 place one level
-        # in a field just widened.
+        # at levels 64, 128 and 192 (at n = 8 also at 8, 16 and 32), so
+        # m = 65, 129 and 193 place one level in a field just widened.
         params = CurveParams(n, m)
         indices = sample_indices(n, m, n * 1000 + m)
         assert curve_points(params, [d for i in indices for d in i], len(indices)) == (
@@ -350,13 +350,16 @@ class TestCurvePoint:
 
 
 class TestCurvePoints:
-    @pytest.mark.parametrize("m", [0, 1, 8, 16, 17, 32, 33, 63, 64, 65, 128, 129, 192, 193])
-    @pytest.mark.parametrize("n", [*range(2, 22), 32, 64, 100])
+    @pytest.mark.parametrize(
+        "m", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129, 192, 193])
+    @pytest.mark.parametrize("n", [*range(2, 22), 32, 64, 65, 100])
     def test_equals_decode_arith_at_every_n(self, n, m):
-        # The fields start at field_width(max(min(m, 64), n)) bits; m = 1,
-        # m = 8 at n >= 9 and m = 16 at n >= 17 hold the fields that must
-        # be wider than m, and m > 64 the fields that widen as levels are
-        # placed.  Past the gene table's cap of n = 20 the reference runs
+        # The fields start at field_width(n) bits and widen when the placed
+        # levels fill them, at v = 8, 16, 32, 64, 128 and 192 from the
+        # start width on; so m = W - 1, W and W + 1 end a level before a
+        # widening, on it and one level past it at every width W it
+        # passes through, and m = 1, or m = 8 at n >= 9, holds fields wider
+        # than m.  Past the gene table's cap of n = 20 the reference runs
         # on the closed-form stand-in; the kernel takes any n.
         params = CurveParams(n, m)
         indices = sample_indices(n, m, n * 100 + m)

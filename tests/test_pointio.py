@@ -7,6 +7,7 @@ layout of the reading and writing code.  The property tests hold
 """
 
 import contextlib
+import itertools
 import os
 import random
 import stat
@@ -397,7 +398,7 @@ class TestNamedRows:
         assert path.with_suffix(".out").read_bytes() == b"0 0\n3 0\n"
 
 
-BLOCK = pointio._DIGIT_BLOCK_LINES
+BUDGET = pointio._DIGIT_BLOCK_BYTES
 DIGIT_LEVEL = 3  # digits per index in the block reader's files
 
 
@@ -406,6 +407,16 @@ def digit_lines(n, count, seed=0):
     rng = random.Random(seed)
     return ["digits:" + ".".join(str(rng.getrandbits(n)) for _ in range(DIGIT_LEVEL))
             for _ in range(count)]
+
+
+def block_lines(n):
+    """Lines of ``digits:`` tokens at dimension ``n``, and ``B``, how many of
+    them the block reader's first block holds: it ends at the first line end
+    ``BUDGET`` bytes or more into the file.  Every line is 13 bytes or more,
+    so the lines hold more than ``2 * B + 3``."""
+    lines = digit_lines(n, 3 * BUDGET // 13, seed=n)
+    ends = itertools.accumulate(len(line) + 1 for line in lines)  # one past each line end
+    return lines, next(i for i, end in enumerate(ends, start=1) if end > BUDGET)
 
 
 def _put(lines, j, *new):
@@ -459,11 +470,15 @@ class TestDigitBlockReader:
         return blocks, rows
 
     @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
-    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("full, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["0", "1", "B-1", "B", "B+1", "2B+3"])
     @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
-    def test_takes_a_file_of_digit_tokens(self, capsys, monkeypatch, tmp_path, n, count, end):
+    def test_takes_a_file_of_digit_tokens(self, capsys, monkeypatch, tmp_path, n, full, extra, end):
+        # full * B + extra lines: B fill the first block, B + 1 start a second.
         path = tmp_path / "indices.txt"
-        lines = digit_lines(n, count, seed=count)
+        lines, B = block_lines(n)
+        count = full * B + extra
+        lines = lines[:count]
         path.write_text("\n".join(lines) + (end if lines else ""))  # "\n" alone is a blank line
         blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
         assert blocks == rows
@@ -472,17 +487,42 @@ class TestDigitBlockReader:
         # Past the digit table (n > 12), and for an empty file, the row passes read it.
         assert (taken and taken[1]) == (count if n <= 12 and count else None)
 
-    @pytest.mark.parametrize("j", [0, BLOCK, BLOCK + 1], ids=["first-line", "block-start", "in-block"])
+    @pytest.mark.parametrize("full, extra", [(0, 0), (1, 0), (1, 1)],
+                             ids=["first-line", "block-start", "in-block"])
     @pytest.mark.parametrize("kind", sorted(REJECTIONS))
     @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
     def test_other_files_read_as_the_row_passes_read_them(
-            self, capsys, monkeypatch, tmp_path, n, kind, j):
-        lines = REJECTIONS[kind](digit_lines(n, BLOCK + 3), j, n)
+            self, capsys, monkeypatch, tmp_path, n, kind, full, extra):
+        # The change is at line full * B + extra: line B starts the second block.
+        lines, B = block_lines(n)
+        lines = REJECTIONS[kind](lines[:B + 3], full * B + extra, n)
         path = tmp_path / "indices.txt"
         path.write_text("\n".join(lines) + "\n")
         blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
         assert blocks == rows
         assert pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL)) is None
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize("n", [2, 8, 12])
+    def test_blocks_of_a_few_bytes(self, capsys, monkeypatch, tmp_path, n, end):
+        # Budgets of 1 byte up to two lines: the first block's search for a
+        # line end starts at every byte of the first two lines (in the
+        # prefix, on a dot, inside a digit, on the line end).
+        lines = digit_lines(n, 4, seed=n)
+        path = tmp_path / "indices.txt"
+        path.write_text("\n".join(lines) + end)
+        data, params = path.read_bytes(), CurveParams(n, DIGIT_LEVEL)
+        argv = ["decode", "--dim", n, "--level", DIGIT_LEVEL, "--input", path]
+        with monkeypatch.context() as patch:  # the row passes
+            patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+            expected, rows = pointio.read_indices(path, params), run(capsys, *argv)
+        bad = {kind: "\n".join(REJECTIONS[kind](lines, 1, n)).encode() for kind in REJECTIONS}
+        for budget in range(1, len(lines[0]) + len(lines[1]) + 3):
+            monkeypatch.setattr(pointio, "_DIGIT_BLOCK_BYTES", budget)
+            assert pointio._digit_token_values(data, params) == expected
+            assert run(capsys, *argv) == rows
+            for kind, other in bad.items():
+                assert pointio._digit_token_values(other, params) is None, kind
 
     @pytest.mark.parametrize("text", ["", "\n", "digits:\n", "digits:\ndigits:", "0\ndigits:\n",
                                       "5digits:\n", "digits:0\n", "digits:.\n"])
