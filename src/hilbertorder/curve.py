@@ -342,7 +342,7 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
         if v == width:  # the placed levels fill every field: widen them
             width = field_width(max(v + 1, n))
             column = bytearray(count * width // 8)  # no bit of it above a digit is read
-            if v:  # else no level is placed yet, and every field is 0
+            if v and count > 1:  # else every field is 0, or one field stays put
                 c = [_spread(column, width, x.to_bytes(count * v // 8, "little"), v, v) for x in c]
             ones = field_ones(count, width)
         packed = _spread(column, width, data[(m - 1 - v) * size:], 8 * m * size, 8 * size)
