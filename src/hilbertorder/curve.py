@@ -327,8 +327,8 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
 
     The walk places every index bottom up, on fields ``field_width(n)``
     bits wide that :func:`_spread` widens to ``field_width(W + 1)`` when
-    the ``W`` placed levels fill them.  Per level ``v`` it lays the level's
-    digits in one column from their bytes, written once; then
+    the ``W`` placed levels fill them.  Per level ``v``, :func:`_spread`
+    lays the level's digits, written once as bytes, in one column; then
     :func:`exchange_step` and :func:`reverse_step` apply every digit's
     quadrant ``r`` to the low ``v`` bits, and ``gray(r)`` becomes bit ``v``."""
     n, m = params.n, params.m
