@@ -140,18 +140,19 @@ def field_ones(count: int, width: int) -> int:
     return int.from_bytes((b"\1" + bytes(width // 8 - 1)) * count, "little")
 
 
-def pack_column(values: Sequence[int], width: int) -> int:
-    """One ``int`` whose ``width``-bit field ``j`` holds ``values[j]``.
-
-    ``width`` is a :func:`field_width`, and every value must fit
-    its field.  Up to 64 bits this is one ``struct.pack``; above that one
-    ``int.to_bytes`` per value.
-    """
+def pack_bytes(values: Sequence[int], width: int) -> bytes:
+    """The little-endian bytes of :func:`pack_column`: up to 64 bits one
+    ``struct.pack``, above that one ``int.to_bytes`` per value."""
     code = _FIELD_CODES.get(width)
     if code:
-        return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
-    size = width // 8
-    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+        return struct.pack(f"<{len(values)}{code}", *values)
+    return b"".join([v.to_bytes(width // 8, "little") for v in values])
+
+
+def pack_column(values: Sequence[int], width: int) -> int:
+    """One ``int`` whose ``width``-bit field ``j`` holds ``values[j]``;
+    ``width`` is a :func:`field_width`, and every value must fit its field."""
+    return int.from_bytes(pack_bytes(values, width), "little")
 
 
 def unpack_columns(columns: Sequence[int], count: int, width: int) -> tuple[int, ...]:
@@ -335,15 +336,14 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
     if not m:
         return (0,) * (n * count)
     size = field_width(n) // 8  # bytes per digit
-    data = memoryview(bytes(digits) if size == 1 else pack_column(digits, 8 * size).to_bytes(
-        len(digits) * size, "little"))
-    c, width = [0] * n, 0
+    data = memoryview(bytes(digits) if size == 1 else pack_bytes(digits, 8 * size))
+    c, width = [0] * n, 8 * size
+    column, ones = bytearray(count * size), field_ones(count, width)
     for v in range(m):
         if v == width:  # the placed levels fill every field: widen them
-            width = field_width(max(v + 1, n))
+            width = field_width(v + 1)
             column = bytearray(count * width // 8)  # no bit of it above a digit is read
-            if v and count > 1:  # else every field is 0, or one field stays put
-                c = [_spread(column, width, x.to_bytes(count * v // 8, "little"), v, v) for x in c]
+            c = [_spread(column, width, x.to_bytes(count * v // 8, "little"), v, v) for x in c]
             ones = field_ones(count, width)
         packed = _spread(column, width, data[(m - 1 - v) * size:], 8 * m * size, 8 * size)
         r = [(packed >> i) & ones for i in range(n)]  # the rank bits r_i of every digit
