@@ -23,6 +23,7 @@ from hilbertorder.curve import (
     field_ones,
     field_width,
     integer_digits,
+    pack_bytes,
     pack_column,
     unpack_columns,
 )
@@ -263,6 +264,7 @@ class TestColumns:
         columns[0][0] = 2**width - 1
         packed = [pack_column(column, width) for column in columns]
         assert packed[0] == sum(v << (j * width) for j, v in enumerate(columns[0]))
+        assert pack_bytes(columns[0], width) == packed[0].to_bytes(5 * width // 8, "little")
         assert unpack_columns(packed, 5, width) == tuple(v for row in zip(*columns) for v in row)
         assert unpack_columns(packed[:1], 5, width) == tuple(columns[0])
         assert pack_column([], width) == 0 and unpack_columns([0, 0], 0, width) == ()
