@@ -25,9 +25,13 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .curve import CurveParams, curve_keys, integer_digits, unchecked_keys, unchecked_points
+from .curve import (
+    CurveParams, curve_keys, field_width, integer_digits, pack_bytes, unchecked_keys,
+    unchecked_points,
+)
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
+    binary_values,
     check_bit_count,
     format_flat,
     format_indices,
@@ -142,7 +146,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     check_bit_count(params.m, "level", "coordinates")
     check_bit_count(params.n, "dimension", "digits")  # a digits: digit has n bits
     if args.input is not None:
-        keys = unchecked_keys(params, read_points(args.input, params)[0])
+        keys = unchecked_keys(params, *read_points(args.input, params)[:3])
     else:
         keys = curve_keys(params, parse_point(args.coords, params.n)[::-1])
     sys.stdout.write(format_indices(keys, params, args.digits))
@@ -165,9 +169,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
-    values, binary = read_points(args.input, params)
-    keys = unchecked_keys(params, values)
-    rows = list(zip(*[iter(values)] * params.n))  # as the file writes them, x_n first
+    records, size, k, values = read_points(args.input, params)
+    keys = unchecked_keys(params, records, size, k)
+    binary = values is None
+    flat = binary_values(records) if binary else values
+    rows = list(zip(*[iter(flat)] * params.n))  # as the file writes them, x_n first
     order = sorted(range(len(rows)), key=keys.__getitem__)  # stable: ties keep input order
     write_points(args.output, params.n, list(map(rows.__getitem__, order)), binary)
     return 0
@@ -223,7 +229,9 @@ def _walk_matches_codecs(enumeration, params: CurveParams) -> tuple[bool, str]:
     digits = [d for z in range(len(walk)) for d in integer_digits(z, params)]
     flat = unchecked_points(params, digits, len(walk))
     decoded = [point[::-1] for point in zip(*[iter(flat)] * params.n)]
-    keys = unchecked_keys(params, list(chain.from_iterable(map(reversed, walk))))
+    size = field_width(params.m) // 8  # k = m is at least the walk's largest bit length
+    records = pack_bytes(list(chain.from_iterable(map(reversed, walk))), 8 * size)
+    keys = unchecked_keys(params, records, size, params.m)
     if decoded != list(walk) or keys != list(range(len(walk))):
         for z, expected in enumerate(walk):
             if decoded[z] != expected:

@@ -11,9 +11,9 @@ Both kernels run the transposed-form walk of J. Skilling ("Programming
 the Hilbert curve", AIP Conf. Proc. 707, 2004) on all points at once,
 SIMD within a register (R. J. Fisher and H. G. Dietz, "Compiling for
 SIMD within a register", LCPC 1998): component ``i + 1`` of every point
-is one ``int`` of ``W``-bit fields, one field per point, packed by
-:func:`pack_column` and read back by :func:`unpack_columns`, with ``W``
-from :func:`field_width`.  Per level, :func:`reverse_step` and
+is one ``int`` of ``W``-bit fields, one field per point, laid from
+packed bytes by :func:`_spread` and read back by :func:`unpack_columns`,
+with ``W`` from :func:`field_width`.  Per level, :func:`reverse_step` and
 :func:`exchange_step` apply every point's quadrant commands in O(n)
 whole-int operations.  They compute the commands from closed forms in
 the quadrant digit (those of ``gene.quadrant_commands``), so no gene
@@ -141,7 +141,8 @@ def field_ones(count: int, width: int) -> int:
 
 
 def pack_bytes(values: Sequence[int], width: int) -> bytes:
-    """The little-endian bytes of :func:`pack_column`: up to 64 bits one
+    """``values`` as little-endian fields ``width`` bits wide, a
+    :func:`field_width` that holds every value: up to 64 bits one
     ``struct.pack``, above that one ``int.to_bytes`` per value."""
     code = _FIELD_CODES.get(width)
     if code:
@@ -149,15 +150,9 @@ def pack_bytes(values: Sequence[int], width: int) -> bytes:
     return b"".join([v.to_bytes(width // 8, "little") for v in values])
 
 
-def pack_column(values: Sequence[int], width: int) -> int:
-    """One ``int`` whose ``width``-bit field ``j`` holds ``values[j]``;
-    ``width`` is a :func:`field_width`, and every value must fit its field."""
-    return int.from_bytes(pack_bytes(values, width), "little")
-
-
 def unpack_columns(columns: Sequence[int], count: int, width: int) -> tuple[int, ...]:
-    """Invert :func:`pack_column` on each of ``columns``, ``count`` fields
-    each, and interleave them: field 0 of every column in order, then
+    """Read each of ``columns`` as ``count`` little-endian fields ``width``
+    bits wide, and interleave them: field 0 of every column in order, then
     field 1, and so on.
 
     A ``memoryview`` of whole fields up to 64 bits, and of 64-bit words
@@ -229,7 +224,8 @@ def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     point file, and key ``j`` equals ``index_to_integer(encode_arith(...)[0])``
     of point ``j``.  Only a batch that fails the whole-batch checks (length,
     types, least and greatest value) is checked point by point, raising as
-    the variants do for the first bad point; an int subclass passes.
+    the variants do for the first bad point; an int subclass passes.  The
+    values are packed once, by :func:`pack_bytes`, for :func:`unchecked_keys`.
     """
     n, m = params.n, params.m
     if len(values) % n or set(map(type, values)) - {int} or values and (
@@ -237,38 +233,57 @@ def curve_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
     ):
         for j in range(0, len(values), n):
             check_point(values[j:j + n][::-1], params)
-    return unchecked_keys(params, values)
+    k = max(values, default=0).bit_length()
+    size = field_width(k) // 8
+    return unchecked_keys(params, pack_bytes(values, 8 * size), size, k)
 
 
-def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
-    """:func:`curve_keys` of values that are checked: whole points of
-    integers in ``[0, 2**m)``.
+def unchecked_keys(
+    params: CurveParams, records: bytes | memoryview, size: int, k: int
+) -> list[int]:
+    """:func:`curve_keys` of checked points, packed: ``records`` holds their
+    components in file order (``x_n .. x_1`` per point), ``size`` bytes each,
+    little-endian, and ``k`` is the bit length of the largest component
+    (any ``k`` from that up to ``m`` gives the same keys).
 
-    The walk runs top down, over only the ``k`` levels below the bit
-    length of the largest component; the levels above are all quadrant 0,
-    so they collapse into one swap of components 1 and ``n`` when their
-    count is odd.  ``W`` is ``field_width(max(k, n))``, so a field holds a
-    component and at least one level's digit.  Each level reads every
-    quadrant digit and applies :func:`reverse_step` and then
-    :func:`exchange_step` to the low bits.  The digits fill one ``W``-bit
-    field per point, ``W // n`` levels at a time, each group read back by
-    :func:`unpack_columns`.
+    The walk runs top down, over only the ``k`` levels; the levels above
+    are all quadrant 0, so they collapse into one swap of components 1 and
+    ``n`` when their count is odd.  :func:`_spread` lays each component in
+    a column of ``W``-bit fields, ``W = field_width(max(k, n))``, so a
+    field holds a component and at least one level's digit.  Each level
+    reads every quadrant digit and applies :func:`reverse_step` and then
+    :func:`exchange_step` to the low bits.  The digits fill one field per
+    point, ``W // n`` levels at a time.  A group whose top level is ``t``
+    reads no bit above ``t``, so past 64 bits it starts on fields
+    ``field_width(max(t + 1, n))`` bits wide, narrowed by :func:`_spread`;
+    below a word, the more and smaller groups cost more than the narrower
+    fields save.  While a key fits a word (``n * k <= 64``) each group is
+    spread into one key column that ``struct`` reads at the end; a wider
+    key is merged from every group's :func:`unpack_columns`.
     """
     n, m = params.n, params.m
-    count = len(values) // n
-    k = max(values, default=0).bit_length()
+    count = len(records) // (n * size)
     if not k:
         return [0] * count
     width = field_width(max(k, n))  # a field holds a component and a digit
-    c = [pack_column(values[n - 1 - i::n], width) for i in range(n)]
+    column, records = bytearray(count * width // 8), memoryview(records)
+    bits = min(width, 8 * size)  # no bit of a component lies above k
+    c = [_spread(column, width, records[(n - 1 - i) * size:], 8 * n * size, bits) for i in range(n)]
     if (m - k) & 1:
         c[0], c[-1] = c[-1], c[0]
     ones = field_ones(count, width)
-    per = width // n  # levels whose digits fill one field
-    keys: list[int] = []
-    for top in range(k - 1, -1, -per):
+    key_width = field_width(n * k) if n * k <= 64 else 0  # the key column's fields, if any
+    total, keys = 0, []
+    top = k - 1
+    while top >= 0:
+        narrow = field_width(max(top + 1, n, 64))
+        if narrow < width:
+            column = bytearray(count * narrow // 8)
+            c = [_spread(column, narrow, x.to_bytes(count * width // 8, "little"), width, narrow)
+                 for x in c]
+            width, ones = narrow, field_ones(count, narrow)
         key = 0
-        for v in range(top, max(top - per, -1), -1):
+        for v in range(top, max(top - width // n, -1), -1):
             bit = ones << v
             # The rank bits of the plane g at bit v: r_i = g_i ^ .. ^ g_(n-1).
             r = [0] * n
@@ -287,9 +302,18 @@ def unchecked_keys(params: CurveParams, values: Sequence[int]) -> list[int]:
             r = [x - (x >> v) for x in r]
             reverse_step(c, r, low)
             exchange_step(c, r, low)
-        part = unpack_columns([key], count, width)
-        shift = n * (top - v + 1)  # v is the group's last level
-        keys = [(a << shift) | z for a, z in zip(keys, part)] if keys else list(part)
+        if key_width:  # the group's digits sit at bit n * v of each key
+            part = key.to_bytes(count * width // 8, "little")
+            column = bytearray(count * key_width // 8)
+            total |= _spread(column, key_width, part, width, width) << (n * v)
+        else:
+            shift = n * (top - v + 1)
+            part = unpack_columns([key], count, width)
+            keys = [(a << shift) | z for a, z in zip(keys, part)] if keys else list(part)
+        top = v - 1
+    if key_width:
+        data = total.to_bytes(count * key_width // 8, "little")
+        return list(struct.unpack(f"<{count}{_FIELD_CODES[key_width]}", data))
     return keys
 
 

@@ -9,19 +9,19 @@ record, all little-endian.  Indices print in decimal while ``n * m <= 64``,
 else as ``digits:`` and their radix ``2**n`` digits, most significant first.
 
 A reader opens its file once and takes the format from its bytes, so a
-pipe works as an input.  :func:`read_points` gives the components flat,
-in file order, as :func:`curve.curve_keys` takes them, and
+pipe works as an input.  :func:`read_points` gives the components packed,
+in file order, as :func:`curve.unchecked_keys` takes them, and
 :func:`read_indices` the digits of every index flat, as
 :func:`curve.curve_points` takes them; each checks its values once per
 file, so the codec that follows need not check them again.  A binary
-file, a plain text point file (:func:`_plain_text_values`) and a file of
-``digits:`` index tokens alone (:func:`_digit_token_values`) are read
-with no Python loop per row.  Any other index file is parsed row by row
-and checked once per file.  Any other text file, and any file with a
-component or digit out of range, goes through a row loop, which names the
-first bad row in file order (``line N`` or ``record N``) with the same
-message either way.  The writer replaces a regular output whole, so a
-failed run leaves it intact.
+file (its payload as it is), a plain text point file
+(:func:`_plain_text_values`) and a file of ``digits:`` index tokens alone
+(:func:`_digit_token_values`) are read with no Python loop per row.  Any
+other index file is parsed row by row and checked once per file.  Any
+other text file, and any file with a component or digit out of range,
+goes through a row loop, which names the first bad row in file order
+(``line N`` or ``record N``) with the same message either way.  The
+writer replaces a regular output whole, so a failed run leaves it intact.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .curve import CurveParams, check_index, check_point, integer_digits
+from .curve import (
+    CurveParams, check_index, check_point, field_width, integer_digits, pack_bytes,
+)
 from .errors import DomainError, PointFileError
 
 POINT_MAGIC = b"HPTS"
@@ -46,6 +48,8 @@ _POINT_HEADER = len(POINT_MAGIC) + _POINT_FIELDS.size
 # The bytes of a text point file the whole-file reader takes: with these
 # only, a line is a row, and its tokens are what the row parser reads.
 _PLAIN_TEXT_BYTES = b"0123456789 \t\n"
+# The bit length of every byte value, for bytes.translate.
+_BIT_LENGTHS = bytes(b.bit_length() for b in range(256))
 
 DIGIT_PREFIX = "digits:"
 # Strings one digit table of format_indices may hold.  It holds 2**(n * L)
@@ -95,14 +99,10 @@ def parse_point(parts: Sequence[str], n: int) -> tuple[int, ...]:
     return tuple(reversed([parse_decimal(part, "component") for part in parts]))
 
 
-def format_point(point: tuple[int, ...]) -> str:
-    return " ".join(map(str, reversed(point)))
-
-
 def format_flat(flat: tuple[int, ...], n: int) -> str:
-    """Text lines of ``n`` components each, from their values in line order,
-    as :func:`format_point` writes each point, through one ``%``-format of
-    the whole output."""
+    """Text lines of ``n`` decimal components each, separated by one space,
+    from their values in line order, through one ``%``-format of the whole
+    output."""
     return (" ".join(["%d"] * n) + "\n") * (len(flat) // n) % flat
 
 
@@ -153,16 +153,18 @@ def format_indices(keys: Sequence[int], params: CurveParams, force_digits: bool)
     columns over all keys: ``L`` digits per lookup in the table of
     :func:`_digit_strings` while ``2**n <= _DIGIT_TABLE_STRINGS``, the
     ``k mod L`` leading ones from a shorter table; above that, one ``str``
-    per digit.  One join per key then makes its token.  The first key
-    outside ``0 <= z < 2**(n * m)`` raises as :func:`integer_digits` does.
+    per digit.  ``map`` joins each token's columns, and one join with the
+    prefix between lines makes the output.  The first key outside
+    ``0 <= z < 2**(n * m)`` raises as :func:`integer_digits` does.
     """
     n, m = params.n, params.m
-    if keys and (min(keys) < 0 or max(keys) >> (n * m)):
+    top = max(keys, default=0)
+    if keys and (min(keys) < 0 or top >> (n * m)):
         integer_digits(next(z for z in keys if z < 0 or z >> (n * m)), params)  # raises
     decimal = n * m <= 64
     if decimal and not force_digits:
         return format_flat(tuple(keys), 1)
-    k = min(m, -(-max(keys, default=0).bit_length() // n) or 1)
+    k = min(m, -(-top.bit_length() // n) or 1)
     levels = (_DIGIT_TABLE_STRINGS.bit_length() - 1) // n  # largest L with 2**(n * L) <= cap
     if levels:
         width = n * levels
@@ -180,10 +182,16 @@ def format_indices(keys: Sequence[int], params: CurveParams, force_digits: bool)
         shifts = range(n * (k - 1), -1, -n)
         columns = [[str((z >> shift) & low) for z in keys] for shift in shifts]
     prefix = DIGIT_PREFIX + "0." * (m - k)
-    tokens = [prefix + ".".join(row) for row in zip(*columns)] if columns else [prefix] * len(keys)
+    lines = list(map(".".join, zip(*columns))) if columns else [""] * len(keys)
     if decimal:
-        tokens = [f"{z} {token}" for z, token in zip(keys, tokens)]
-    return "\n".join(tokens + [""])
+        lines = list(map(f" {prefix}".join, zip(map(str, keys), lines)))
+        prefix = ""
+    if not lines:
+        return ""
+    # Only the first and last line are copied to give the output its ends.
+    lines[0] = prefix + lines[0]
+    lines[-1] += "\n"
+    return f"\n{prefix}".join(lines)
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,7 +212,7 @@ def _digit_values(n: int) -> dict[str, int] | None:
     return {string: value for value, string in enumerate(_digit_strings(n, 1))}
 
 
-def read_indices(path: Path, params: CurveParams) -> tuple[list[int], int]:
+def read_indices(path: Path, params: CurveParams) -> tuple[Sequence[int], int]:
     """The digits of every index of a text index file, flat and in file order
     (``m`` per index, most significant first), and the number of indices.
 
@@ -230,10 +238,12 @@ def read_indices(path: Path, params: CurveParams) -> tuple[list[int], int]:
     return list(chain.from_iterable(rows)), len(rows)
 
 
-def _digit_token_values(data: bytes, params: CurveParams) -> tuple[list[int], int] | None:
+def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int], int] | None:
     """The digits of an index file, flat, and its line count, if every line is
     ``digits:`` and ``m > 0`` digits below ``2**n <= _DIGIT_TABLE_STRINGS``,
-    each written as ``str`` writes it; ``None`` for any other file.
+    each written as ``str`` writes it; ``None`` for any other file.  The
+    digits are a ``bytearray`` while ``n <= 8``, one byte each as the
+    decoder lays them, and a list of ints above.
 
     One ``translate`` that drops the digits checks that every line is the
     prefix and ``m - 1`` dots; a digit inside a prefix leaves its colon in a
@@ -250,38 +260,59 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[list[int], in
             b"\n".join([prefix + b"." * (m - 1)] * count) + data[end:]):  # freed before the split
         return None
     read = {key.encode(): value for key, value in table.items()}.__getitem__
-    digits: list[int] = []
+    digits: bytearray | list[int] = bytearray() if params.n <= 8 else []
     start = 0
     while start < end:
         stop = data.find(b"\n" + prefix, start + _DIGIT_BLOCK_BYTES, end)
         stop = end if stop < 0 else stop
         block = data[start + len(prefix):stop].replace(b"\n" + prefix, b".")
         try:
-            digits += map(read, block.split(b"."))
+            digits.extend(map(read, block.split(b".")))
         except KeyError:  # an empty digit, a leading zero or one of 2**n or more
             return None
         start = stop + 1
     return digits, count
 
 
-def read_points(path: Path, params: CurveParams) -> tuple[Sequence[int], bool]:
-    """The components of every point of a text or binary point file, flat and
-    in file order (``x_n .. x_1`` per row), and whether the file was binary.
-    A parse error or a component of ``2**m`` or more is named by its row."""
-    n = params.n
+def read_points(
+    path: Path, params: CurveParams
+) -> tuple[bytes | memoryview, int, int, list[int] | None]:
+    """The points of a text or binary point file as :func:`curve.unchecked_keys`
+    takes them: the components packed in file order (``x_n .. x_1`` per
+    row), little-endian, the bytes per component and the bit length of the
+    largest; last, a text file's components as ints in file order, and
+    ``None`` for a binary file (:func:`binary_values` reads its payload).
+
+    A binary file's payload is handed over as it is, 8 bytes per component,
+    and its bit length comes from its byte columns; a text file's values are
+    packed once by :func:`curve.pack_bytes`.  A parse error or a component
+    of ``2**m`` or more is named by its row."""
+    n, m = params.n, params.m
     data = path.read_bytes()
-    binary = data.startswith(POINT_MAGIC)
-    values = _binary_values(path, data, n) if binary else _plain_text_values(data, n)
-    if values is not None and not max(values, default=0) >> params.m:
-        return values, binary
-    if binary:  # a component is out of range: name the first record that holds one
-        for record, row in enumerate(zip(*[iter(values)] * n)):
+    if data.startswith(POINT_MAGIC):
+        records = _binary_records(path, data, n)
+        k = _payload_bits(data, _POINT_HEADER)
+        if k <= m:
+            return records, 8, k, None
+        # A component is out of range: name the first record that holds one.
+        for record, row in enumerate(zip(*[iter(binary_values(records))] * n)):
             try:
                 check_point(row[::-1], params)
             except DomainError as exc:
                 raise PointFileError(f"{path}: record {record}: {exc}") from exc
-    rows = _text_rows(path, data, lambda line: _checked_row(line, params))
-    return list(chain.from_iterable(rows)), False
+    values = _plain_text_values(data, n)
+    k = max(values, default=0).bit_length() if values is not None else m + 1
+    if k > m:
+        rows = _text_rows(path, data, lambda line: _checked_row(line, params))
+        values = list(chain.from_iterable(rows))
+        k = max(values, default=0).bit_length()
+    size = field_width(k) // 8
+    return pack_bytes(values, 8 * size), size, k, values
+
+
+def binary_values(records: bytes | memoryview) -> tuple[int, ...]:
+    """The components of an ``HPTS`` payload as ints, flat and in file order."""
+    return struct.unpack(f"<{len(records) // 8}Q", records)
 
 
 def write_points(path: Path, n: int, rows: Sequence[Sequence[int]], binary: bool) -> None:
@@ -296,8 +327,8 @@ def write_points(path: Path, n: int, rows: Sequence[Sequence[int]], binary: bool
     _write_whole(path, payload)
 
 
-def _binary_values(path: Path, data: bytes, n: int) -> tuple[int, ...]:
-    """The components of an ``HPTS`` file, flat, after its header checks."""
+def _binary_records(path: Path, data: bytes, n: int) -> memoryview:
+    """The payload of an ``HPTS`` file, after its header checks."""
     if len(data) < _POINT_HEADER:
         raise PointFileError(f"{path}: truncated header")
     version, file_n, count = _POINT_FIELDS.unpack_from(data, len(POINT_MAGIC))
@@ -310,7 +341,20 @@ def _binary_values(path: Path, data: bytes, n: int) -> tuple[int, ...]:
         raise PointFileError(f"{path}: payload has {len(data)} bytes, expected {expected}")
     if file_n != n:
         raise PointFileError(f"{path}: file is {file_n}-dimensional, expected {n}")
-    return struct.unpack_from(f"<{count * n}Q", data, _POINT_HEADER)
+    return memoryview(data)[_POINT_HEADER:]
+
+
+def _payload_bits(data: bytes, start: int) -> int:
+    """The bit length of the largest 8-byte component of the payload at
+    ``data[start:]``: from the highest byte column that is not all zero, the
+    bit length of its largest byte, found by ``translate`` and one byte
+    search per length."""
+    for column in range(7, -1, -1):
+        lengths = data[start + column::8].translate(_BIT_LENGTHS)
+        for bits in range(8, 0, -1):
+            if bits in lengths:
+                return 8 * column + bits
+    return 0
 
 
 def _plain_text_values(data: bytes, n: int) -> list[int] | None:

@@ -238,6 +238,75 @@ class TestEncodeCommand:
         assert out.getvalue().splitlines() == expected
 
 
+# Bit lengths of the largest component of a point file: each side of a
+# byte, of every field width, and of the 64-bit HPTS component.
+FILE_BITS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]
+
+
+class TestPointFileInput:
+    """encode --input of HPTS files, whose payload reaches the kernel as it
+    is, against encode_arith, against the same points in a text file, and
+    with a component out of range."""
+
+    @staticmethod
+    def encode_both(capsys, tmp_path, rows, n, m):
+        """encode --input of ``rows`` (each written x_n .. x_1) as a binary
+        and as a text file: both results."""
+        results = []
+        for binary in (True, False):
+            path = tmp_path / ("points.bin" if binary else "points.txt")
+            pointio.write_points(path, n, rows, binary)
+            results.append(run(capsys, "encode", "-n", str(n), "-m", str(m), "--input", str(path)))
+        return results
+
+    @pytest.mark.parametrize("count", [0, 1, 257])
+    @pytest.mark.parametrize("bits", FILE_BITS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 64, 65, 100])
+    def test_equals_encode_arith(self, capsys, tmp_path, n, bits, count):
+        # The records repeat a few points, so the reference runs once per
+        # point; one holds the origin and one a component of exactly `bits`.
+        m = 64
+        rng = random.Random(n * 1000 + bits)
+        pool = [(0,) * n] + [tuple(rng.getrandbits(rng.choice((1, bits // 2, bits)))
+                                   for _ in range(n)) for _ in range(4)]
+        pool[1] = pool[1][:-1] + (2**bits - 1,)
+        points = [pool[1]] * min(count, 1) + [rng.choice(pool) for _ in range(count - 1)]
+        params, table = CurveParams(n, m), reference_table(n)
+        keys = {p: index_to_integer(encode_arith(p, params, table)[0]) for p in set(points)}
+        binary, text = self.encode_both(capsys, tmp_path, [p[::-1] for p in points], n, m)
+        expected = "".join(reference_line(keys[p], params, False) + "\n" for p in points)
+        assert binary == text == (0, expected, "")
+
+    @pytest.mark.parametrize("count", [1, 257])
+    @pytest.mark.parametrize("n", [2, 9, 65])
+    def test_all_zero_records(self, capsys, tmp_path, n, count):
+        for m in (0, 1, 64):
+            binary, text = self.encode_both(capsys, tmp_path, [(0,) * n] * count, n, m)
+            line = reference_line(0, CurveParams(n, m), False)
+            assert binary == text == (0, (line + "\n") * count, "")
+
+    @pytest.mark.parametrize("bits", FILE_BITS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 64, 65, 100])
+    def test_a_component_out_of_range_names_its_record(self, capsys, tmp_path, n, bits):
+        # Level bits - 1 leaves every component of `bits` bits out of range;
+        # the first record holding one is named, and in it the first such
+        # component from x_1.
+        m = bits - 1
+        rng = random.Random(n * 1000 + bits)
+        rows = [[rng.getrandbits(m) for _ in range(n)] for _ in range(20)]
+        first = rng.randrange(19)
+        for j in (first, rng.randrange(first + 1, 20)):
+            for i in rng.sample(range(n), 2):
+                rows[j][i] = 2**m + rng.getrandbits(m)
+        path = tmp_path / "points.bin"
+        pointio.write_points(path, n, rows, True)
+        code, out, err = run(capsys, "encode", "-n", str(n), "-m", str(m), "--input", str(path))
+        component = next(i for i, c in enumerate(rows[first][::-1]) if c >> m)
+        value = rows[first][::-1][component]
+        assert (code, out, err) == (2, "", f"error: {path}: record {first}: component "
+                                    f"{component + 1} out of range for level {m}: {value}\n")
+
+
 def reference_line(z, params, force_digits):
     """The output line of an index, one ``str`` per digit."""
     wide = params.n * params.m > 64
@@ -358,11 +427,11 @@ class TestIndexDigits:
 
 class TestFormatPoints:
     @pytest.mark.parametrize("n", [2, 3, 8, 9])
-    def test_same_text_as_format_point(self, n):
+    def test_same_text_as_a_line_per_point(self, n):
         rng = random.Random(n)
         points = [tuple(rng.randrange(2 ** rng.randrange(1, 200)) for _ in range(n))
                   for _ in range(50)] + [(0,) * n]
-        expected = "".join(pointio.format_point(p) + "\n" for p in points)
+        expected = "".join(" ".join(map(str, reversed(p))) + "\n" for p in points)
         assert pointio.format_flat(tuple(c for p in points for c in p[::-1]), n) == expected
         assert pointio.format_flat((), n) == ""
 
@@ -438,7 +507,7 @@ class TestDecodeCommand:
         z = (1 << (2 * n)) // 3
         point, _ = decode_arith(integer_to_index(z, params), params, reference_table(n))
         code, out, err = run(capsys, "decode", "-n", str(n), "-m", "2", str(z))
-        assert (code, out, err) == (0, pointio.format_point(point) + "\n", "")
+        assert (code, out, err) == (0, " ".join(map(str, reversed(point))) + "\n", "")
         code, out, err = run(capsys, "encode", "-n", str(n), "-m", "2", *out.split())
         digits = "digits:" + ".".join(map(str, integer_digits(z, params)))
         token = f"{z}" if 2 * n <= 64 else digits
@@ -495,10 +564,8 @@ class TestDecodeCommand:
         with contextlib.redirect_stdout(out):
             assert main(["decode", "--dim", str(n), "--level", str(m), "--input", str(path)]) == 0
         table = gene_table(n)
-        expected = [
-            pointio.format_point(decode_arith(integer_to_index(z, params), params, table)[0])
-            for z in indices
-        ]
+        points = [decode_arith(integer_to_index(z, params), params, table)[0] for z in indices]
+        expected = [" ".join(map(str, reversed(point))) for point in points]
         assert out.getvalue().splitlines() == expected
 
 
@@ -684,8 +751,9 @@ class TestSortCommand:
         table = reference_table(n)
         keys = {p: index_to_integer(encode_arith(p[::-1], params, table)[0]) for p in points}
         expected = sorted(points, key=keys.__getitem__)
-        values, is_binary = pointio.read_points(target, params)
-        assert (list(values), is_binary) == ([c for p in expected for c in p], binary)
+        records, _, _, values = pointio.read_points(target, params)
+        flat = pointio.binary_values(records) if values is None else values
+        assert (list(flat), values is None) == ([c for p in expected for c in p], binary)
         code, out, err = run(capsys, "encode", "-n", "64", "-m", "64", "--input", str(target))
         tokens = "".join("digits:" + ".".join(map(str, integer_digits(keys[p], params))) + "\n"
                          for p in expected)
@@ -767,9 +835,9 @@ class TestSortCommand:
         code, _, _ = run(capsys, "sort", "--dim", "2", "--level", "1",
                          str(source), str(target))
         assert code == 0
-        values, binary = pointio.read_points(target, CurveParams(2, 1))
-        assert binary
-        assert list(values) == [0, 0, 0, 1, 1, 1, 1, 0]
+        records, size, k, values = pointio.read_points(target, CurveParams(2, 1))
+        assert (size, k, values) == (8, 1, None)
+        assert list(pointio.binary_values(records)) == [0, 0, 0, 1, 1, 1, 1, 0]
         assert target.read_bytes()[:4] == pointio.POINT_MAGIC
 
     def test_ragged_row_names_line(self, capsys, tmp_path):
@@ -880,8 +948,8 @@ class TestValidateCommand:
         assert "FAIL curve-n2-m1 (index 1 decodes to (0, 0), enumeration holds (1, 0))" in out
 
     def test_checks_the_encoder_encode_runs(self, capsys, monkeypatch):
-        def broken(params, values):
-            keys = unchecked_keys(params, values)
+        def broken(params, records, size, k):
+            keys = unchecked_keys(params, records, size, k)
             return keys[:2] + [keys[3], keys[2]] + keys[4:]
 
         monkeypatch.setattr(cli, "unchecked_keys", broken)

@@ -353,6 +353,18 @@ class TestCurveKeys:
         values[n + 1] = 2**(k - 1)
         assert curve_keys(params, values) == reference_keys(values, params)
 
+    @pytest.mark.parametrize("m", [63, 64, 65, 129, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 16, 32, 64])
+    def test_equals_encode_arith_on_both_sides_of_a_word_key(self, n, m):
+        # Keys of n * k <= 64 bits leave the kernel through one key column,
+        # wider ones through the merge; at k = m past 64 the fields narrow.
+        rng = random.Random(n * 10000 + m)
+        params = CurveParams(n, m)
+        for k in sorted({64 // n, 64 // n + 1, m}):
+            values = [rng.getrandbits(rng.choice((1, k // 2, k))) for _ in range(3 * n)]
+            values[1] = 2**(k - 1)
+            assert curve_keys(params, values) == reference_keys(values, params)
+
     @pytest.mark.parametrize(
         "bad", [(-1, 0), (0, -5), (True, 0), (0, False), (4, 0), (0, 2**70), (1.0, 0), (0, "1")],
     )
