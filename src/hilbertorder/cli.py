@@ -26,8 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .curve import (
-    CurveParams, curve_keys, field_width, integer_digits, pack_bytes, unchecked_keys,
-    unchecked_points,
+    CurveParams, curve_keys, integer_digits, pack_bytes, unchecked_keys, unchecked_points,
 )
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
@@ -229,9 +228,8 @@ def _walk_matches_codecs(enumeration, params: CurveParams) -> tuple[bool, str]:
     digits = [d for z in range(len(walk)) for d in integer_digits(z, params)]
     flat = unchecked_points(params, digits, len(walk))
     decoded = [point[::-1] for point in zip(*[iter(flat)] * params.n)]
-    size = field_width(params.m) // 8  # k = m is at least the walk's largest bit length
-    records = pack_bytes(list(chain.from_iterable(map(reversed, walk))), 8 * size)
-    keys = unchecked_keys(params, records, size, params.m)
+    records = pack_bytes(list(chain.from_iterable(map(reversed, walk))), 64)  # m is at most 24
+    keys = unchecked_keys(params, records, 8, params.m)
     if decoded != list(walk) or keys != list(range(len(walk))):
         for z, expected in enumerate(walk):
             if decoded[z] != expected:

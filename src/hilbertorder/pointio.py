@@ -278,15 +278,11 @@ def read_points(
     path: Path, params: CurveParams
 ) -> tuple[bytes | memoryview, int, int, list[int] | None]:
     """The points of a text or binary point file as :func:`curve.unchecked_keys`
-    takes them: the components packed in file order (``x_n .. x_1`` per
-    row), little-endian, the bytes per component and the bit length of the
-    largest; last, a text file's components as ints in file order, and
-    ``None`` for a binary file (:func:`binary_values` reads its payload).
-
-    A binary file's payload is handed over as it is, 8 bytes per component,
-    and its bit length comes from its byte columns; a text file's values are
-    packed once by :func:`curve.pack_bytes`.  A parse error or a component
-    of ``2**m`` or more is named by its row."""
+    takes them: the components packed little-endian in file order (``x_n ..
+    x_1`` per row), the bytes per component and the largest one's bit length;
+    then a text file's components as ints, or ``None`` for a binary file,
+    whose payload is handed over as it is (:func:`binary_values` reads it).
+    A parse error or a component of ``2**m`` or more is named by its row."""
     n, m = params.n, params.m
     data = path.read_bytes()
     if data.startswith(POINT_MAGIC):
@@ -301,8 +297,8 @@ def read_points(
             except DomainError as exc:
                 raise PointFileError(f"{path}: record {record}: {exc}") from exc
     values = _plain_text_values(data, n)
-    k = max(values, default=0).bit_length() if values is not None else m + 1
-    if k > m:
+    k = m + 1 if values is None else max(values, default=0).bit_length()
+    if k > m:  # the row loop reads the file, and names its first bad row
         rows = _text_rows(path, data, lambda line: _checked_row(line, params))
         values = list(chain.from_iterable(rows))
         k = max(values, default=0).bit_length()
@@ -346,9 +342,7 @@ def _binary_records(path: Path, data: bytes, n: int) -> memoryview:
 
 def _payload_bits(data: bytes, start: int) -> int:
     """The bit length of the largest 8-byte component of the payload at
-    ``data[start:]``: from the highest byte column that is not all zero, the
-    bit length of its largest byte, found by ``translate`` and one byte
-    search per length."""
+    ``data[start:]``, from the highest byte column that is not all zero."""
     for column in range(7, -1, -1):
         lengths = data[start + column::8].translate(_BIT_LENGTHS)
         for bits in range(8, 0, -1):
