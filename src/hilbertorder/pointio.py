@@ -12,16 +12,16 @@ A reader opens its file once and takes the format from its bytes, so a
 pipe works as an input.  :func:`read_points` gives the components packed,
 in file order, as :func:`curve.unchecked_keys` takes them, and
 :func:`read_indices` the digits of every index flat, as
-:func:`curve.curve_points` takes them; each checks its values once per
+:func:`curve.unchecked_points` takes them; each checks its values once per
 file, so the codec that follows need not check them again.  A binary
 file (its payload as it is), a plain text point file
 (:func:`_plain_text_values`) and a file of ``digits:`` index tokens alone
-(:func:`_digit_token_values`) are read with no Python loop per row.  Any
-other index file is parsed row by row and checked once per file.  Any
-other text file, and any file with a component or digit out of range,
-goes through a row loop, which names the first bad row in file order
-(``line N`` or ``record N``) with the same message either way.  The
-writer replaces a regular output whole, so a failed run leaves it intact.
+(:func:`_digit_token_values`) are read with no Python loop per row, the
+text ones after one line rule (:func:`_plain_lines`).  Any other file,
+and any with a component out of range, goes through a row loop, which
+names the first bad row in file order (``line N`` or ``record N``) with
+the same message either way.  The writer replaces a regular output whole,
+so a failed run leaves it intact.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ _BIT_LENGTHS = bytes(b.bit_length() for b in range(256))
 DIGIT_PREFIX = "digits:"
 # Strings one digit table of format_indices may hold.  It holds 2**(n * L)
 # strings for L digits per lookup, so L = 6, 4, 3 at n = 2, 3, 4 and 1 up
-# to n = 12; from n = 13 no table fits.  index_digits and the block reader
-# read digits through a dict of the L = 1 table under the same cap.
+# to n = 12; from n = 13 no table fits.  The block reader reads digits
+# through a bytes-keyed dict of the L = 1 table under the same cap.
 _DIGIT_TABLE_STRINGS = 4096
 # Bytes per block of the digits: reader.  A block and its digit list stay below
 # glibc malloc's 128 KiB mmap threshold, so the next one reuses their pages: 10k
@@ -106,39 +106,29 @@ def format_flat(flat: tuple[int, ...], n: int) -> str:
     return (" ".join(["%d"] * n) + "\n") * (len(flat) // n) % flat
 
 
-def index_digits(token: str, params: CurveParams) -> Sequence[int]:
-    """Digits of an index token, most significant first.
-
-    A ``digits:`` token takes one split, then one dict lookup per digit
-    while ``2**n <= _DIGIT_TABLE_STRINGS``, else one ``int`` per digit
-    if the token is ASCII digits and dots; a digit the dict lacks (``007``)
-    falls back to ``int``, and when that fails too, :func:`parse_decimal`
-    reads each digit to raise its message.  :func:`parse_index` also checks
-    the digits' count and range.
-    """
-    if token.startswith(DIGIT_PREFIX):
-        body = token[len(DIGIT_PREFIX):]
-        parts = body.split(".") if body else []
-        values = _digit_values(params.n)
-        if values is not None:
-            try:
-                return list(map(values.__getitem__, parts))
-            except KeyError:
-                pass
-        if body.isascii() and "".join(parts).isdigit():
-            try:
-                return list(map(int, parts))
-            except ValueError:  # an empty digit, or one past the decimal digit cap
-                pass
-        return [parse_decimal(part, "index digit") for part in parts]
-    return integer_digits(parse_decimal(token, "index value"), params)
-
-
 def parse_index(token: str, params: CurveParams) -> Sequence[int]:
-    """Digits of an index token, checked against the curve as
-    :func:`curve.check_index` checks them."""
-    digits = index_digits(token, params)
-    check_index(digits, params)
+    """Digits of an index token, most significant first, checked against the
+    curve as :func:`curve.check_index` checks them.
+
+    A ``digits:`` token of ASCII digits and dots takes one ``map(int, ...)``;
+    any other goes to :func:`parse_decimal` per digit, which words the
+    fault.  ``len`` and ``max`` check the count and the largest digit, so a
+    good token pays no check per digit; :func:`check_index` only words a fault.
+    """
+    if not token.startswith(DIGIT_PREFIX):
+        return integer_digits(parse_decimal(token, "index value"), params)
+    body = token[len(DIGIT_PREFIX):]
+    parts = body.split(".") if body else []
+    digits = None
+    if body.isascii() and body.replace(".", "").isdigit():
+        try:  # not contextlib.suppress, whose calls would cost every row
+            digits = list(map(int, parts))
+        except ValueError:  # an empty digit, or one past the digit-count cap
+            pass
+    if digits is None:
+        digits = [parse_decimal(part, "index digit") for part in parts]
+    if len(digits) != params.m or digits and max(digits) >> params.n:
+        check_index(digits, params)  # raises
     return digits
 
 
@@ -204,62 +194,50 @@ def _digit_strings(n: int, count: int) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _digit_values(n: int) -> dict[str, int] | None:
-    """Each radix ``2**n`` digit's decimal string to its value, while
-    ``2**n <= _DIGIT_TABLE_STRINGS``; else ``None``."""
+def _digit_values(n: int) -> dict[bytes, int] | None:
+    """Each radix ``2**n`` digit's decimal string, as bytes, to its value,
+    while ``2**n <= _DIGIT_TABLE_STRINGS``; else ``None``."""
     if 1 << n > _DIGIT_TABLE_STRINGS:
         return None
-    return {string: value for value, string in enumerate(_digit_strings(n, 1))}
+    return {string.encode(): value for value, string in enumerate(_digit_strings(n, 1))}
 
 
 def read_indices(path: Path, params: CurveParams) -> tuple[Sequence[int], int]:
     """The digits of every index of a text index file, flat and in file order
     (``m`` per index, most significant first), and the number of indices.
 
-    A file of ``digits:`` tokens alone is read by :func:`_digit_token_values`.
-    Any other file (decimal indices, comments, blank lines, ``\r\n``, digits
-    past the table) takes two passes: one that parses each row and checks the
-    rows' digit counts and largest digit once per file, in half to three
-    quarters the time of :func:`parse_index` per row, and, if that fails or a
-    row does not parse, one that checks each row and names the first bad one."""
+    A file of ``digits:`` tokens alone is read by :func:`_digit_token_values`,
+    any other by the row loop through :func:`parse_index`, which names the
+    first bad row."""
     data = path.read_bytes()
     found = _digit_token_values(data, params)
     if found is not None:
         return found
-    try:
-        rows = _text_rows(path, data, lambda line: index_digits(line, params))
-    except PointFileError:  # the row loop below names the first bad row
-        rows = None
-    if rows is not None:
-        digits = list(chain.from_iterable(rows))
-        if not set(map(len, rows)) - {params.m} and not max(digits, default=0) >> params.n:
-            return digits, len(rows)
-    rows = _text_rows(path, data, lambda line: parse_index(line, params))
+    rows = _text_rows(path, data, parse_index, params)
     return list(chain.from_iterable(rows)), len(rows)
 
 
 def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int], int] | None:
-    """The digits of an index file, flat, and its line count, if every line is
-    ``digits:`` and ``m > 0`` digits below ``2**n <= _DIGIT_TABLE_STRINGS``,
-    each written as ``str`` writes it; ``None`` for any other file.  The
-    digits are a ``bytearray`` while ``n <= 8``, one byte each as the
-    decoder lays them, and a list of ints above.
+    """The digits of an index file, flat, and its index count, if each line
+    :func:`_plain_lines` leaves is ``digits:`` and ``m > 0`` digits below
+    ``2**n <= _DIGIT_TABLE_STRINGS``, written as ``str`` writes them; else
+    ``None``.  The digits are a ``bytearray`` while ``n <= 8``, one byte
+    each as the decoder lays them, and a list of ints above.
 
     One ``translate`` that drops the digits checks that every line is the
     prefix and ``m - 1`` dots; a digit inside a prefix leaves its colon in a
     digit string, which no lookup takes.  Per block, cut at the first line
     end ``_DIGIT_BLOCK_BYTES`` or more past its start, one ``replace`` and one
-    ``split`` give the digit strings, read through a bytes-keyed :func:`_digit_values`."""
-    m, table = params.m, _digit_values(params.n)
+    ``split`` give the digit strings, read through :func:`_digit_values`."""
+    m, table, data = params.m, _digit_values(params.n), _plain_lines(data)
     prefix = DIGIT_PREFIX.encode()
-    if not m or table is None or not data.startswith(prefix):
+    if not m or table is None or data is None or not data.startswith(prefix):
         return None
     end = len(data) - data.endswith(b"\n")  # the end of the last line
     count = data.count(b"\n", 0, end) + 1
     if data.translate(None, b"0123456789") != (
             b"\n".join([prefix + b"." * (m - 1)] * count) + data[end:]):  # freed before the split
         return None
-    read = {key.encode(): value for key, value in table.items()}.__getitem__
     digits: bytearray | list[int] = bytearray() if params.n <= 8 else []
     start = 0
     while start < end:
@@ -267,7 +245,7 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int]
         stop = end if stop < 0 else stop
         block = data[start + len(prefix):stop].replace(b"\n" + prefix, b".")
         try:
-            digits.extend(map(read, block.split(b".")))
+            digits.extend(map(table.__getitem__, block.split(b".")))
         except KeyError:  # an empty digit, a leading zero or one of 2**n or more
             return None
         start = stop + 1
@@ -299,7 +277,7 @@ def read_points(
     values = _plain_text_values(data, n)
     k = m + 1 if values is None else max(values, default=0).bit_length()
     if k > m:  # the row loop reads the file, and names its first bad row
-        rows = _text_rows(path, data, lambda line: _checked_row(line, params))
+        rows = _text_rows(path, data, _checked_row, params)
         values = list(chain.from_iterable(rows))
         k = max(values, default=0).bit_length()
     size = field_width(k) // 8
@@ -351,15 +329,15 @@ def _payload_bits(data: bytes, start: int) -> int:
     return 0
 
 
-def _plain_text_values(data: bytes, n: int) -> list[int] | None:
-    """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
-    only once ``\r\n`` becomes ``\n`` and its UTF-8 comment lines go, with ``n``
-    components on each line that is not blank, none past the digit-count cap;
-    ``None`` for any other file, which the row loop reads.  One split and one
-    ``map(int, ...)`` read it whole, and the caller checks the largest value."""
-    data = data.replace(b"\r\n", b"\n")
-    if b"\r" in data:
-        return None
+def _plain_lines(data: bytes) -> bytes | None:
+    """A text file's bytes as both whole-file readers take them: ``\r\n``
+    ends made ``\n`` and, if the file is UTF-8, its ``#`` comment lines
+    gone; ``None`` if a lone ``\r`` is left or a file with a ``#`` is not
+    UTF-8, which the row loop reads."""
+    if b"\r" in data:  # a replace that finds nothing costs a pass of its own
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
     if b"#" in data:
         try:
             data.decode("utf-8")
@@ -367,7 +345,17 @@ def _plain_text_values(data: bytes, n: int) -> list[int] | None:
             return None
         lines = data.split(b"\n")
         data = b"\n".join([line for line in lines if not line.lstrip().startswith(b"#")])
-    if data.translate(None, _PLAIN_TEXT_BYTES):
+    return data
+
+
+def _plain_text_values(data: bytes, n: int) -> list[int] | None:
+    """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
+    only once :func:`_plain_lines` has read it, with ``n`` components on each
+    line that is not blank, none past the digit-count cap; ``None`` for any
+    other file, which the row loop reads.  One split and one ``map(int, ...)``
+    read it whole, and the caller checks the largest value."""
+    data = _plain_lines(data)
+    if data is None or data.translate(None, _PLAIN_TEXT_BYTES):
         return None
     rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
     try:
@@ -386,7 +374,7 @@ def _checked_row(line: str, params: CurveParams) -> tuple[int, ...]:
     return point[::-1]
 
 
-def _text_rows(path: Path, data: bytes, parse: Callable[[str], object]) -> list:
+def _text_rows(path: Path, data: bytes, parse: Callable, params: CurveParams) -> list:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -401,7 +389,7 @@ def _text_rows(path: Path, data: bytes, parse: Callable[[str], object]) -> list:
         line = raw.strip()
         if line and not line.startswith("#"):
             try:
-                rows.append(parse(line))
+                rows.append(parse(line, params))
             except DomainError as exc:
                 raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
     return rows

@@ -400,18 +400,64 @@ class TestIndexFormatter:
         assert peak < 1_000_000
 
 
-class TestIndexDigits:
-    @pytest.mark.parametrize("n", [2, 8, 12, 13])  # the digit dict stops at n = 12
+NOT_A_DIGIT = "bad index digit {!r}: not a decimal integer (digits 0-9 only)"
+# Malformed index tokens at m = 3, and the message parse_index gives each
+# (a function of n); the cap case needs the digit_cap fixture.
+BAD_INDEX_TOKENS = {
+    "sign": ("digits:+1.0.0", lambda n: NOT_A_DIGIT.format("+1")),
+    "space": ("digits: 1.0.0", lambda n: NOT_A_DIGIT.format(" 1")),
+    "non-ascii-digit": ("digits:\u0661.0.0", lambda n: NOT_A_DIGIT.format("\u0661")),
+    "trailing-letter": ("digits:1.0.0x", lambda n: NOT_A_DIGIT.format("0x")),
+    "empty-digit": ("digits:1..0", lambda n: NOT_A_DIGIT.format("")),
+    "over-long-digit": (
+        "digits:" + "1" * (DIGIT_CAP + 1) + ".0.0",
+        lambda n: f"bad index digit: {DIGIT_CAP + 1} digits is too long, the limit is "
+                  f"{DIGIT_CAP} (sys.get_int_max_str_digits())"),
+    "too-few-digits": ("digits:1.0", lambda n: "index has 2 digits, curve level is 3"),
+    "too-many-digits": ("digits:1.0.0.0", lambda n: "index has 4 digits, curve level is 3"),
+    "no-digits": ("digits:", lambda n: "index has 0 digits, curve level is 3"),
+    "digit-of-radix": (lambda n: f"digits:0.{2**n}.0",
+                       lambda n: f"digit 2 out of range for dimension {n}: {2**n}"),
+    "count-before-range": (lambda n: f"digits:{2**n}.0",
+                           lambda n: "index has 2 digits, curve level is 3"),
+    "decimal-key-of-radix-power": (
+        lambda n: str(2 ** (3 * n)),
+        lambda n: f"index {2 ** (3 * n)} out of range for dimension {n}, level 3"),
+    "decimal-sign": (
+        "+1", lambda n: "bad index value '+1': not a decimal integer (digits 0-9 only)"),
+    "over-long-decimal": (
+        "1" * (DIGIT_CAP + 1),
+        lambda n: f"bad index value: {DIGIT_CAP + 1} digits is too long, the limit is "
+                  f"{DIGIT_CAP} (sys.get_int_max_str_digits())"),
+}
+
+
+class TestParseIndex:
+    @pytest.mark.parametrize("n", [2, 8, 12, 13])  # the block reader's digit table stops at n = 12
     def test_matches_int_per_digit(self, n):
         rng = random.Random(n)
         params = CurveParams(n, 40)
         for _ in range(20):
             digits = [rng.randrange(2**n) for _ in range(40)]
             token = pointio.DIGIT_PREFIX + ".".join(map(str, digits))
-            assert pointio.index_digits(token, params) == digits
-        # Digits no dict holds: leading zeros, and 2**n, which curve_points rejects.
-        token = f"{pointio.DIGIT_PREFIX}007.000.{2**n}"
-        assert pointio.index_digits(token, CurveParams(n, 3)) == [7, 0, 2**n]
+            assert pointio.parse_index(token, params) == digits
+        top = 2**n - 1
+        assert pointio.parse_index(f"{pointio.DIGIT_PREFIX}{top}.0.{top}", CurveParams(n, 3)) == [
+            top, 0, top]
+        if n >= 3:  # leading zeros read as the digit
+            assert pointio.parse_index(f"{pointio.DIGIT_PREFIX}007.000.1", CurveParams(n, 3)) == [
+                7, 0, 1]
+
+    @pytest.mark.parametrize("kind", sorted(BAD_INDEX_TOKENS))
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
+    def test_pins_the_message(self, request, n, kind):
+        if kind.startswith("over-long"):
+            request.getfixturevalue("digit_cap")
+        token, message = BAD_INDEX_TOKENS[kind]
+        token = token(n) if callable(token) else token
+        with pytest.raises(DomainError) as caught:
+            pointio.parse_index(token, CurveParams(n, 3))
+        assert str(caught.value) == message(n)
 
     def test_digit_dicts_stop_at_the_table_cap(self):
         built = [n for n in range(2, 21) if pointio._digit_values(n) is not None]
@@ -548,18 +594,24 @@ class TestDecodeCommand:
     @given(data=st.data(), n=st.integers(2, 6), m=st.integers(0, 40))
     def test_input_file_matches_reference(self, tmp_path_factory, data, n, m):
         # Indices below 2**(n * k) for k <= m, so the top digits are often
-        # zero; each is written in decimal or as a digits: token.
+        # zero; each is written in decimal or as a digits: token, may follow
+        # a comment or blank line, and ends at "\n" or "\r\n".  A file of
+        # digits: tokens, comments and "\r\n" is the block reader's; any other
+        # is the row loop's.
         k = data.draw(st.integers(0, m))
         indices = data.draw(st.lists(st.integers(0, (1 << (n * k)) - 1), min_size=1, max_size=4))
         params = CurveParams(n, m)
-        tokens = []
+        lines = []
         for z in indices:
+            lines += data.draw(st.sampled_from([[], [], ["# c"], [" \t# c"], [""]]))
             if data.draw(st.booleans()):
-                tokens.append("digits:" + ".".join(map(str, integer_to_index(z, params).digits)))
+                lines.append("digits:" + ".".join(map(str, integer_to_index(z, params).digits)))
             else:
-                tokens.append(str(z))
+                lines.append(str(z))
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                                  min_size=len(lines), max_size=len(lines)))
         path = tmp_path_factory.mktemp("decode") / "indices.txt"
-        path.write_text("".join(token + "\n" for token in tokens))
+        path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["decode", "--dim", str(n), "--level", str(m), "--input", str(path)]) == 0

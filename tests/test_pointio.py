@@ -431,14 +431,22 @@ def _with_digit(line, digit):
     return "digits:" + ".".join(digits)
 
 
-# Files the block reader does not take, as a change at line j of a file of
-# digits: tokens; the row passes read them, and accept or refuse each.
+# Files the block reader takes after its line rule, as a change at line j
+# of a file of digits: tokens.
+ACCEPTED = {
+    "crlf": lambda lines, j, n: _put(lines, j, lines[j] + "\r"),
+    "comment": lambda lines, j, n: _put(lines, j, "# x", lines[j]),
+    "indented-comment": lambda lines, j, n: _put(lines, j, " \t# x \u00e9", lines[j]),
+}
+# Files the block reader does not take, as such a change; the row loop reads
+# them, and accepts or refuses each.  A file is written with surrogateescape,
+# so "\udcff" is the byte 0xff.
 REJECTIONS = {
     "blank-line": lambda lines, j, n: _put(lines, j, "", lines[j]),
-    "crlf": lambda lines, j, n: _put(lines, j, lines[j] + "\r"),
     "lone-cr": lambda lines, j, n: _put(lines[:j + 1] + lines[j + 2:], j,
                                         lines[j] + "\r" + lines[j + 1]),
-    "comment": lambda lines, j, n: _put(lines, j, "# x", lines[j]),
+    "non-utf8-comment": lambda lines, j, n: _put(lines, j, "# \udcff", lines[j]),
+    "commented-decimal": lambda lines, j, n: _put(lines, j, "# x", "5"),
     "padded": lambda lines, j, n: _put(lines, j, f" \t{lines[j]} "),
     "leading-zero": lambda lines, j, n: _put(lines, j, lines[j].replace(":", ":00", 1)),
     "empty-digit": lambda lines, j, n: _put(lines, j, _with_digit(lines[j], "")),
@@ -458,7 +466,7 @@ REJECTIONS = {
 
 class TestDigitBlockReader:
     """decode --input gives the same stdout, stderr and exit code whether the
-    block reader takes a file or the row passes read it."""
+    block reader takes a file or the row loop reads it."""
 
     @staticmethod
     def both_readers(capsys, monkeypatch, path, n, m=DIGIT_LEVEL):
@@ -468,6 +476,14 @@ class TestDigitBlockReader:
             patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
             rows = run(capsys, *argv)
         return blocks, rows
+
+    @staticmethod
+    def row_loop(monkeypatch, path, params):
+        """``read_indices`` with the block reader out of the way."""
+        with monkeypatch.context() as patch:
+            patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+            digits, count = pointio.read_indices(path, params)
+        return list(digits), count
 
     @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
     @pytest.mark.parametrize("full, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
@@ -484,8 +500,28 @@ class TestDigitBlockReader:
         assert blocks == rows
         assert blocks[0] == 0 and len(blocks[1].splitlines()) == count
         taken = pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL))
-        # Past the digit table (n > 12), and for an empty file, the row passes read it.
+        # Past the digit table (n > 12), and for an empty file, the row loop reads it.
         assert (taken and taken[1]) == (count if n <= 12 and count else None)
+
+    @pytest.mark.parametrize("full, extra", [(0, 0), (1, 0), (1, 1)],
+                             ids=["first-line", "block-start", "in-block"])
+    @pytest.mark.parametrize("kind", sorted(ACCEPTED))
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
+    def test_takes_crlf_ends_and_comment_lines(
+            self, capsys, monkeypatch, tmp_path, n, kind, full, extra):
+        # The change is at line full * B + extra: line B starts the second block.
+        lines, B = block_lines(n)
+        lines = ACCEPTED[kind](lines[:B + 3], full * B + extra, n)
+        path = tmp_path / "indices.txt"
+        path.write_text("\n".join(lines) + "\n")
+        blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
+        assert blocks == rows and blocks[0] == 0
+        params = CurveParams(n, DIGIT_LEVEL)
+        taken = pointio._digit_token_values(path.read_bytes(), params)
+        if n > 12:  # past the digit table the row loop reads it
+            assert taken is None
+        else:
+            assert (list(taken[0]), taken[1]) == self.row_loop(monkeypatch, path, params)
 
     @pytest.mark.parametrize("full, extra", [(0, 0), (1, 0), (1, 1)],
                              ids=["first-line", "block-start", "in-block"])
@@ -497,7 +533,7 @@ class TestDigitBlockReader:
         lines, B = block_lines(n)
         lines = REJECTIONS[kind](lines[:B + 3], full * B + extra, n)
         path = tmp_path / "indices.txt"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
         blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
         assert blocks == rows
         assert pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL)) is None
@@ -513,15 +549,29 @@ class TestDigitBlockReader:
         path.write_text("\n".join(lines) + end)
         data, params = path.read_bytes(), CurveParams(n, DIGIT_LEVEL)
         argv = ["decode", "--dim", n, "--level", DIGIT_LEVEL, "--input", path]
-        with monkeypatch.context() as patch:  # the row passes
+        with monkeypatch.context() as patch:  # the row loop
             patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
-            expected, rows = pointio.read_indices(path, params), run(capsys, *argv)
-        bad = {kind: "\n".join(REJECTIONS[kind](lines, 1, n)).encode() for kind in REJECTIONS}
+            rows = run(capsys, *argv)
+        expected = self.row_loop(monkeypatch, path, params)
+        good = {}
+        for kind, change in ACCEPTED.items():
+            other = tmp_path / f"{kind}.txt"
+            other.write_text("\n".join(change(lines, 1, n)) + end)
+            with monkeypatch.context() as patch:
+                patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+                output = run(capsys, *argv[:-1], other)
+            good[kind] = (other, self.row_loop(monkeypatch, other, params), output)
+        bad = {kind: "\n".join(REJECTIONS[kind](lines, 1, n)).encode(errors="surrogateescape")
+               for kind in REJECTIONS}
         for budget in range(1, len(lines[0]) + len(lines[1]) + 3):
             monkeypatch.setattr(pointio, "_DIGIT_BLOCK_BYTES", budget)
             digits, count = pointio._digit_token_values(data, params)
             assert (list(digits), count) == expected
             assert run(capsys, *argv) == rows
+            for kind, (other, digits_and_count, output) in good.items():
+                digits, count = pointio._digit_token_values(other.read_bytes(), params)
+                assert (list(digits), count) == digits_and_count, kind
+                assert run(capsys, *argv[:-1], other) == output, kind
             for kind, other in bad.items():
                 assert pointio._digit_token_values(other, params) is None, kind
 
