@@ -401,34 +401,28 @@ class TestIndexFormatter:
 
 
 NOT_A_DIGIT = "bad index digit {!r}: not a decimal integer (digits 0-9 only)"
-# Malformed index tokens at m = 3, and the message parse_index gives each
-# (a function of n); the cap case needs the digit_cap fixture.
+TOO_LONG = (f"bad index {{}}: {DIGIT_CAP + 1} digits is too long, the limit is {DIGIT_CAP} "
+            "(sys.get_int_max_str_digits())")
+# Malformed index tokens at m = 3, and the message parse_index gives each;
+# either may be a function of n.  The over-long cases need the digit_cap fixture.
 BAD_INDEX_TOKENS = {
-    "sign": ("digits:+1.0.0", lambda n: NOT_A_DIGIT.format("+1")),
-    "space": ("digits: 1.0.0", lambda n: NOT_A_DIGIT.format(" 1")),
-    "non-ascii-digit": ("digits:\u0661.0.0", lambda n: NOT_A_DIGIT.format("\u0661")),
-    "trailing-letter": ("digits:1.0.0x", lambda n: NOT_A_DIGIT.format("0x")),
-    "empty-digit": ("digits:1..0", lambda n: NOT_A_DIGIT.format("")),
-    "over-long-digit": (
-        "digits:" + "1" * (DIGIT_CAP + 1) + ".0.0",
-        lambda n: f"bad index digit: {DIGIT_CAP + 1} digits is too long, the limit is "
-                  f"{DIGIT_CAP} (sys.get_int_max_str_digits())"),
-    "too-few-digits": ("digits:1.0", lambda n: "index has 2 digits, curve level is 3"),
-    "too-many-digits": ("digits:1.0.0.0", lambda n: "index has 4 digits, curve level is 3"),
-    "no-digits": ("digits:", lambda n: "index has 0 digits, curve level is 3"),
+    "sign": ("digits:+1.0.0", NOT_A_DIGIT.format("+1")),
+    "space": ("digits: 1.0.0", NOT_A_DIGIT.format(" 1")),
+    "non-ascii-digit": ("digits:\u0661.0.0", NOT_A_DIGIT.format("\u0661")),
+    "trailing-letter": ("digits:1.0.0x", NOT_A_DIGIT.format("0x")),
+    "empty-digit": ("digits:1..0", NOT_A_DIGIT.format("")),
+    "over-long-digit": ("digits:" + "1" * (DIGIT_CAP + 1) + ".0.0", TOO_LONG.format("digit")),
+    "too-few-digits": ("digits:1.0", "index has 2 digits, curve level is 3"),
+    "too-many-digits": ("digits:1.0.0.0", "index has 4 digits, curve level is 3"),
+    "no-digits": ("digits:", "index has 0 digits, curve level is 3"),
     "digit-of-radix": (lambda n: f"digits:0.{2**n}.0",
                        lambda n: f"digit 2 out of range for dimension {n}: {2**n}"),
-    "count-before-range": (lambda n: f"digits:{2**n}.0",
-                           lambda n: "index has 2 digits, curve level is 3"),
+    "count-before-range": (lambda n: f"digits:{2**n}.0", "index has 2 digits, curve level is 3"),
     "decimal-key-of-radix-power": (
         lambda n: str(2 ** (3 * n)),
         lambda n: f"index {2 ** (3 * n)} out of range for dimension {n}, level 3"),
-    "decimal-sign": (
-        "+1", lambda n: "bad index value '+1': not a decimal integer (digits 0-9 only)"),
-    "over-long-decimal": (
-        "1" * (DIGIT_CAP + 1),
-        lambda n: f"bad index value: {DIGIT_CAP + 1} digits is too long, the limit is "
-                  f"{DIGIT_CAP} (sys.get_int_max_str_digits())"),
+    "decimal-sign": ("+1", "bad index value '+1': not a decimal integer (digits 0-9 only)"),
+    "over-long-decimal": ("1" * (DIGIT_CAP + 1), TOO_LONG.format("value")),
 }
 
 
@@ -453,11 +447,10 @@ class TestParseIndex:
     def test_pins_the_message(self, request, n, kind):
         if kind.startswith("over-long"):
             request.getfixturevalue("digit_cap")
-        token, message = BAD_INDEX_TOKENS[kind]
-        token = token(n) if callable(token) else token
+        token, message = (x(n) if callable(x) else x for x in BAD_INDEX_TOKENS[kind])
         with pytest.raises(DomainError) as caught:
             pointio.parse_index(token, CurveParams(n, 3))
-        assert str(caught.value) == message(n)
+        assert str(caught.value) == message
 
     def test_digit_dicts_stop_at_the_table_cap(self):
         built = [n for n in range(2, 21) if pointio._digit_values(n) is not None]
