@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .curve import (
-    CurveParams, curve_keys, integer_digits, pack_bytes, unchecked_keys, unchecked_points,
+    CurveParams, curve_keys, integer_digits, unchecked_keys, unchecked_points,
 )
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
@@ -147,7 +147,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if args.input is not None:
         keys = unchecked_keys(params, *read_points(args.input, params)[:3])
     else:
-        keys = curve_keys(params, parse_point(args.coords, params.n)[::-1])
+        keys = curve_keys(params, parse_point(args.coords, params.n))
     sys.stdout.write(format_indices(keys, params, args.digits))
     return 0
 
@@ -228,8 +228,7 @@ def _walk_matches_codecs(enumeration, params: CurveParams) -> tuple[bool, str]:
     digits = [d for z in range(len(walk)) for d in integer_digits(z, params)]
     flat = unchecked_points(params, digits, len(walk))
     decoded = [point[::-1] for point in zip(*[iter(flat)] * params.n)]
-    records = pack_bytes(list(chain.from_iterable(map(reversed, walk))), 64)  # m is at most 24
-    keys = unchecked_keys(params, records, 8, params.m)
+    keys = curve_keys(params, list(chain.from_iterable(map(reversed, walk))))
     if decoded != list(walk) or keys != list(range(len(walk))):
         for z, expected in enumerate(walk):
             if decoded[z] != expected:

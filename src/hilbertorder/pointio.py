@@ -1,4 +1,4 @@
-"""Point files and index tokens: the formats the command line reads and writes.
+r"""Point files and index tokens: the formats the command line reads and writes.
 
 Points are written component ``n`` first (``x_n ... x_1``).  A text point
 file is UTF-8, one point per line, components separated by whitespace or
@@ -17,10 +17,10 @@ file, so the codec that follows need not check them again.  A binary
 file (its payload as it is), a plain text point file
 (:func:`_plain_text_values`) and a file of ``digits:`` index tokens alone
 (:func:`_digit_token_values`) are read with no Python loop per row, the
-text ones after one line rule (:func:`_plain_lines`).  Any other file,
-and any with a component out of range, goes through a row loop, which
-names the first bad row in file order (``line N`` or ``record N``) with
-the same message either way.  The writer replaces a regular output whole,
+text ones after the row loop's line ends (:func:`_plain_lines`).  Any other
+file, and any with a component out of range, goes through a row loop, which
+checks a row by its largest value and names the first bad row in file order
+(``line N`` or ``record N``) with the same message either way.  The writer replaces a regular output whole,
 so a failed run leaves it intact.
 """
 
@@ -92,11 +92,11 @@ def check_bit_count(bits: int, what: str, values: str) -> None:
         )
 
 
-def parse_point(parts: Sequence[str], n: int) -> tuple[int, ...]:
-    """Read components written ``x_n .. x_1`` as the point ``(x_1, .., x_n)``."""
+def parse_point(parts: Sequence[str], n: int) -> list[int]:
+    """Read components written ``x_n .. x_1`` in that order, unchecked for range."""
     if len(parts) != n:
         raise DomainError(f"expected {n} components, found {len(parts)}")
-    return tuple(reversed([parse_decimal(part, "component") for part in parts]))
+    return [parse_decimal(part, "component") for part in parts]
 
 
 def format_flat(flat: tuple[int, ...], n: int) -> str:
@@ -330,14 +330,12 @@ def _payload_bits(data: bytes, start: int) -> int:
 
 
 def _plain_lines(data: bytes) -> bytes | None:
-    """A text file's bytes as both whole-file readers take them: ``\r\n``
-    ends made ``\n`` and, if the file is UTF-8, its ``#`` comment lines
-    gone; ``None`` if a lone ``\r`` is left or a file with a ``#`` is not
-    UTF-8, which the row loop reads."""
+    r"""A text file's bytes as both whole-file readers take them: every line
+    end the row loop takes (``\r\n`` or a lone ``\r``) made ``\n`` and, if
+    the file is UTF-8, its ``#`` comment lines gone; ``None`` for a file with
+    a ``#`` that is not UTF-8, which the row loop reads."""
     if b"\r" in data:  # a replace that finds nothing costs a pass of its own
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" in data:
-            return None
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
         try:
             data.decode("utf-8")
@@ -367,11 +365,12 @@ def _plain_text_values(data: bytes, n: int) -> list[int] | None:
     return values
 
 
-def _checked_row(line: str, params: CurveParams) -> tuple[int, ...]:
+def _checked_row(line: str, params: CurveParams) -> list[int]:
     """The components of one text row in file order, checked against the curve."""
-    point = parse_point(line.replace(",", " ").split(), params.n)
-    check_point(point, params)
-    return point[::-1]
+    row = parse_point(line.replace(",", " ").split(), params.n)
+    if max(row) >> params.m:
+        check_point(row[::-1], params)  # raises
+    return row
 
 
 def _text_rows(path: Path, data: bytes, parse: Callable, params: CurveParams) -> list:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import os
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hilbertorder import cli, gene, oracle, pointio
+from hilbertorder import cli, curve, gene, oracle, pointio
 from hilbertorder.cli import main
 from hilbertorder.core_bits import index_to_integer, integer_to_index
 from hilbertorder.curve import (
@@ -92,6 +93,14 @@ class TestEncodeCommand:
         code, out, err = run(capsys, "encode", "-n", "14284", "-m", "1", "--input", missing)
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno 2] No such file or directory")
+
+    def test_takes_the_point_from_arguments_or_a_file_not_both(self, capsys, tmp_path):
+        points = tmp_path / "points.txt"
+        points.write_text("1 1\n")
+        for args in (["--input", str(points), "1", "1"], []):
+            code, out, err = run(capsys, "encode", "-n", "2", "-m", "2", *args)
+            assert (code, out, err) == (
+                2, "", "error: give exactly one point as arguments or use --input\n")
 
     @pytest.mark.parametrize("argv, step", [
         (["encode", "-n", "3", "-m", "40", "1", "2", "3"], "format_indices"),
@@ -997,7 +1006,7 @@ class TestValidateCommand:
             keys = unchecked_keys(params, records, size, k)
             return keys[:2] + [keys[3], keys[2]] + keys[4:]
 
-        monkeypatch.setattr(cli, "unchecked_keys", broken)
+        monkeypatch.setattr(curve, "unchecked_keys", broken)  # as curve_keys looks it up
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert "FAIL curve-n2-m1 (point (1, 1) encodes to 3, expected index 2)" in out
@@ -1044,6 +1053,23 @@ class TestBenchCommand:
         code, _, err = run(capsys, "bench", "--point", "5", "--levels", "4")
         assert code == 2
         assert "at least 2 components" in err
+
+    def test_rejects_an_empty_level_list(self, capsys):
+        assert run(capsys, "bench", "--levels", ",") == (2, "", "error: no levels given\n")
+
+    def test_fails_when_a_counter_is_off(self, capsys, monkeypatch):
+        counted = oracle.run_counter_benchmark
+
+        def one_pass_over(*args, **kwargs):
+            report = counted(*args, **kwargs)
+            row = report.rows[0]
+            rows = (dataclasses.replace(row, iterations=row.iterations + 1),) + report.rows[1:]
+            return dataclasses.replace(report, rows=rows)
+
+        monkeypatch.setattr(oracle, "run_counter_benchmark", one_pass_over)
+        code, out, err = run(capsys, "bench", "--point", "1,1", "--levels", "4", "--repeats", "1")
+        assert (code, err) == (1, "FAIL iteration counters\n")
+        assert out.splitlines()[3].split() == ["arith", "5"]
 
     @pytest.mark.parametrize("option,value", [("--point", "1,x"), ("--levels", "4,y")])
     def test_rejects_non_integer(self, capsys, option, value):

@@ -193,6 +193,12 @@ class TestScalarVectorMaps:
         with pytest.raises(DomainError):
             vec_of_scalar(-1, 2)
 
+    @pytest.mark.parametrize("width", [0, -1, 2.0])
+    def test_refuses_a_bad_width(self, width):
+        with pytest.raises(DomainError, match=re.escape(
+                f"width must be a positive integer, got {width!r}")):
+            vec_of_scalar(0, width)
+
 
 class TestGrayHelpers:
     @pytest.mark.parametrize("width", [1, 4, 16, 17, 24])

@@ -1,12 +1,15 @@
 import pytest
 
+from hilbertorder import decode
 from hilbertorder.core_bits import integer_to_index
 from hilbertorder.curve import CurveParams
 from hilbertorder.decode import decode_arith
 from hilbertorder.errors import DomainError, ResourceLimitError
 from hilbertorder.gene import (
+    EntryExit,
     GeneEntry,
     GeneTable,
+    _curve_walk_defect,
     entry_exit,
     format_table_text,
     gene_table,
@@ -25,6 +28,18 @@ TWO_DIM_COMMANDS = [
 
 def checks_by_name(report):
     return {check.name: check for check in report.checks}
+
+
+def changed(n, entries=None, corners=None, count=None):
+    """``gene_table(n)`` with the quadrants in the dicts ``entries`` and
+    ``corners`` replaced, and with only its first ``count`` entries or
+    corner pairs where ``count`` is ``(entries, corners)``."""
+    table = gene_table(n)
+    new_entries = [(entries or {}).get(i, entry) for i, entry in enumerate(table.entries)]
+    new_corners = [(corners or {}).get(i, corner) for i, corner in enumerate(table.corners)]
+    if count is not None:
+        new_entries, new_corners = new_entries[:count[0]], new_corners[:count[1]]
+    return GeneTable(n, tuple(new_entries), tuple(new_corners))
 
 
 class TestEntryExit:
@@ -145,6 +160,37 @@ class TestValidation:
         named = checks_by_name(report)
         assert not report.passed
         assert not named["curve-walk-level-2"].passed
+
+    @pytest.mark.parametrize("table, detail", [
+        (changed(2, count=(3, 4)), "3 entries, expected 4"),
+        (changed(2, count=(4, 3)), "3 corner pairs, expected 4"),
+        (changed(2, {1: GeneEntry((0, 0, 0), (0, 0))}), "quadrant 1: vector of length 3"),
+        (changed(2, {1: GeneEntry((0, 2), (0, 0))}), "quadrant 1: non-bit entry"),
+    ], ids=["entries", "corners", "vector-length", "non-bit"])
+    def test_shape_violation_reported(self, table, detail):
+        named = checks_by_name(validate_gene_table(table))
+        assert (named["shape"].passed, named["shape"].detail) == (False, detail)
+        assert named["curve-walk-level-1"].detail == "not run: structural checks failed"
+
+    def test_quadrant_zero_exchange_reported(self):
+        named = checks_by_name(validate_gene_table(changed(3, {0: GeneEntry((1, 1, 0), (0,) * 3)})))
+        assert (named["quadrant-zero"].passed, named["quadrant-zero"].detail) == (
+            False, "exchange is (1, 1, 0), expected flags on components 1 and 3")
+
+    def test_corners_more_than_one_step_apart_reported(self):
+        named = checks_by_name(validate_gene_table(changed(2, corners={1: EntryExit((0, 0), (1, 1))})))
+        assert (named["corner-consistency"].passed, named["corner-consistency"].detail) == (
+            False, "quadrant 1: entry and exit differ in 2 positions")
+
+    @pytest.mark.parametrize("point, defect", [
+        ((4, 0), "level 2: index 0 decodes outside the grid: (4, 0)"),
+        ((1, 2), "level 2: index 1 revisits point (1, 2)"),
+    ], ids=["outside-the-grid", "revisit"])
+    def test_walk_defect_named(self, monkeypatch, point, defect):
+        # The decoder only swaps, reflects and sets bits below level m, so
+        # no table leaves the grid or revisits a point; a stub decoder does.
+        monkeypatch.setattr(decode, "decode_bits", lambda idx, params, table: (point, None))
+        assert _curve_walk_defect(gene_table(2), 2) == defect
 
     def test_level_two_walk_skipped_above_guard(self):
         report = validate_gene_table(gene_table(13))

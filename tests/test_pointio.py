@@ -272,12 +272,12 @@ COMMENTS = st.sampled_from(["# x_2 x_1", "#", "  # hash", "\t#1 2 3", "# \u00e9"
 @st.composite
 def point_files(draw):
     """``n`` and a text point file.  About half are digits, spaces, tabs,
-    ``#`` comment lines and ``\\n`` or ``\\r\\n`` line ends only, as the
-    whole-file reader takes them; the rest mix in commas, comments, lone
+    ``#`` comment lines and ``\\n``, ``\\r\\n`` or ``\\r`` line ends only, as
+    the whole-file reader takes them; the rest mix in commas, comments, lone
     carriage returns, signs and letters."""
     n = draw(st.integers(2, 4))
     plain = draw(st.booleans())
-    newline = draw(st.sampled_from(["\n", "\r\n"])) if plain else "\n"
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"])) if plain else "\n"
     counts = st.sampled_from([n] * 6 + [0, n - 1, n + 1])
     lines = []
     for _ in range(draw(st.integers(0, 8))):
@@ -305,11 +305,11 @@ def reference_values(path, data, n):
         if not line or line.startswith("#"):
             continue
         try:
-            point = pointio.parse_point(line.replace(",", " ").split(), n)
-            encode_arith(point, params, gene_table(n))  # raises for a component out of range
+            row = pointio.parse_point(line.replace(",", " ").split(), n)
+            encode_arith(row[::-1], params, gene_table(n))  # raises for a component out of range
         except DomainError as exc:
             raise PointFileError(f"{path}: line {lineno}: {exc}") from exc
-        values.extend(reversed(point))
+        values.extend(row)
     return values
 
 
@@ -345,10 +345,11 @@ class TestWholeFileReader:
         data = b"1 2 3\n\n4\t5  6\n 7 8 9 \n10 11 12"
         values = list(range(1, 13))
         assert pointio._plain_text_values(data, 3) == values
-        for same in (data.replace(b"\n", b"\r\n"), b"# x_3 x_2 x_1\n" + data,
-                     b" \t#1 2 \xc3\xa9\r\n\n" + data + b"\n#"):
+        for same in (data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r"),
+                     b"# x_3 x_2 x_1\n" + data, b" \t#1 2 \xc3\xa9\r\n\n" + data + b"\n#"):
             assert pointio._plain_text_values(same, 3) == values
-        for other in (b"1 2 3\r", b"# a\rb\n1 2 3\n", b"#\xff\n1 2 3\n", b"\xc2\xa0# a\n",
+        assert pointio._plain_text_values(b"1 2 3\r", 3) == [1, 2, 3]
+        for other in (b"# a\rb\n1 2 3\n", b"#\xff\n1 2 3\n", b"\xc2\xa0# a\n",
                       b"1 2 3 # c\n", b"1,2,3\n", b"1 2\n", b"1  2\n3 4 5\n"):
             assert pointio._plain_text_values(other, 3) is None
 
@@ -382,6 +383,21 @@ class TestNamedRows:
         code, out, err = _sort(capsys, path)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: record 4: component 2 out of range for level 4: 16\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,3", "expected 2 components, found 3"),
+        ("1,x", "bad component 'x': not a decimal integer (digits 0-9 only)"),
+        ("17,16", "component 1 out of range for level 4: 16"),
+    ], ids=["wrong-count", "bad-token", "out-of-range"])
+    def test_row_loop_words_a_bad_row(self, capsys, tmp_path, row, message):
+        # Commas keep the file from the whole-file reader: the row loop reads it.
+        path = tmp_path / "points.txt"
+        path.write_bytes(f"1,2\r\n{row}\r3,4\n".encode())
+        assert pointio._plain_text_values(path.read_bytes(), 2) is None
+        code, out, err = _sort(capsys, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 2: {message}\n"
+        assert not path.with_suffix(".out").exists()
 
     def test_comment_that_is_not_utf8_is_refused(self, capsys, tmp_path):
         path = tmp_path / "points.txt"
@@ -437,14 +453,14 @@ ACCEPTED = {
     "crlf": lambda lines, j, n: _put(lines, j, lines[j] + "\r"),
     "comment": lambda lines, j, n: _put(lines, j, "# x", lines[j]),
     "indented-comment": lambda lines, j, n: _put(lines, j, " \t# x \u00e9", lines[j]),
+    "lone-cr": lambda lines, j, n: _put(lines[:j + 1] + lines[j + 2:], j,
+                                        lines[j] + "\r" + lines[j + 1]),
 }
 # Files the block reader does not take, as such a change; the row loop reads
 # them, and accepts or refuses each.  A file is written with surrogateescape,
 # so "\udcff" is the byte 0xff.
 REJECTIONS = {
     "blank-line": lambda lines, j, n: _put(lines, j, "", lines[j]),
-    "lone-cr": lambda lines, j, n: _put(lines[:j + 1] + lines[j + 2:], j,
-                                        lines[j] + "\r" + lines[j + 1]),
     "non-utf8-comment": lambda lines, j, n: _put(lines, j, "# \udcff", lines[j]),
     "commented-decimal": lambda lines, j, n: _put(lines, j, "# x", "5"),
     "padded": lambda lines, j, n: _put(lines, j, f" \t{lines[j]} "),
