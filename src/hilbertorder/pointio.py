@@ -20,8 +20,8 @@ file (its payload as it is), a plain text point file
 text ones after the row loop's line ends (:func:`_plain_lines`).  Any other
 file, and any with a component out of range, goes through a row loop, which
 checks a row by its largest value and names the first bad row in file order
-(``line N`` or ``record N``) with the same message either way.  The writer replaces a regular output whole,
-so a failed run leaves it intact.
+(``line N`` or ``record N``) with the same message either way.  The writer
+replaces a regular output whole, so a failed run leaves it intact.
 """
 
 from __future__ import annotations

@@ -178,7 +178,8 @@ class TestValidation:
             False, "exchange is (1, 1, 0), expected flags on components 1 and 3")
 
     def test_corners_more_than_one_step_apart_reported(self):
-        named = checks_by_name(validate_gene_table(changed(2, corners={1: EntryExit((0, 0), (1, 1))})))
+        table = changed(2, corners={1: EntryExit((0, 0), (1, 1))})
+        named = checks_by_name(validate_gene_table(table))
         assert (named["corner-consistency"].passed, named["corner-consistency"].detail) == (
             False, "quadrant 1: entry and exit differ in 2 positions")
 
