@@ -30,16 +30,8 @@ from .curve import (
 )
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
-    binary_values,
-    check_bit_count,
-    format_flat,
-    format_indices,
-    parse_decimal,
-    parse_index,
-    parse_point,
-    read_indices,
-    read_points,
-    write_points,
+    check_bit_count, format_flat, format_indices, parse_decimal, parse_index, parse_point,
+    read_indices, read_points, write_points,
 )
 
 
@@ -54,8 +46,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     if argv is None:
         gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
@@ -168,13 +159,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     params = CurveParams(args.dim, args.level)
-    records, size, k, values = read_points(args.input, params)
+    records, size, k, source = read_points(args.input, params)
     keys = unchecked_keys(params, records, size, k)
-    binary = values is None
-    flat = binary_values(records) if binary else values
-    rows = list(zip(*[iter(flat)] * params.n))  # as the file writes them, x_n first
-    order = sorted(range(len(rows)), key=keys.__getitem__)  # stable: ties keep input order
-    write_points(args.output, params.n, list(map(rows.__getitem__, order)), binary)
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties keep input order
+    write_points(args.output, params.n, order, records if source is None else source)
     return 0
 
 
@@ -201,14 +189,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{params_check.n}: a curve walk is capped at 2**{WALK_MAX_BITS} points"
         )
     table = gene_table(params_check.n)
-    results = []
-    report = validate_gene_table(table)
-    for check in report.checks:
-        results.append((f"gene-{check.name}", check.passed, check.detail))
+    results = [(f"gene-{check.name}", check.passed, check.detail)
+               for check in validate_gene_table(table).checks]
     for m in range(1, args.max_level + 1):
         params = CurveParams(args.dim, m)
-        enumeration = enumerate_recursive(params, table)
-        ok, detail = _walk_matches_codecs(enumeration, params)
+        ok, detail = _walk_matches_codecs(enumerate_recursive(params, table), params)
         results.append((f"curve-n{args.dim}-m{m}", ok, detail))
     for name, passed, detail in results:
         if args.records:

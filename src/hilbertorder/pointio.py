@@ -21,7 +21,10 @@ text ones after the row loop's line ends (:func:`_plain_lines`).  Any other
 file, and any with a component out of range, goes through a row loop, which
 checks a row by its largest value and names the first bad row in file order
 (``line N`` or ``record N``) with the same message either way.  The writer
-replaces a regular output whole, so a failed run leaves it intact.
+moves each row's record, an ``HPTS`` row or a text line, into the new order,
+formatting only text not yet as it writes it; it writes stdout's own file
+through stdout and replaces any other regular output whole, so a failed run
+leaves it intact.
 """
 
 from __future__ import annotations
@@ -229,9 +232,9 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int]
     digit string, which no lookup takes.  Per block, cut at the first line
     end ``_DIGIT_BLOCK_BYTES`` or more past its start, one ``replace`` and one
     ``split`` give the digit strings, read through :func:`_digit_values`."""
-    m, table, data = params.m, _digit_values(params.n), _plain_lines(data)
-    prefix = DIGIT_PREFIX.encode()
-    if not m or table is None or data is None or not data.startswith(prefix):
+    m, table, prefix = params.m, _digit_values(params.n), DIGIT_PREFIX.encode()
+    data = _plain_lines(data) if m and table is not None and prefix in data else None
+    if data is None:
         return None
     end = len(data) - data.endswith(b"\n")  # the end of the last line
     count = data.count(b"\n", 0, end) + 1
@@ -254,12 +257,13 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int]
 
 def read_points(
     path: Path, params: CurveParams
-) -> tuple[bytes | memoryview, int, int, list[int] | None]:
+) -> tuple[bytes | memoryview, int, int, bytes | tuple[int, ...] | None]:
     """The points of a text or binary point file as :func:`curve.unchecked_keys`
     takes them: the components packed little-endian in file order (``x_n ..
     x_1`` per row), the bytes per component and the largest one's bit length;
-    then a text file's components as ints, or ``None`` for a binary file,
-    whose payload is handed over as it is (:func:`binary_values` reads it).
+    then what :func:`write_points` takes for the rows: ``None`` for a binary
+    file, whose payload is handed over as it is, a text file's bytes when its
+    lines are as :func:`format_flat` writes them, else its components.
     A parse error or a component of ``2**m`` or more is named by its row."""
     n, m = params.n, params.m
     data = path.read_bytes()
@@ -269,36 +273,31 @@ def read_points(
         if k <= m:
             return records, 8, k, None
         # A component is out of range: name the first record that holds one.
-        for record, row in enumerate(zip(*[iter(binary_values(records))] * n)):
+        for record, row in enumerate(struct.iter_unpack(f"<{n}Q", records)):
             try:
                 check_point(row[::-1], params)
             except DomainError as exc:
                 raise PointFileError(f"{path}: record {record}: {exc}") from exc
-    values = _plain_text_values(data, n)
+    values, source = _plain_text_values(data, n) or (None, None)
     k = m + 1 if values is None else max(values, default=0).bit_length()
     if k > m:  # the row loop reads the file, and names its first bad row
-        rows = _text_rows(path, data, _checked_row, params)
-        values = list(chain.from_iterable(rows))
+        source = values = tuple(chain.from_iterable(_text_rows(path, data, _checked_row, params)))
         k = max(values, default=0).bit_length()
     size = field_width(k) // 8
-    return pack_bytes(values, 8 * size), size, k, values
+    return pack_bytes(values, 8 * size), size, k, source
 
 
-def binary_values(records: bytes | memoryview) -> tuple[int, ...]:
-    """The components of an ``HPTS`` payload as ints, flat and in file order."""
-    return struct.unpack(f"<{len(records) // 8}Q", records)
-
-
-def write_points(path: Path, n: int, rows: Sequence[Sequence[int]], binary: bool) -> None:
-    """Write ``rows``, each written ``x_n .. x_1``, to ``path`` as a binary or text
-    point file, replacing it whole."""
-    flat = tuple(chain.from_iterable(rows))
-    if binary:
-        header = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(rows))
-        payload = header + struct.pack(f"<{len(flat)}Q", *flat)
+def write_points(path: Path, n: int, order: Sequence[int], source: Sequence) -> None:
+    """Write the rows of ``source`` to ``path`` in ``order``, replacing it whole:
+    the ``8 * n``-byte records of an ``HPTS`` payload after a new header, else
+    the lines of text in output form, or of the components' :func:`format_flat`."""
+    if isinstance(source, memoryview):
+        rows = [source[i:i + 8 * n] for i in range(0, len(source), 8 * n)]
+        payload = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(rows))
+        _write_whole(path, payload + b"".join(map(rows.__getitem__, order)))
     else:
-        payload = format_flat(flat, n).encode()
-    _write_whole(path, payload)
+        rows = (source if isinstance(source, bytes) else format_flat(source, n).encode()).split(b"\n")
+        _write_whole(path, b"\n".join(chain(map(rows.__getitem__, order), [b""])))
 
 
 def _binary_records(path: Path, data: bytes, n: int) -> memoryview:
@@ -346,23 +345,31 @@ def _plain_lines(data: bytes) -> bytes | None:
     return data
 
 
-def _plain_text_values(data: bytes, n: int) -> list[int] | None:
+def _plain_text_values(data: bytes, n: int) -> tuple[tuple[int, ...], Sequence] | None:
     """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
     only once :func:`_plain_lines` has read it, with ``n`` components on each
     line that is not blank, none past the digit-count cap; ``None`` for any
     other file, which the row loop reads.  One split and one ``map(int, ...)``
-    read it whole, and the caller checks the largest value."""
+    read it whole, and the caller checks the largest value.  Then the file's
+    bytes if they are what :func:`format_flat` writes, give or take the last
+    line end, else the components again."""
     data = _plain_lines(data)
     if data is None or data.translate(None, _PLAIN_TEXT_BYTES):
         return None
-    rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
     try:
-        values = list(map(int, data.split()))
+        values = tuple(map(int, data.split()))
     except ValueError:  # a component past the digit-count cap
         return None
+    shape = (b" " * (n - 1) + b"\n") * (len(values) // n)  # then every line holds n tokens
+    if len(values) % n == 0 and data.translate(None, b"0123456789") in (shape, shape[:-1]):
+        # Line ends made spaces, 1-9 made 1: a token with a leading zero starts " 00" or " 01".
+        starts = (b" " + data).translate(bytes.maketrans(b"\n23456789", b" 11111111"))
+        if b" 00" not in starts and b" 01" not in starts:
+            return values, data
+    rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
     if len(values) != n * rows:  # some token is on a line of fewer or more than n
         return None
-    return values
+    return values, values
 
 
 def _checked_row(line: str, params: CurveParams) -> list[int]:
@@ -395,15 +402,23 @@ def _text_rows(path: Path, data: bytes, parse: Callable, params: CurveParams) ->
 
 
 def _write_whole(path: Path, payload: bytes) -> None:
-    """Give ``path`` the bytes ``payload``: directly if it exists and is not a
-    regular file (a FIFO, a terminal), else by replacing its symlink-resolved
-    target with a new file that has the target's mode, or ``open``'s if new.
-    """
+    """Give ``path`` the bytes ``payload``: through ``sys.stdout`` if it is
+    stdout's file, directly if it exists and is not a regular file (a FIFO, a
+    terminal), else by replacing its symlink-resolved target with a new file
+    that has the target's mode, or ``open``'s if new."""
     try:
-        mode = os.stat(path).st_mode
+        info = os.stat(path)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+        info = None
+    try:
+        to_stdout = info is not None and os.path.samestat(info, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no stdout, or one with no descriptor
+        to_stdout = False
+    if to_stdout:  # written where stdout stands, so a ">>" redirect keeps what it holds
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
+        return
+    if info is not None and not stat.S_ISREG(info.st_mode):
         with open(path, "wb") as handle:
             handle.write(payload)
         return
@@ -417,8 +432,8 @@ def _write_whole(path: Path, payload: bytes) -> None:
     try:
         with handle:
             handle.write(payload)
-        if mode is not None:
-            os.chmod(temp, stat.S_IMODE(mode))
+        if info is not None:
+            os.chmod(temp, stat.S_IMODE(info.st_mode))
         os.replace(temp, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -313,6 +313,18 @@ def reference_values(path, data, n):
     return values
 
 
+def written_values(source, n):
+    """The components the last item of ``read_points`` stands for, as a list.
+    Text it hands over as bytes must have ``format_flat``'s lines, as the
+    writer takes them."""
+    if not isinstance(source, bytes):
+        return list(source)
+    values = tuple(map(int, source.split()))
+    rows = len(values) // n
+    assert source.split(b"\n")[:rows] == pointio.format_flat(values, n).encode().split(b"\n")[:rows]
+    return list(values)
+
+
 def outcome(read, *args):
     try:
         return read(*args)
@@ -329,7 +341,7 @@ class TestWholeFileReader:
         data = text.encode()
         path.write_bytes(data)
         expected = outcome(reference_values, path, data, n)
-        got = outcome(lambda: pointio.read_points(path, CurveParams(n, LEVEL))[3])
+        got = outcome(lambda: written_values(pointio.read_points(path, CurveParams(n, LEVEL))[3], n))
         assert got == expected
 
     @settings(max_examples=200, deadline=None)
@@ -343,14 +355,26 @@ class TestWholeFileReader:
 
     def test_plain_digit_file_takes_the_whole_file_path(self):
         data = b"1 2 3\n\n4\t5  6\n 7 8 9 \n10 11 12"
-        values = list(range(1, 13))
-        assert pointio._plain_text_values(data, 3) == values
+        values = tuple(range(1, 13))
+        assert pointio._plain_text_values(data, 3) == (values, values)
         for same in (data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r"),
                      b"# x_3 x_2 x_1\n" + data, b" \t#1 2 \xc3\xa9\r\n\n" + data + b"\n#"):
-            assert pointio._plain_text_values(same, 3) == values
-        assert pointio._plain_text_values(b"1 2 3\r", 3) == [1, 2, 3]
+            assert pointio._plain_text_values(same, 3) == (values, values)
+        assert pointio._plain_text_values(b"1 2 3\r", 3) == ((1, 2, 3), b"1 2 3\n")
+
+    def test_lines_in_output_form_are_handed_over_as_bytes(self):
+        # Single spaces, n tokens a line and no leading zero: the file's own
+        # lines, after the line rule, are what format_flat would write.
+        for data, lines in ((b"1 2 3\n40 0 6", None), (b"1 2 3\r\n40 0 6\r\n", b"1 2 3\n40 0 6\n"),
+                            (b"# c\n0 0 0\n", b"0 0 0\n"), (b"", None)):
+            values, source = pointio._plain_text_values(data, 3)
+            assert source == (data if lines is None else lines)
+        for data in (b"\n", b"007 1 2\n", b"1 01 2\n", b"1 2 00", b"1 2 3\n\n4 5 6\n", b"1 2 3\n\n",
+                     b" 1 2 3\n", b"1 2 3 \n", b"1  2 3\n", b"1\t2 3\n", b"1 2 3\n4 5 6\n\n\n"):
+            values, source = pointio._plain_text_values(data, 3)
+            assert source is values
         for other in (b"# a\rb\n1 2 3\n", b"#\xff\n1 2 3\n", b"\xc2\xa0# a\n",
-                      b"1 2 3 # c\n", b"1,2,3\n", b"1 2\n", b"1  2\n3 4 5\n"):
+                      b"1 2 3 # c\n", b"1,2,3\n", b"1 2\n", b"1  2\n3 4 5\n", b"7", b"1 2"):
             assert pointio._plain_text_values(other, 3) is None
 
 

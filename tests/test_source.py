@@ -34,3 +34,42 @@ def test_finds_an_unused_import():
     source = ("from __future__ import annotations\nimport os\nimport os.path as p\n"
               "import sys\nfrom x import (a, b as c)\n\ndef f(y: p.Q):\n    sys.exit(c)\n")
     assert unused_imports(source) == ["os", "a"]
+
+
+# The modules every command line call loads, and compiles where no bytecode
+# is cached: a definition no code uses costs each call for nothing.
+CALL_PATH = ("cli", "curve", "pointio")
+
+
+def unused_definitions(source: str, package: list[str], exported: set[str]) -> list[str]:
+    """The module-level functions and classes of ``source`` that no module of
+    ``package`` uses in code (as a name, an attribute or an imported name) and
+    that ``exported`` does not name."""
+    used = set(exported)
+    for text in package:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    defined = [node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return [name for name in defined if name not in used]
+
+
+@pytest.mark.parametrize("module", CALL_PATH)
+def test_no_unused_definition_on_the_call_path(module):
+    package = [path.read_text(encoding="utf-8") for path in MODULES]
+    exported = {name for names in hilbertorder._EXPORTS.values() for name in names.split()}
+    source = (MODULES[0].parent / f"{module}.py").read_text(encoding="utf-8")
+    assert unused_definitions(source, package, exported) == []
+
+
+def test_finds_an_unused_definition():
+    source = ("import m\n\nclass A:\n    def b(self):\n        return m.c(d)\n\n"
+              "def c():\n    pass\n\ndef d():\n    pass\n\ndef e():\n    pass\n\n"
+              "def f():\n    pass\n\nclass G:\n    pass\n")
+    other = "from x import e as y\n"
+    assert unused_definitions(source, [source, other], {"A"}) == ["f", "G"]
