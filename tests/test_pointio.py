@@ -12,6 +12,7 @@ import os
 import random
 import stat
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder import pointio
 from hilbertorder.cli import main
-from hilbertorder.curve import CurveParams
+from hilbertorder.curve import CurveParams, curve_keys
 from hilbertorder.encode import encode_arith
 from hilbertorder.errors import DomainError, PointFileError
 from hilbertorder.gene import gene_table
@@ -219,6 +220,122 @@ class TestOutputWrittenWhole:
             assert (code, err) == (0, "")
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
         assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_appended_to_keeps_what_it_held(self, tmp_path):
+        # A shell's ">> log" opens log for append as the child's stdout; the
+        # sorted rows follow what log held instead of replacing the file.
+        source, log = tmp_path / "points.txt", tmp_path / "log"
+        source.write_text(POINTS)
+        log.write_text("kept line\n")
+        with open(log, "ab") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "hilbertorder", "sort", "--dim", "2", "--level", "2",
+                 str(source), "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert log.read_text() == "kept line\n" + SORTED
+
+    def test_output_that_is_stdouts_file_is_written_through_stdout(self, tmp_path):
+        source, log = tmp_path / "points.txt", tmp_path / "log"
+        source.write_text(POINTS)
+        log.write_text("kept line\n")
+        with open(log, "a") as stdout, contextlib.redirect_stdout(stdout):
+            print("printed first")
+            assert main(["sort", "--dim", "2", "--level", "2", str(source), str(log)]) == 0
+            print("printed last")
+        assert log.read_text() == "kept line\nprinted first\n" + SORTED + "printed last\n"
+
+
+def point_file(n, rows, binary):
+    """``rows``, each written ``x_n .. x_1``, as ``format_flat`` writes them or
+    as an ``HPTS`` file."""
+    flat = tuple(c for row in rows for c in row)
+    if binary:
+        return b"HPTS\x01" + struct.pack(f"<HQ{len(flat)}Q", n, len(rows), *flat)
+    return pointio.format_flat(flat, n).encode()
+
+
+def sorted_file(n, m, rows, binary):
+    """:func:`point_file` of ``rows`` stably sorted along the curve."""
+    keys = curve_keys(CurveParams(n, m), [c for row in rows for c in row])
+    return point_file(n, [rows[j] for j in sorted(range(len(rows)), key=keys.__getitem__)], binary)
+
+
+# Text point file layouts: each from its rows and line end.
+LAYOUTS = {
+    "single-space": lambda rows, end: end.join(" ".join(row) for row in rows),
+    "tabs": lambda rows, end: end.join("\t".join(row) for row in rows),
+    "double-space": lambda rows, end: end.join("  ".join(row) for row in rows),
+    "padded": lambda rows, end: end.join(f" {' '.join(row)}\t" for row in rows),
+    "commas": lambda rows, end: end.join(",".join(row) for row in rows),
+    "leading-zeros": lambda rows, end: end.join(" ".join("00" + c for c in row) for row in rows),
+    "blank-lines": lambda rows, end: (end * 2).join(" ".join(row) for row in rows),
+    "comment": lambda rows, end: end.join(["# x_3 x_2 x_1"] + [" ".join(row) for row in rows]),
+}
+
+
+class TestSortWritesRecords:
+    """sort writes the rows' own records in curve order: the output is
+    ``format_flat`` of the stably sorted points, or their ``HPTS`` file."""
+
+    @staticmethod
+    def rows(count=60, top=8, n=3, seed=5):
+        rng = random.Random(seed)
+        rows = [tuple(rng.randrange(top) for _ in range(n)) for _ in range(count)]
+        return rows + rows[: count // 4]  # tied keys
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_text_layouts(self, capsys, tmp_path, layout, end, final):
+        rows = self.rows()
+        path, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
+        text = [[str(c) for c in row] for row in rows]
+        path.write_bytes((LAYOUTS[layout](text, end) + end * final).encode())
+        assert run(capsys, "sort", "-n", 3, "-m", 3, path, target) == (0, "", "")
+        assert target.read_bytes() == sorted_file(3, 3, rows, False)
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    @pytest.mark.parametrize("count", [0, 1, 75])
+    def test_in_place(self, capsys, tmp_path, binary, count):
+        rows = self.rows()[:count]
+        path = tmp_path / "points"
+        path.write_bytes(point_file(3, rows, binary))
+        assert run(capsys, "sort", "-n", 3, "-m", 3, path, path) == (0, "", "")
+        assert path.read_bytes() == sorted_file(3, 3, rows, binary)
+
+    @pytest.mark.parametrize("blob", [b"", b"\n", b"# only a comment\n", b"\r\n\r\n"],
+                             ids=["empty", "newline", "comment", "blank-lines"])
+    def test_a_file_with_no_points_gives_an_empty_output(self, capsys, tmp_path, blob):
+        path, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
+        path.write_bytes(blob)
+        assert run(capsys, "sort", "-n", 3, "-m", 3, path, target) == (0, "", "")
+        assert target.read_bytes() == b""
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_hpts_records(self, capsys, tmp_path, n):
+        rows = self.rows(200, 1 << 64, n)
+        path, target = tmp_path / "points.bin", tmp_path / "sorted.bin"
+        path.write_bytes(point_file(n, rows, True))
+        assert run(capsys, "sort", "-n", n, "-m", 64, path, target) == (0, "", "")
+        assert target.read_bytes() == sorted_file(n, 64, rows, True)
+
+    @pytest.mark.parametrize("zeros", [0, 1], ids=["output-form", "leading-zero"])
+    def test_components_at_the_digit_cap(self, capsys, tmp_path, zeros):
+        # The widest components int() reads: the output holds them as read.
+        cap = sys.get_int_max_str_digits()
+        if not cap:
+            pytest.skip("this interpreter has no cap on decimal digits")
+        wide = ["0" * zeros + "9" * (cap - zeros), "0" * zeros + "8" + "0" * (cap - zeros - 1)]
+        text = [[wide[0], "1"], ["0", "0"], ["1", wide[1]], [wide[1], wide[0]]]
+        path, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
+        path.write_text("".join(" ".join(row) + "\n" for row in text))
+        m = int(wide[0]).bit_length()
+        assert run(capsys, "sort", "-n", 2, "-m", m, path, target) == (0, "", "")
+        rows = [tuple(map(int, row)) for row in text]
+        assert target.read_bytes() == sorted_file(2, m, rows, False)
 
 
 def _binary(version=1, dim=2, count=1, payload=b"\0" * 16):
@@ -524,6 +641,16 @@ class TestDigitBlockReader:
             patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
             digits, count = pointio.read_indices(path, params)
         return list(digits), count
+
+    @pytest.mark.parametrize("blob", [b"# x\n5\n12\n", b"# x\r\n5\r\n", b"# \xff\n5\n"])
+    def test_no_line_rule_for_a_file_without_the_prefix(self, monkeypatch, blob):
+        # A decimal index file is refused before the line rule, which the row
+        # loop then runs once; so are level 0 and n past the digit table.
+        monkeypatch.setattr(pointio, "_plain_lines", lambda data: pytest.fail("line rule run"))
+        for n, m in ((3, 2), (3, 0), (13, 2)):
+            assert pointio._digit_token_values(blob, CurveParams(n, m)) is None
+        blob = blob.replace(b"5", b"digits:5")
+        assert pointio._digit_token_values(blob, CurveParams(13, 1)) is None
 
     @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
     @pytest.mark.parametrize("full, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
