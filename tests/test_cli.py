@@ -55,7 +55,8 @@ def write_point_file(path, n, rows, binary):
     """Write ``rows``, each written ``x_n .. x_1``, as a binary or text point file."""
     flat = [c for row in rows for c in row]
     if binary:
-        path.write_bytes(pointio.POINT_MAGIC + struct.pack(f"<BHQ{len(flat)}Q", 1, n, len(rows), *flat))
+        header = pointio.POINT_MAGIC + struct.pack("<BHQ", 1, n, len(rows))
+        path.write_bytes(header + struct.pack(f"<{len(flat)}Q", *flat))
     else:
         path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
 
