@@ -18,6 +18,7 @@ they run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -48,18 +49,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         gc.freeze()
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None and args.command != "sort":  # started with stdout closed
+            raise HilbertError("standard output is closed")
         code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except (HilbertError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+        message = f"error: {exc}"
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__ is not None:
             # What stdout still holds goes nowhere, so exit cannot fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        message = "error: out of memory"
+    if sys.stderr is not None:  # a closed stderr is None, or a stream whose write fails
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr)
+    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:

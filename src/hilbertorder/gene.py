@@ -20,8 +20,9 @@ enters at the origin, ``entry(i) = gray_code(2 * ((i - 1) // 2))`` for
 ``i >= 1``, and ``exit(i) = entry(2**n - 1 - i) ^ top``.  Other corner
 assignments also produce valid curves in three or more dimensions; this
 package pins the orientation generated by these forms.  Every table is
-built from them, and :func:`validate_gene_table` checks a table's
-structure and walks its curves.
+built from them, and :func:`validate_gene_table` holds a table to them in
+one check, quadrant by quadrant against :func:`quadrant_commands` and
+:func:`entry_exit`, before it walks the table's curves.
 
 Bit vectors here are component-indexed: tuple slot ``i`` flags
 component ``i + 1``.  Rendering reverses the tuple (component ``n``
@@ -160,25 +161,20 @@ def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
 
 
 def validate_gene_table(table: GeneTable) -> GeneValidationReport:
-    """Run every structural and curve-level check and report the outcomes.
+    """Hold the table to the closed forms, walk its curves and report the outcomes.
 
-    Structural checks always run.  The level-1 and level-2 curve walks
-    run only while ``2 * n`` stays within the walk guard; above that the
-    level-2 walk is reported as skipped.
+    The ``closed-form`` check passes only for a table of ``2**n`` entries
+    and ``2**n`` corner pairs whose quadrant ``r`` holds the commands of
+    :func:`quadrant_commands` and the corners of :func:`entry_exit`.  The
+    level-1 and level-2 curve walks run only after it passes and while
+    ``2 * n`` stays within the walk guard; above that the level-2 walk is
+    reported as skipped.
     """
-    checks = [
-        _check_shape(table),
-        _check_exchange_population(table),
-        _check_quadrant_zero(table),
-        _check_corner_consistency(table),
-    ]
-    structural_ok = all(check.passed for check in checks)
+    checks = [_check_closed_form(table)]
     for m in (1, 2):
         name = f"curve-walk-level-{m}"
-        if not structural_ok:
-            checks.append(
-                ValidationCheck(name, False, "not run: structural checks failed")
-            )
+        if not checks[0].passed:
+            checks.append(ValidationCheck(name, False, "not run: closed-form check failed"))
         elif table.n * m > WALK_MAX_BITS:
             checks.append(
                 ValidationCheck(name, True, f"skipped: 2**{table.n * m} points exceed the walk guard")
@@ -223,70 +219,21 @@ def _mask_to_bits(mask: int, n: int) -> BitVec:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-def _bits_to_mask(bits: BitVec) -> int:
-    mask = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            mask |= 1 << i
-    return mask
-
-
-def _check_shape(table: GeneTable) -> ValidationCheck:
-    name = "shape"
-    expected = 1 << table.n
-    if len(table.entries) != expected:
-        return ValidationCheck(name, False, f"{len(table.entries)} entries, expected {expected}")
-    if len(table.corners) != expected:
-        return ValidationCheck(name, False, f"{len(table.corners)} corner pairs, expected {expected}")
-    for i, entry in enumerate(table.entries):
-        corner = table.corners[i]
-        for vec in (entry.exchange, entry.reverse, corner.entry, corner.exit):
-            if len(vec) != table.n:
-                return ValidationCheck(name, False, f"quadrant {i}: vector of length {len(vec)}")
-            if any(bit not in (0, 1) for bit in vec):
-                return ValidationCheck(name, False, f"quadrant {i}: non-bit entry")
-    return ValidationCheck(name, True)
-
-
-def _check_exchange_population(table: GeneTable) -> ValidationCheck:
-    name = "exchange-population"
-    for i, entry in enumerate(table.entries):
-        ones = sum(entry.exchange)
-        if ones not in (0, 2):
-            return ValidationCheck(
-                name, False, f"quadrant {i}: exchange flags {ones} components, expected 0 or 2"
-            )
-    return ValidationCheck(name, True)
-
-
-def _check_quadrant_zero(table: GeneTable) -> ValidationCheck:
-    name = "quadrant-zero"
-    n = table.n
-    entry = table.entries[0]
-    expected_exchange = tuple(1 if i in (0, n - 1) else 0 for i in range(n))
-    if entry.exchange != expected_exchange:
-        return ValidationCheck(
-            name, False, f"exchange is {entry.exchange}, expected flags on components 1 and {n}"
-        )
-    if any(entry.reverse):
-        return ValidationCheck(name, False, f"reverse is {entry.reverse}, expected all zero")
-    return ValidationCheck(name, True)
-
-
-def _check_corner_consistency(table: GeneTable) -> ValidationCheck:
-    name = "corner-consistency"
-    top = 1 << (table.n - 1)
-    for i, (entry, corner) in enumerate(zip(table.entries, table.corners)):
-        e = _bits_to_mask(corner.entry)
-        f = _bits_to_mask(corner.exit)
-        if (e ^ f).bit_count() != 1:
-            return ValidationCheck(
-                name, False, f"quadrant {i}: entry and exit differ in {(e ^ f).bit_count()} positions"
-            )
-        if _bits_to_mask(entry.exchange) != top ^ e ^ f:
-            return ValidationCheck(name, False, f"quadrant {i}: exchange disagrees with corners")
-        if _bits_to_mask(entry.reverse) != e:
-            return ValidationCheck(name, False, f"quadrant {i}: reverse disagrees with entry corner")
+def _check_closed_form(table: GeneTable) -> ValidationCheck:
+    name = "closed-form"
+    n, size = table.n, 1 << table.n
+    if (len(table.entries), len(table.corners)) != (size, size):
+        return ValidationCheck(name, False, f"{len(table.entries)} entries and "
+                               f"{len(table.corners)} corner pairs, expected {size} of each")
+    for r, (entry, corner) in enumerate(zip(table.entries, table.corners)):
+        reverse, pair = quadrant_commands(n, r)
+        exchange = _mask_to_bits(sum(1 << i for i in pair or ()), n)
+        for part, held, expected in (("exchange", entry.exchange, exchange),
+                                     ("reverse", entry.reverse, _mask_to_bits(reverse, n)),
+                                     ("corners", corner, entry_exit(n, r))):
+            if held != expected:
+                return ValidationCheck(
+                    name, False, f"quadrant {r}: {part} {held}, the closed form gives {expected}")
     return ValidationCheck(name, True)
 
 

@@ -156,6 +156,21 @@ class TestEncodeCommand:
         assert code == 0
         assert out == "15 digits:3.3\n"
 
+    def test_digit_form_output_is_no_index_file(self, capsys, tmp_path):
+        # While n * m <= 64 a --digits line holds two tokens and decode takes
+        # one a line: decode refuses the file, and each token decodes alone.
+        source, indices = tmp_path / "points.txt", tmp_path / "indices.txt"
+        source.write_text("1 2 3\n")
+        code, out, _ = run(capsys, "encode", "-n", "3", "-m", "4", "--digits",
+                           "--input", str(source))
+        assert (code, out) == (0, "18 digits:0.0.2.2\n")
+        indices.write_text(out)
+        assert run(capsys, "decode", "-n", "3", "-m", "4", "--input", str(indices)) == (
+            2, "", f"error: {indices}: line 1: bad index value '18 digits:0.0.2.2': "
+                   "not a decimal integer (digits 0-9 only)\n")
+        for token in out.split():
+            assert run(capsys, "decode", "-n", "3", "-m", "4", token) == (0, "1 2 3\n", "")
+
     def test_level_zero_digit_form_is_empty(self, capsys):
         code, out, _ = run(capsys, "encode", "--dim", "2", "--level", "0", "--digits", "0", "0")
         assert (code, out) == (0, "0 digits:\n")
@@ -968,8 +983,15 @@ class TestValidateCommand:
     def test_three_dim_passes(self, capsys):
         code, out, _ = run(capsys, "validate", "--dim", "3", "--max-level", "3")
         assert code == 0
-        assert out.splitlines()[-1] == "PASS"
-        assert "curve-n3-m3" in out
+        assert out.splitlines() == [
+            "PASS gene-closed-form",
+            "PASS gene-curve-walk-level-1",
+            "PASS gene-curve-walk-level-2",
+            "PASS curve-n3-m1 (8 points)",
+            "PASS curve-n3-m2 (64 points)",
+            "PASS curve-n3-m3 (512 points)",
+            "PASS",
+        ]
 
     def test_records_mode(self, capsys):
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "2",
@@ -977,6 +999,9 @@ class TestValidateCommand:
         assert code == 0
         lines = out.splitlines()
         assert all(line.startswith("check=") and "passed=" in line for line in lines)
+        assert lines[:3] == ["check=gene-closed-form passed=1",
+                             "check=gene-curve-walk-level-1 passed=1",
+                             "check=gene-curve-walk-level-2 passed=1"]
         assert any("check=curve-n2-m2 passed=1" in line for line in lines)
 
     def test_broken_table_fails(self, capsys, monkeypatch):
@@ -988,7 +1013,8 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
-        assert any(line.startswith("FAIL gene-quadrant-zero") for line in out.splitlines())
+        assert out.splitlines()[0] == (
+            "FAIL gene-closed-form (quadrant 0: reverse (1, 1), the closed form gives (0, 0))")
 
     def test_refuses_a_level_above_the_walk_guard_up_front(self, capsys, monkeypatch):
         def walk(*args, **kwargs):
@@ -1231,6 +1257,48 @@ class TestBrokenPipe:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+class TestClosedStreams:
+    """A call started with standard output (``>&-``) or standard error
+    (``2>&-``) closed ends in exit code 0 or 2, never in a traceback."""
+
+    @staticmethod
+    def run_closed(fd, argv):
+        kept = {1: "stderr", 2: "stdout"}[fd]
+        result = subprocess.run(
+            [sys.executable, "-m", "hilbertorder", *argv], **{kept: subprocess.PIPE},
+            text=True, timeout=60, preexec_fn=lambda: os.close(fd),
+        )
+        return result.returncode, getattr(result, kept)
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "-n", "2", "-m", "2", "1", "1"],
+        ["decode", "-n", "2", "-m", "2", "13"],
+        ["gene", "-n", "2"],
+        ["validate", "-n", "2", "--max-level", "1"],
+        ["bench", "--point", "1,1", "--levels", "4", "--repeats", "1"],
+        ["decode", "-n", "2", "-m", "2", "99"],
+    ], ids=["encode", "decode", "gene", "validate", "bench", "refused"])
+    def test_a_command_that_prints_refuses_a_closed_stdout(self, argv):
+        assert self.run_closed(1, argv) == (2, "error: standard output is closed\n")
+
+    def test_sort_needs_no_stdout(self, tmp_path):
+        source, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
+        source.write_text("1 1\n0 0\n")
+        assert self.run_closed(1, ["sort", "-n", "2", "-m", "2", str(source), str(target)]) == (
+            0, "")
+        assert target.read_text() == "0 0\n1 1\n"
+
+    def test_a_refused_call_exits_2_with_stderr_closed(self):
+        assert self.run_closed(2, ["decode", "-n", "2", "-m", "2", "99"]) == (2, "")
+
+    def test_an_error_line_that_cannot_be_written_keeps_exit_code_2(self, capsys, monkeypatch):
+        # Where the closed descriptor still has a stream, writing to it fails.
+        with open(os.devnull) as unwritable:
+            monkeypatch.setattr(sys, "stderr", unwritable)
+            assert main(["decode", "-n", "2", "-m", "2", "99"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestModuleEntryPoint:

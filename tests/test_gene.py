@@ -9,6 +9,8 @@ from hilbertorder.gene import (
     EntryExit,
     GeneEntry,
     GeneTable,
+    ValidationCheck,
+    _check_closed_form,
     _curve_walk_defect,
     entry_exit,
     format_table_text,
@@ -130,67 +132,54 @@ class TestValidation:
         assert report.passed
         assert report.failures() == ()
 
-    def test_quadrant_zero_violation_reported(self):
-        table = gene_table(2)
-        entries = list(table.entries)
-        entries[0] = GeneEntry(entries[0].exchange, (1, 1))
-        broken = GeneTable(2, tuple(entries), table.corners)
-        report = validate_gene_table(broken)
-        assert not report.passed
-        assert not checks_by_name(report)["quadrant-zero"].passed
-
-    def test_three_ones_exchange_reported(self):
-        table = gene_table(3)
-        entries = list(table.entries)
-        entries[2] = GeneEntry((1, 1, 1), entries[2].reverse)
-        broken = GeneTable(3, tuple(entries), table.corners)
-        report = validate_gene_table(broken)
-        assert not checks_by_name(report)["exchange-population"].passed
-
-    def test_bad_walk_reported(self):
-        # Swapping the commands of two quadrants keeps the structure
-        # legal but breaks the curve itself.
-        table = gene_table(2)
-        entries = list(table.entries)
-        entries[1], entries[3] = entries[3], entries[1]
-        corners = list(table.corners)
-        corners[1], corners[3] = corners[3], corners[1]
-        broken = GeneTable(2, tuple(entries), tuple(corners))
-        report = validate_gene_table(broken)
-        named = checks_by_name(report)
-        assert not report.passed
-        assert not named["curve-walk-level-2"].passed
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_built_tables_hold_the_closed_form(self, n):
+        assert _check_closed_form(gene_table(n)) == ValidationCheck("closed-form", True)
 
     @pytest.mark.parametrize("table, detail", [
-        (changed(2, count=(3, 4)), "3 entries, expected 4"),
-        (changed(2, count=(4, 3)), "3 corner pairs, expected 4"),
-        (changed(2, {1: GeneEntry((0, 0, 0), (0, 0))}), "quadrant 1: vector of length 3"),
-        (changed(2, {1: GeneEntry((0, 2), (0, 0))}), "quadrant 1: non-bit entry"),
-    ], ids=["entries", "corners", "vector-length", "non-bit"])
-    def test_shape_violation_reported(self, table, detail):
-        named = checks_by_name(validate_gene_table(table))
-        assert (named["shape"].passed, named["shape"].detail) == (False, detail)
-        assert named["curve-walk-level-1"].detail == "not run: structural checks failed"
+        (changed(2, {0: GeneEntry((1, 1), (1, 1))}),
+         "quadrant 0: reverse (1, 1), the closed form gives (0, 0)"),
+        (changed(3, {0: GeneEntry((1, 1, 0), (0,) * 3)}),
+         "quadrant 0: exchange (1, 1, 0), the closed form gives (1, 0, 1)"),
+        (changed(3, {2: GeneEntry((1, 1, 1), (0, 0, 0))}),
+         "quadrant 2: exchange (1, 1, 1), the closed form gives (0, 1, 1)"),
+        (changed(2, count=(3, 4)), "3 entries and 4 corner pairs, expected 4 of each"),
+        (changed(2, count=(4, 3)), "4 entries and 3 corner pairs, expected 4 of each"),
+        (changed(2, {1: GeneEntry((0, 0, 0), (0, 0))}),
+         "quadrant 1: exchange (0, 0, 0), the closed form gives (0, 0)"),
+        (changed(2, {1: GeneEntry((0, 2), (0, 0))}),
+         "quadrant 1: exchange (0, 2), the closed form gives (0, 0)"),
+        (changed(2, corners={1: EntryExit((0, 0), (1, 1))}),
+         "quadrant 1: corners EntryExit(entry=(0, 0), exit=(1, 1)), "
+         "the closed form gives EntryExit(entry=(0, 0), exit=(0, 1))"),
+        # Quadrants 1 and 3 swapped whole: each entry still agrees with its
+        # own corners, but the walk would break, so the table is refused.
+        (changed(2, {1: gene_table(2).entries[3], 3: gene_table(2).entries[1]},
+                 {1: gene_table(2).corners[3], 3: gene_table(2).corners[1]}),
+         "quadrant 1: exchange (1, 1), the closed form gives (0, 0)"),
+    ], ids=["quadrant-zero-reverse", "quadrant-zero-exchange", "three-ones-exchange",
+            "entries", "corners", "vector-length", "non-bit", "corners-two-steps-apart",
+            "quadrants-swapped"])
+    def test_closed_form_violation_reported(self, table, detail):
+        report = validate_gene_table(table)
+        assert [(check.name, check.passed, check.detail) for check in report.checks] == [
+            ("closed-form", False, detail),
+            ("curve-walk-level-1", False, "not run: closed-form check failed"),
+            ("curve-walk-level-2", False, "not run: closed-form check failed"),
+        ]
+        assert not report.passed
 
-    def test_quadrant_zero_exchange_reported(self):
-        named = checks_by_name(validate_gene_table(changed(3, {0: GeneEntry((1, 1, 0), (0,) * 3)})))
-        assert (named["quadrant-zero"].passed, named["quadrant-zero"].detail) == (
-            False, "exchange is (1, 1, 0), expected flags on components 1 and 3")
-
-    def test_corners_more_than_one_step_apart_reported(self):
-        table = changed(2, corners={1: EntryExit((0, 0), (1, 1))})
-        named = checks_by_name(validate_gene_table(table))
-        assert (named["corner-consistency"].passed, named["corner-consistency"].detail) == (
-            False, "quadrant 1: entry and exit differ in 2 positions")
-
-    @pytest.mark.parametrize("point, defect", [
-        ((4, 0), "level 2: index 0 decodes outside the grid: (4, 0)"),
-        ((1, 2), "level 2: index 1 revisits point (1, 2)"),
-    ], ids=["outside-the-grid", "revisit"])
-    def test_walk_defect_named(self, monkeypatch, point, defect):
-        # The decoder only swaps, reflects and sets bits below level m, so
-        # no table leaves the grid or revisits a point; a stub decoder does.
-        monkeypatch.setattr(decode, "decode_bits", lambda idx, params, table: (point, None))
+    @pytest.mark.parametrize("points, defect", [
+        ([(4, 0)], "level 2: index 0 decodes outside the grid: (4, 0)"),
+        ([(1, 2), (1, 2)], "level 2: index 1 revisits point (1, 2)"),
+        ([(0, 0), (1, 1)], "level 2: indices 0 and 1 are 2 apart"),
+    ], ids=["outside-the-grid", "revisit", "not-a-unit-step"])
+    def test_walk_defect_named(self, monkeypatch, points, defect):
+        # The closed-form check refuses every table but the built one, whose
+        # walks pass; a stub decoder that hands out ``points`` in turn shows
+        # that a walk still names each defect.
+        walk = iter(points)
+        monkeypatch.setattr(decode, "decode_bits", lambda idx, params, table: (next(walk), None))
         assert _curve_walk_defect(gene_table(2), 2) == defect
 
     def test_level_two_walk_skipped_above_guard(self):
