@@ -22,13 +22,12 @@ import contextlib
 import gc
 import os
 import sys
-from itertools import chain
+from itertools import chain, product
+from operator import sub
 from pathlib import Path
 from typing import Sequence
 
-from .curve import (
-    CurveParams, curve_keys, integer_digits, unchecked_keys, unchecked_points,
-)
+from .curve import CurveParams, curve_keys, unchecked_keys, unchecked_points
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
     check_bit_count, format_flat, format_indices, parse_decimal, parse_index, parse_point,
@@ -184,8 +183,8 @@ def _cmd_gene(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .gene import WALK_MAX_BITS, gene_table, validate_gene_table
-    from .oracle import enumerate_recursive
+    from .gene import gene_table, validate_gene_table
+    from .oracle import WALK_MAX_BITS, enumerate_recursive
 
     params_check = CurveParams(args.dim, max(args.max_level, 0))
     top = WALK_MAX_BITS // params_check.n
@@ -214,14 +213,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _walk_matches_codecs(enumeration, params: CurveParams) -> tuple[bool, str]:
-    """Hold the codecs the CLI runs against the recursive enumeration."""
-    walk = enumeration.points
-    digits = [d for z in range(len(walk)) for d in integer_digits(z, params)]
+    """Hold the recursive enumeration to unit steps and the codecs the CLI runs
+    to it; a fault names the first bad step, else the first wrong index or point."""
+    walk, n = enumeration.points, params.n
+    # The digits of the indices 0..N-1 in turn: every run of m digits, in order.
+    digits = list(chain.from_iterable(product(range(1 << n), repeat=params.m)))
     flat = unchecked_points(params, digits, len(walk))
-    decoded = [point[::-1] for point in zip(*[iter(flat)] * params.n)]
-    keys = curve_keys(params, list(chain.from_iterable(map(reversed, walk))))
-    if decoded != list(walk) or keys != list(range(len(walk))):
+    records = list(chain.from_iterable(map(reversed, walk)))
+    keys = curve_keys(params, records)
+    # Keys 0..N-1 make the points distinct, so each of the N - 1 steps is 1
+    # or more, and a walk N - 1 long makes every one 1.
+    length = sum(map(abs, map(sub, flat[n:], flat)))
+    if list(flat) != records or keys != list(range(len(walk))) or length != len(walk) - 1:
+        decoded = [point[::-1] for point in zip(*[iter(flat)] * n)]
         for z, expected in enumerate(walk):
+            if z and (step := sum(map(abs, map(sub, walk[z - 1], expected)))) != 1:
+                return False, f"indices {z - 1} and {z} are {step} apart"
             if decoded[z] != expected:
                 return False, f"index {z} decodes to {decoded[z]}, enumeration holds {expected}"
             if keys[z] != z:

@@ -22,7 +22,8 @@ assignments also produce valid curves in three or more dimensions; this
 package pins the orientation generated by these forms.  Every table is
 built from them, and :func:`validate_gene_table` holds a table to them in
 one check, quadrant by quadrant against :func:`quadrant_commands` and
-:func:`entry_exit`, before it walks the table's curves.
+:func:`entry_exit`.  It walks no curve: ``hilbert validate`` walks each
+level it asks for once, through the enumeration oracle.
 
 Bit vectors here are component-indexed: tuple slot ``i`` flags
 component ``i + 1``.  Rendering reverses the tuple (component ``n``
@@ -33,16 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core_bits import BitVec, gray_code, integer_to_index
-from .curve import CurveParams, check_dimension
+from .core_bits import BitVec, gray_code
+from .curve import check_dimension
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
 
 # A table has 2**n entries; gene_table refuses dimensions above this cap.
 GENE_DIMENSION_CAP = 20
-# A full curve walk visits 2**(n * m) points.  Above 2**WALK_MAX_BITS the
-# enumeration oracle and ``hilbert validate`` refuse a walk, and
-# validate_gene_table skips its level-2 walk rather than fail it.
-WALK_MAX_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -161,28 +158,14 @@ def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
 
 
 def validate_gene_table(table: GeneTable) -> GeneValidationReport:
-    """Hold the table to the closed forms, walk its curves and report the outcomes.
+    """Hold the table to the closed forms and report the outcome.
 
-    The ``closed-form`` check passes only for a table of ``2**n`` entries
-    and ``2**n`` corner pairs whose quadrant ``r`` holds the commands of
-    :func:`quadrant_commands` and the corners of :func:`entry_exit`.  The
-    level-1 and level-2 curve walks run only after it passes and while
-    ``2 * n`` stays within the walk guard; above that the level-2 walk is
-    reported as skipped.
+    The one ``closed-form`` check passes only for a table of ``2**n``
+    entries and ``2**n`` corner pairs whose quadrant ``r`` holds the
+    commands of :func:`quadrant_commands` and the corners of
+    :func:`entry_exit`.  No curve is walked here.
     """
-    checks = [_check_closed_form(table)]
-    for m in (1, 2):
-        name = f"curve-walk-level-{m}"
-        if not checks[0].passed:
-            checks.append(ValidationCheck(name, False, "not run: closed-form check failed"))
-        elif table.n * m > WALK_MAX_BITS:
-            checks.append(
-                ValidationCheck(name, True, f"skipped: 2**{table.n * m} points exceed the walk guard")
-            )
-        else:
-            detail = _curve_walk_defect(table, m)
-            checks.append(ValidationCheck(name, detail is None, detail or ""))
-    return GeneValidationReport(table.n, tuple(checks))
+    return GeneValidationReport(table.n, (_check_closed_form(table),))
 
 
 # Every table is built from the closed form; the old cached name stays public.
@@ -235,31 +218,3 @@ def _check_closed_form(table: GeneTable) -> ValidationCheck:
                 return ValidationCheck(
                     name, False, f"quadrant {r}: {part} {held}, the closed form gives {expected}")
     return ValidationCheck(name, True)
-
-
-def _curve_walk_defect(table: GeneTable, m: int) -> str | None:
-    """Walk the whole level-``m`` curve; return a defect description or None."""
-    from .decode import decode_bits  # deferred: decode depends on this module
-
-    n = table.n
-    params = CurveParams(n, m)
-    total = 1 << (n * m)
-    seen = bytearray(total)
-    box = (1 << m) - 1
-    prev: tuple[int, ...] | None = None
-    for z in range(total):
-        point, _ = decode_bits(integer_to_index(z, params), params, table)
-        slot = 0
-        for i, c in enumerate(point):
-            if not 0 <= c <= box:
-                return f"level {m}: index {z} decodes outside the grid: {point}"
-            slot |= c << (i * m)
-        if seen[slot]:
-            return f"level {m}: index {z} revisits point {point}"
-        seen[slot] = 1
-        if prev is not None:
-            step = sum(abs(a - b) for a, b in zip(prev, point))
-            if step != 1:
-                return f"level {m}: indices {z - 1} and {z} are {step} apart"
-        prev = point
-    return None

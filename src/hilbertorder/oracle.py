@@ -19,9 +19,12 @@ from .core_bits import Coordinate, gray_code
 from .curve import CurveParams
 from .encode import ENCODERS, effective_level
 from .errors import DomainError, ResourceLimitError
-from .gene import WALK_MAX_BITS, GeneTable
+from .gene import GeneTable
 
 _LINEAR_VARIANTS = frozenset({"arith", "bits"})
+# A full curve walk visits 2**(n * m) points.  enumerate_recursive refuses,
+# and ``hilbert validate`` refuses up front, a walk past 2**WALK_MAX_BITS.
+WALK_MAX_BITS = 24
 
 
 @dataclass(frozen=True)

@@ -330,9 +330,9 @@ def _payload_bits(data: bytes, start: int) -> int:
 
 def _plain_lines(data: bytes) -> bytes | None:
     r"""A text file's bytes as both whole-file readers take them: every line
-    end the row loop takes (``\r\n`` or a lone ``\r``) made ``\n`` and, if
-    the file is UTF-8, its ``#`` comment lines gone; ``None`` for a file with
-    a ``#`` that is not UTF-8, which the row loop reads."""
+    end the row loop takes (``\r\n`` or a lone ``\r``) made ``\n``; empty lines
+    and, if the file is UTF-8, ``#`` lines gone, the last line ending as it did;
+    ``None`` for a file with a ``#`` that is not UTF-8, which the row loop reads."""
     if b"\r" in data:  # a replace that finds nothing costs a pass of its own
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
@@ -342,6 +342,9 @@ def _plain_lines(data: bytes) -> bytes | None:
             return None
         lines = data.split(b"\n")
         data = b"\n".join([line for line in lines if not line.lstrip().startswith(b"#")])
+    if b"\n\n" in data or data.startswith(b"\n"):
+        lines = data.split(b"\n")
+        data = b"\n".join([line for line in lines[:-1] if line] + lines[-1:])
     return data
 
 

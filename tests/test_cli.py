@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hilbertorder import cli, curve, gene, oracle, pointio
+from hilbertorder import cli, curve, decode, gene, oracle, pointio
 from hilbertorder.cli import main
 from hilbertorder.core_bits import index_to_integer, integer_to_index
 from hilbertorder.curve import (
@@ -985,8 +985,6 @@ class TestValidateCommand:
         assert code == 0
         assert out.splitlines() == [
             "PASS gene-closed-form",
-            "PASS gene-curve-walk-level-1",
-            "PASS gene-curve-walk-level-2",
             "PASS curve-n3-m1 (8 points)",
             "PASS curve-n3-m2 (64 points)",
             "PASS curve-n3-m3 (512 points)",
@@ -999,10 +997,9 @@ class TestValidateCommand:
         assert code == 0
         lines = out.splitlines()
         assert all(line.startswith("check=") and "passed=" in line for line in lines)
-        assert lines[:3] == ["check=gene-closed-form passed=1",
-                             "check=gene-curve-walk-level-1 passed=1",
-                             "check=gene-curve-walk-level-2 passed=1"]
-        assert any("check=curve-n2-m2 passed=1" in line for line in lines)
+        assert lines == ["check=gene-closed-form passed=1",
+                         "check=curve-n2-m1 passed=1 detail='4 points'",
+                         "check=curve-n2-m2 passed=1 detail='16 points'"]
 
     def test_broken_table_fails(self, capsys, monkeypatch):
         table = gene_table(2)
@@ -1046,6 +1043,63 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
         assert "FAIL curve-n2-m1 (point (1, 1) encodes to 3, expected index 2)" in out
+
+    @staticmethod
+    def enumerating(monkeypatch, change):
+        """Stub ``oracle.enumerate_recursive`` with one whose points at each
+        level are ``change(points, m)``."""
+        real = oracle.enumerate_recursive
+
+        def walk(params, table):
+            enumeration = real(params, table)
+            return dataclasses.replace(enumeration, points=change(enumeration.points, params.m))
+
+        monkeypatch.setattr(oracle, "enumerate_recursive", walk)
+
+    @pytest.mark.parametrize("change, detail", [
+        (lambda p: p[:1] + p[2:3] + p[1:2] + p[3:], "indices 0 and 1 are 2 apart"),
+        (lambda p: p[:1] * 2 + p[2:], "indices 0 and 1 are 0 apart"),
+    ], ids=["swapped", "repeated"])
+    def test_a_broken_enumeration_is_named_by_its_first_bad_step(
+            self, capsys, monkeypatch, change, detail):
+        # The level-1 walk is (0, 0) (1, 0) (1, 1) (0, 1), component 1 first.
+        self.enumerating(monkeypatch, lambda points, m: change(points))
+        code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
+        assert code == 1
+        assert out.splitlines()[1:] == [f"FAIL curve-n2-m1 ({detail})", "FAIL"]
+
+    def test_a_bad_step_the_codecs_agree_with_fails_its_level(self, capsys, monkeypatch):
+        # Points 5 and 6 of the level-3 walk trade places in the enumeration
+        # and in both codecs alike, so only the unit-step check sees it.
+        def swapped(seq, size, m):
+            if m != 3:
+                return seq
+            return seq[:5 * size] + seq[6 * size:7 * size] + seq[5 * size:6 * size] + seq[7 * size:]
+
+        self.enumerating(monkeypatch, lambda points, m: swapped(points, 1, m))
+        monkeypatch.setattr(cli, "unchecked_points", lambda params, digits, count: swapped(
+            unchecked_points(params, digits, count), params.n, params.m))
+        monkeypatch.setattr(curve, "unchecked_keys", lambda params, records, size, k: swapped(
+            unchecked_keys(params, records, size, k), 1, params.m))
+        code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS gene-closed-form",
+            "PASS curve-n2-m1 (4 points)",
+            "PASS curve-n2-m2 (16 points)",
+            "FAIL curve-n2-m3 (indices 4 and 5 are 2 apart)",
+            "FAIL",
+        ]
+
+    @pytest.mark.parametrize("n, levels", [(10, 1), (3, 3)])
+    def test_walks_each_level_once_and_decodes_no_point_alone(
+            self, capsys, monkeypatch, n, levels):
+        walked = []
+        self.enumerating(monkeypatch, lambda points, m: walked.append(m) or points)
+        monkeypatch.setattr(decode, "decode_bits", lambda *args: pytest.fail("decode_bits called"))
+        code, out, _ = run(capsys, "validate", "--dim", str(n), "--max-level", str(levels))
+        assert (code, out.splitlines()[-1]) == (0, "PASS")
+        assert walked == list(range(1, levels + 1))
 
     def test_validates_the_table_once_per_run(self, capsys, monkeypatch):
         calls = []
@@ -1260,17 +1314,24 @@ class TestBrokenPipe:
 
 
 class TestClosedStreams:
-    """A call started with standard output (``>&-``) or standard error
-    (``2>&-``) closed ends in exit code 0 or 2, never in a traceback."""
+    """A call started with standard input (``<&-``), output (``>&-``) or
+    error (``2>&-``) closed, or with standard output on ``/dev/full``, ends in
+    exit code 0 or 2, never in a traceback."""
 
     @staticmethod
     def run_closed(fd, argv):
-        kept = {1: "stderr", 2: "stdout"}[fd]
-        result = subprocess.run(
-            [sys.executable, "-m", "hilbertorder", *argv], **{kept: subprocess.PIPE},
-            text=True, timeout=60, preexec_fn=lambda: os.close(fd),
-        )
-        return result.returncode, getattr(result, kept)
+        """Run ``argv`` in a child with descriptor ``fd`` closed, or with its
+        stdout on ``/dev/full`` where ``fd`` is ``"full"``; give the exit code,
+        then what stdout and stderr hold, of those that stay open."""
+        kept = [name for i, name in ((1, "stdout"), (2, "stderr"))
+                if i != fd and (i, fd) != (1, "full")]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "hilbertorder", *argv], stdin=subprocess.DEVNULL,
+                stdout=full if fd == "full" else subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, timeout=60, preexec_fn=None if fd == "full" else lambda: os.close(fd),
+            )
+        return (result.returncode, *(getattr(result, name) for name in kept))
 
     @pytest.mark.parametrize("argv", [
         ["encode", "-n", "2", "-m", "2", "1", "1"],
@@ -1292,6 +1353,40 @@ class TestClosedStreams:
 
     def test_a_refused_call_exits_2_with_stderr_closed(self):
         assert self.run_closed(2, ["decode", "-n", "2", "-m", "2", "99"]) == (2, "")
+
+    # A good and a refused call of every subcommand; sort reads {src} and writes {dst}.
+    CALLS = {
+        "encode": (["encode", "-n", "2", "-m", "2", "1", "1"],
+                   ["encode", "-n", "2", "-m", "2", "4", "1"]),
+        "decode": (["decode", "-n", "2", "-m", "2", "13"], ["decode", "-n", "2", "-m", "2", "99"]),
+        "gene": (["gene", "-n", "2"], ["gene", "-n", "1"]),
+        "validate": (["validate", "-n", "2", "--max-level", "1"],
+                     ["validate", "-n", "5", "--max-level", "5"]),
+        "bench": (["bench", "--point", "1,1", "--levels", "4", "--repeats", "1"],
+                  ["bench", "--point", "1"]),
+        "sort": (["sort", "-n", "2", "-m", "2", "{src}", "{dst}"],
+                 ["sort", "-n", "2", "-m", "0", "{src}", "{dst}"]),
+    }
+
+    @pytest.mark.parametrize("good", [True, False], ids=["good", "refused"])
+    @pytest.mark.parametrize("command", sorted(CALLS))
+    @pytest.mark.parametrize("fd", [0, "full"], ids=["stdin-closed", "stdout-full"])
+    def test_stdin_closed_or_stdout_full(self, tmp_path, fd, command, good):
+        source, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
+        source.write_text("1 1\n0 0\n")
+        target.write_text("kept\n")
+        argv = [arg.format(src=source, dst=target) for arg in self.CALLS[command][not good]]
+        code, *streams = self.run_closed(fd, argv)
+        assert not any("Traceback" in stream for stream in streams)
+        err = streams[-1]
+        if good and (fd == 0 or command == "sort"):  # sort prints nothing
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            if good:
+                assert err == "error: [Errno 28] No space left on device\n"
+        assert target.read_text() == ("0 0\n1 1\n" if good and command == "sort" else "kept\n")
 
     def test_an_error_line_that_cannot_be_written_keeps_exit_code_2(self, capsys, monkeypatch):
         # Where the closed descriptor still has a stream, writing to it fails.

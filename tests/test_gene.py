@@ -11,7 +11,6 @@ from hilbertorder.gene import (
     GeneTable,
     ValidationCheck,
     _check_closed_form,
-    _curve_walk_defect,
     entry_exit,
     format_table_text,
     gene_table,
@@ -26,10 +25,6 @@ TWO_DIM_COMMANDS = [
     ((0, 0), (0, 0)),
     ((1, 1), (1, 1)),
 ]
-
-
-def checks_by_name(report):
-    return {check.name: check for check in report.checks}
 
 
 def changed(n, entries=None, corners=None, count=None):
@@ -162,33 +157,15 @@ class TestValidation:
             "quadrants-swapped"])
     def test_closed_form_violation_reported(self, table, detail):
         report = validate_gene_table(table)
-        assert [(check.name, check.passed, check.detail) for check in report.checks] == [
-            ("closed-form", False, detail),
-            ("curve-walk-level-1", False, "not run: closed-form check failed"),
-            ("curve-walk-level-2", False, "not run: closed-form check failed"),
-        ]
+        assert report.checks == (ValidationCheck("closed-form", False, detail),)
         assert not report.passed
 
-    @pytest.mark.parametrize("points, defect", [
-        ([(4, 0)], "level 2: index 0 decodes outside the grid: (4, 0)"),
-        ([(1, 2), (1, 2)], "level 2: index 1 revisits point (1, 2)"),
-        ([(0, 0), (1, 1)], "level 2: indices 0 and 1 are 2 apart"),
-    ], ids=["outside-the-grid", "revisit", "not-a-unit-step"])
-    def test_walk_defect_named(self, monkeypatch, points, defect):
-        # The closed-form check refuses every table but the built one, whose
-        # walks pass; a stub decoder that hands out ``points`` in turn shows
-        # that a walk still names each defect.
-        walk = iter(points)
-        monkeypatch.setattr(decode, "decode_bits", lambda idx, params, table: (next(walk), None))
-        assert _curve_walk_defect(gene_table(2), 2) == defect
-
-    def test_level_two_walk_skipped_above_guard(self):
+    def test_walks_no_curve(self, monkeypatch):
+        # The closed form alone holds the table; the curves are walked once,
+        # by ``hilbert validate`` through the enumeration oracle.
+        monkeypatch.setattr(decode, "decode_bits", lambda *args: pytest.fail("curve walked"))
         report = validate_gene_table(gene_table(13))
-        named = checks_by_name(report)
-        assert report.passed
-        assert named["curve-walk-level-1"].passed
-        assert named["curve-walk-level-1"].detail == ""
-        assert named["curve-walk-level-2"].detail.startswith("skipped")
+        assert report.checks == (ValidationCheck("closed-form", True),)
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3)])
     def test_full_curve_walk_beyond_validator_levels(self, n, m):

@@ -482,12 +482,16 @@ class TestWholeFileReader:
     def test_lines_in_output_form_are_handed_over_as_bytes(self):
         # Single spaces, n tokens a line and no leading zero: the file's own
         # lines, after the line rule, are what format_flat would write.
+        # Empty lines go, and the last line keeps its end, or its lack of one.
         for data, lines in ((b"1 2 3\n40 0 6", None), (b"1 2 3\r\n40 0 6\r\n", b"1 2 3\n40 0 6\n"),
-                            (b"# c\n0 0 0\n", b"0 0 0\n"), (b"", None)):
+                            (b"# c\n0 0 0\n", b"0 0 0\n"), (b"", None), (b"\n", b""),
+                            (b"1 2 3\n\n4 5 6\n", b"1 2 3\n4 5 6\n"), (b"1 2 3\n\n", b"1 2 3\n"),
+                            (b"\n\n1 2 3\n\n\n4 5 6", b"1 2 3\n4 5 6"),
+                            (b"1 2 3\n4 5 6\n\n\n", b"1 2 3\n4 5 6\n")):
             values, source = pointio._plain_text_values(data, 3)
             assert source == (data if lines is None else lines)
-        for data in (b"\n", b"007 1 2\n", b"1 01 2\n", b"1 2 00", b"1 2 3\n\n4 5 6\n", b"1 2 3\n\n",
-                     b" 1 2 3\n", b"1 2 3 \n", b"1  2 3\n", b"1\t2 3\n", b"1 2 3\n4 5 6\n\n\n"):
+        for data in (b"007 1 2\n", b"1 01 2\n", b"1 2 00", b" 1 2 3\n", b"1 2 3 \n", b"1  2 3\n",
+                     b"1\t2 3\n", b"1 2 3\n \n4 5 6\n"):
             values, source = pointio._plain_text_values(data, 3)
             assert source is values
         for other in (b"# a\rb\n1 2 3\n", b"#\xff\n1 2 3\n", b"\xc2\xa0# a\n",
@@ -596,12 +600,12 @@ ACCEPTED = {
     "indented-comment": lambda lines, j, n: _put(lines, j, " \t# x \u00e9", lines[j]),
     "lone-cr": lambda lines, j, n: _put(lines[:j + 1] + lines[j + 2:], j,
                                         lines[j] + "\r" + lines[j + 1]),
+    "blank-line": lambda lines, j, n: _put(lines, j, "", lines[j]),
 }
 # Files the block reader does not take, as such a change; the row loop reads
 # them, and accepts or refuses each.  A file is written with surrogateescape,
 # so "\udcff" is the byte 0xff.
 REJECTIONS = {
-    "blank-line": lambda lines, j, n: _put(lines, j, "", lines[j]),
     "non-utf8-comment": lambda lines, j, n: _put(lines, j, "# \udcff", lines[j]),
     "commented-decimal": lambda lines, j, n: _put(lines, j, "# x", "5"),
     "padded": lambda lines, j, n: _put(lines, j, f" \t{lines[j]} "),
