@@ -29,9 +29,9 @@ _EXPORTS = {
               "encode_bits_fast",
     "errors": "DimensionMismatchError DomainError HilbertError PointFileError "
               "ResourceLimitError",
-    "gene": "EntryExit GeneEntry GeneTable GeneValidationReport cached_gene_table entry_exit "
+    "gene": "EntryExit GeneTable ValidationCheck cached_gene_table entry_exit "
             "format_table_text gene_table validate_gene_table",
-    "oracle": "BenchmarkReport CurveEnumeration benchmark_records enumerate_recursive "
+    "oracle": "BenchmarkReport benchmark_records enumerate_recursive "
               "format_benchmark_text run_counter_benchmark table3_update",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

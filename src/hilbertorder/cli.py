@@ -178,7 +178,7 @@ def _cmd_gene(args: argparse.Namespace) -> int:
     if args.dump_text:
         print(format_table_text(table))
     else:
-        print(f"gene table for dimension {args.dim}: {len(table.entries)} quadrants")
+        print(f"gene table for dimension {args.dim}: {len(table.swap_pairs)} quadrants")
     return 0
 
 
@@ -186,16 +186,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from .gene import gene_table, validate_gene_table
     from .oracle import WALK_MAX_BITS, enumerate_recursive
 
-    params_check = CurveParams(args.dim, max(args.max_level, 0))
-    top = WALK_MAX_BITS // params_check.n
-    if params_check.m > top:
+    params = CurveParams(args.dim, args.max_level)
+    top = WALK_MAX_BITS // params.n
+    if params.m > top:
         raise ResourceLimitError(
-            f"--max-level {params_check.m} is above {top}, the largest allowed at dimension "
-            f"{params_check.n}: a curve walk is capped at 2**{WALK_MAX_BITS} points"
+            f"--max-level {params.m} is above {top}, the largest allowed at dimension "
+            f"{params.n}: a curve walk is capped at 2**{WALK_MAX_BITS} points"
         )
-    table = gene_table(params_check.n)
-    results = [(f"gene-{check.name}", check.passed, check.detail)
-               for check in validate_gene_table(table).checks]
+    table = gene_table(params.n)
+    check = validate_gene_table(table)
+    results = [(f"gene-{check.name}", check.passed, check.detail)]
     for m in range(1, args.max_level + 1):
         params = CurveParams(args.dim, m)
         ok, detail = _walk_matches_codecs(enumerate_recursive(params, table), params)
@@ -212,10 +212,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _walk_matches_codecs(enumeration, params: CurveParams) -> tuple[bool, str]:
-    """Hold the recursive enumeration to unit steps and the codecs the CLI runs
-    to it; a fault names the first bad step, else the first wrong index or point."""
-    walk, n = enumeration.points, params.n
+def _walk_matches_codecs(walk, params: CurveParams) -> tuple[bool, str]:
+    """Hold the recursive enumeration ``walk`` to unit steps and the codecs the CLI
+    runs to it; a fault names the first bad step, else the first wrong index or point."""
+    n = params.n
     # The digits of the indices 0..N-1 in turn: every run of m digits, in order.
     digits = list(chain.from_iterable(product(range(1 << n), repeat=params.m)))
     flat = unchecked_points(params, digits, len(walk))

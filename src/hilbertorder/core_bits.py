@@ -40,10 +40,6 @@ class HilbertIndex:
         object.__setattr__(self, "digits", tuple(self.digits))
         check_digits(self.digits, self.n)
 
-    @property
-    def level(self) -> int:
-        return len(self.digits)
-
 
 def coord_xor(a: Sequence[int], b: Sequence[int]) -> Coordinate:
     """Componentwise xor of two coordinates of the same dimension."""

@@ -20,19 +20,22 @@ enters at the origin, ``entry(i) = gray_code(2 * ((i - 1) // 2))`` for
 ``i >= 1``, and ``exit(i) = entry(2**n - 1 - i) ^ top``.  Other corner
 assignments also produce valid curves in three or more dimensions; this
 package pins the orientation generated by these forms.  Every table is
-built from them, and :func:`validate_gene_table` holds a table to them in
-one check, quadrant by quadrant against :func:`quadrant_commands` and
-:func:`entry_exit`.  It walks no curve: ``hilbert validate`` walks each
-level it asks for once, through the enumeration oracle.
+built from them, and :func:`validate_gene_table` holds a table, quadrant
+by quadrant, to the second derivation of :func:`quadrant_commands`, the
+one the batch kernels use.  It walks no curve: ``hilbert validate`` walks
+each level it asks for once, through the enumeration oracle.
 
-Bit vectors here are component-indexed: tuple slot ``i`` flags
-component ``i + 1``.  Rendering reverses the tuple (component ``n``
-first), matching coordinate output.
+A table stores each command as the reference variants read it: the
+exchange as the pair of component slots it swaps (None for no swap), the
+reverse as the slots it reflects.  Slot ``i`` is component ``i + 1``.
+The paper's bit vectors are drawn from them only to be printed, with
+component ``n`` first, matching coordinate output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 from .core_bits import BitVec, gray_code
 from .curve import check_dimension
@@ -51,39 +54,17 @@ class EntryExit:
 
 
 @dataclass(frozen=True)
-class GeneEntry:
-    """Exchange and reverse command of one quadrant."""
-
-    exchange: BitVec
-    reverse: BitVec
-
-
-@dataclass(frozen=True)
 class GeneTable:
-    """Commands for all ``2**n`` quadrants of one dimension.
+    """Commands for all ``2**n`` quadrants of one dimension: quadrant ``r``
+    swaps the slots ``swap_pairs[r]`` and reflects the slots ``reverse_slots[r]``.
 
-    Instances are immutable and safe to share between threads; the
-    reference variants read only the derived ``swap_pairs`` and
-    ``reverse_slots``, and the batch kernels read no table.
+    Instances are immutable and safe to share between threads; the batch
+    kernels read no table.
     """
 
     n: int
-    entries: tuple[GeneEntry, ...]
-    corners: tuple[EntryExit, ...]
-    swap_pairs: tuple = field(init=False, repr=False, compare=False)
-    reverse_slots: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        pairs = []
-        slots = []
-        for entry in self.entries:
-            flagged = tuple(i for i, bit in enumerate(entry.exchange) if bit)
-            # Anything but exactly two flags is ignored here and left
-            # for validate_gene_table to report.
-            pairs.append(flagged if len(flagged) == 2 else None)
-            slots.append(tuple(i for i, bit in enumerate(entry.reverse) if bit))
-        object.__setattr__(self, "swap_pairs", tuple(pairs))
-        object.__setattr__(self, "reverse_slots", tuple(slots))
+    swap_pairs: tuple[tuple[int, int] | None, ...]
+    reverse_slots: tuple[tuple[int, ...], ...]
 
     def check_dimension(self, n: int) -> None:
         """Raise :class:`DimensionMismatchError` unless the table is for dimension ``n``."""
@@ -95,24 +76,11 @@ class GeneTable:
 
 @dataclass(frozen=True)
 class ValidationCheck:
+    """Outcome of one check: its name, whether it passed, and why not."""
+
     name: str
     passed: bool
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class GeneValidationReport:
-    """Outcome of every gene-table check; carries failures instead of raising."""
-
-    n: int
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(check for check in self.checks if not check.passed)
 
 
 def entry_exit(n: int, i: int) -> EntryExit:
@@ -134,16 +102,10 @@ def gene_table(n: int) -> GeneTable:
             f"gene table for dimension {n} exceeds the cap of {GENE_DIMENSION_CAP}"
         )
     top = 1 << (n - 1)
-    entries = []
-    corners = []
-    for i in range(1 << n):
-        e = _entry_mask(i)
-        f = _exit_mask(n, i)
-        entries.append(
-            GeneEntry(_mask_to_bits(top ^ e ^ f, n), _mask_to_bits(e, n))
-        )
-        corners.append(EntryExit(_mask_to_bits(e, n), _mask_to_bits(f, n)))
-    return GeneTable(n, tuple(entries), tuple(corners))
+    slots = cache(_slots)  # one tuple per command, shared by the quadrants holding it
+    entry = [_entry_mask(i) for i in range(1 << n)]  # each quadrant's entry corner
+    pairs = tuple(slots(top ^ e ^ _exit_mask(n, i)) or None for i, e in enumerate(entry))
+    return GeneTable(n, pairs, tuple(map(slots, entry)))
 
 
 def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
@@ -157,15 +119,29 @@ def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
     return _entry_mask(r), None if d == n - 1 else (d, n - 1)
 
 
-def validate_gene_table(table: GeneTable) -> GeneValidationReport:
-    """Hold the table to the closed forms and report the outcome.
+def validate_gene_table(table: GeneTable) -> ValidationCheck:
+    """Hold the table to the closed forms of :func:`quadrant_commands`.
 
-    The one ``closed-form`` check passes only for a table of ``2**n``
-    entries and ``2**n`` corner pairs whose quadrant ``r`` holds the
-    commands of :func:`quadrant_commands` and the corners of
-    :func:`entry_exit`.  No curve is walked here.
+    The ``closed-form`` check passes only for a table of ``2**n``
+    quadrants, each holding the commands of the closed forms; a failure
+    names the first quadrant that does not.  No curve is walked here.
     """
-    return GeneValidationReport(table.n, (_check_closed_form(table),))
+    name, n, size = "closed-form", table.n, 1 << table.n
+    exchanges, reverses = len(table.swap_pairs), len(table.reverse_slots)
+    if (exchanges, reverses) != (size, size):
+        return ValidationCheck(name, False, f"{exchanges} exchange and {reverses} reverse "
+                               f"commands, expected {size} of each")
+    for r, (pair, slots) in enumerate(zip(table.swap_pairs, table.reverse_slots)):
+        reverse, swap = quadrant_commands(n, r)
+        for part, held, given in (("exchange", pair or (), swap or ()),
+                                  ("reverse", slots, _slots(reverse))):
+            if held != given:
+                shown = _render(held, n), _render(given, n)
+                if shown[0] == shown[1]:  # the same flags, repeated or out of order
+                    shown = f"slots {held}", f"slots {given}"
+                return ValidationCheck(name, False, f"quadrant {r}: {part} {shown[0]}, "
+                                       f"the closed form gives {shown[1]}")
+    return ValidationCheck(name, True)
 
 
 # Every table is built from the closed form; the old cached name stays public.
@@ -174,18 +150,20 @@ cached_gene_table = gene_table
 
 def format_table_text(table: GeneTable) -> str:
     """Human-readable dump, one quadrant per row, vectors component ``n`` first."""
-    width = max(3 * table.n, len("exchange"))
-    lines = [f"gene table for dimension {table.n} ({len(table.entries)} quadrants)"]
+    n = table.n
+    width = max(3 * n, len("exchange"))
+    lines = [f"gene table for dimension {n} ({len(table.swap_pairs)} quadrants)"]
     lines.append(f"{'quadrant':<8}  {'exchange':<{width}}  reverse")
-    for i, entry in enumerate(table.entries):
-        lines.append(
-            f"{i:<8}  {_render_bits(entry.exchange):<{width}}  {_render_bits(entry.reverse)}"
-        )
+    for i, (pair, slots) in enumerate(zip(table.swap_pairs, table.reverse_slots)):
+        lines.append(f"{i:<8}  {_render(pair or (), n):<{width}}  {_render(slots, n)}")
     return "\n".join(lines)
 
 
-def _render_bits(bits: BitVec) -> str:
-    return "(" + ", ".join(str(b) for b in reversed(bits)) + ")"
+def _render(slots: tuple[int, ...], n: int) -> str:
+    """The paper's bit vector flagging ``slots``, component ``n`` first; it
+    grows past ``n`` components to show a slot out of range."""
+    top = max((n - 1, *slots))
+    return "(" + ", ".join(str(int(i in slots)) for i in range(top, -1, -1)) + ")"
 
 
 def _entry_mask(i: int) -> int:
@@ -202,19 +180,6 @@ def _mask_to_bits(mask: int, n: int) -> BitVec:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-def _check_closed_form(table: GeneTable) -> ValidationCheck:
-    name = "closed-form"
-    n, size = table.n, 1 << table.n
-    if (len(table.entries), len(table.corners)) != (size, size):
-        return ValidationCheck(name, False, f"{len(table.entries)} entries and "
-                               f"{len(table.corners)} corner pairs, expected {size} of each")
-    for r, (entry, corner) in enumerate(zip(table.entries, table.corners)):
-        reverse, pair = quadrant_commands(n, r)
-        exchange = _mask_to_bits(sum(1 << i for i in pair or ()), n)
-        for part, held, expected in (("exchange", entry.exchange, exchange),
-                                     ("reverse", entry.reverse, _mask_to_bits(reverse, n)),
-                                     ("corners", corner, entry_exit(n, r))):
-            if held != expected:
-                return ValidationCheck(
-                    name, False, f"quadrant {r}: {part} {held}, the closed form gives {expected}")
-    return ValidationCheck(name, True)
+def _slots(mask: int) -> tuple[int, ...]:
+    """The slots of the components ``mask`` flags, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

@@ -24,15 +24,7 @@ from .gene import GeneTable
 _LINEAR_VARIANTS = frozenset({"arith", "bits"})
 # A full curve walk visits 2**(n * m) points.  enumerate_recursive refuses,
 # and ``hilbert validate`` refuses up front, a walk past 2**WALK_MAX_BITS.
-WALK_MAX_BITS = 24
-
-
-@dataclass(frozen=True)
-class CurveEnumeration:
-    """Every grid point of one curve, in visit order."""
-
-    params: CurveParams
-    points: tuple[Coordinate, ...]
+WALK_MAX_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -60,8 +52,9 @@ class BenchmarkReport:
         return all(row.counter_ok for row in self.rows)
 
 
-def enumerate_recursive(params: CurveParams, table: GeneTable) -> CurveEnumeration:
-    """Build the full visit order by expanding one level at a time.
+def enumerate_recursive(params: CurveParams, table: GeneTable) -> tuple[Coordinate, ...]:
+    """Every grid point of the curve, in visit order, built by expanding one
+    level at a time.
 
     Each pass replaces the level ``t - 1`` point list by ``2**n``
     transformed copies, one per quadrant in Gray order: swap the
@@ -96,7 +89,7 @@ def enumerate_recursive(params: CurveParams, table: GeneTable) -> CurveEnumerati
                         y[i] += half
                 grown.append(tuple(y))
         points = grown
-    return CurveEnumeration(params, tuple(points))
+    return tuple(points)
 
 
 def table3_update(quadrant: int, x: int, y: int, m: int) -> tuple[int, int]:

@@ -29,6 +29,16 @@ class _Lookup:
         return self.get(r)
 
 
+def bit_vectors(table):
+    """Each quadrant's exchange and reverse command as the paper writes them:
+    bit vectors, component 1 in slot 0."""
+    def vector(slots):
+        return tuple(int(i in slots) for i in range(table.n))
+
+    return [(vector(pair or ()), vector(slots))
+            for pair, slots in zip(table.swap_pairs, table.reverse_slots)]
+
+
 @cache
 def reference_table(n):
     """The built gene table up to n = 12, a :class:`CommandTable` above."""

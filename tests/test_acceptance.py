@@ -32,6 +32,8 @@ from hilbertorder.gene import gene_table, validate_gene_table
 from hilbertorder.oracle import enumerate_recursive, table3_update
 from hilbertorder.core_bits import reflect
 
+from conftest import bit_vectors
+
 ENCODERS = [encode_arith, encode_bits, encode_arith_fast, encode_bits_fast]
 DECODERS = [decode_arith, decode_bits, decode_arith_fast, decode_bits_fast]
 
@@ -67,17 +69,17 @@ def test_criterion_02_golden_gene_table():
         ((0, 0), (0, 0)),
         ((1, 1), (1, 1)),
     ]
-    assert [(e.exchange, e.reverse) for e in TABLES[2].entries] == expected
+    assert bit_vectors(TABLES[2]) == expected
     for n in range(2, 9):
-        first = TABLES[n].entries[0]
-        assert first.exchange == (1,) + (0,) * (n - 2) + (1,)
-        assert first.reverse == (0,) * n
+        exchange, reverse = bit_vectors(TABLES[n])[0]
+        assert exchange == (1,) + (0,) * (n - 2) + (1,)
+        assert reverse == (0,) * n
     announce(2, "two-dim gene table exact; quadrant-0 commands for n=2..8")
 
 
 def test_criterion_03_golden_combined_update():
     def stepwise(q, x, y, m):
-        exchange, reverse = [(e.exchange, e.reverse) for e in TABLES[2].entries][q]
+        exchange, reverse = bit_vectors(TABLES[2])[q]
         half = 1 << (m - 1)
         comps = [y, x]
         for i in range(2):
@@ -167,8 +169,8 @@ def test_criterion_07_oracle_equivalence():
     for n in (2, 3):
         for m in (1, 2, 3):
             params = CurveParams(n, m)
-            enum = enumerate_recursive(params, TABLES[n])
-            for z, point in enumerate(enum.points):
+            walk = enumerate_recursive(params, TABLES[n])
+            for z, point in enumerate(walk):
                 decoded, _ = decode_arith(integer_to_index(z, params), params, TABLES[n])
                 assert decoded == point
                 checked += 1

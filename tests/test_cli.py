@@ -22,7 +22,7 @@ from hilbertorder.curve import (
 from hilbertorder.decode import decode_arith, decode_arith_fast, decode_bits, decode_bits_fast
 from hilbertorder.encode import ENCODERS, encode_arith, encode_bits
 from hilbertorder.errors import DomainError
-from hilbertorder.gene import GeneEntry, GeneTable, gene_table, validate_gene_table
+from hilbertorder.gene import GeneTable, gene_table, validate_gene_table
 
 from conftest import reference_table
 
@@ -969,7 +969,7 @@ class TestGeneCommand:
 
     @pytest.mark.parametrize("argv", [
         ["gene", "-n", "21"],
-        ["validate", "-n", "21", "--max-level", "1"],
+        ["validate", "-n", "21", "--max-level", "0"],
         ["bench", "--point", ",".join(["1"] * 21), "--levels", "4"],
     ], ids=["gene", "validate", "bench"])
     def test_refuses_a_dimension_above_the_cap(self, capsys, argv):
@@ -1003,9 +1003,7 @@ class TestValidateCommand:
 
     def test_broken_table_fails(self, capsys, monkeypatch):
         table = gene_table(2)
-        entries = list(table.entries)
-        entries[0] = GeneEntry(entries[0].exchange, (1, 1))
-        broken = GeneTable(2, tuple(entries), table.corners)
+        broken = GeneTable(2, table.swap_pairs, ((0, 1),) + table.reverse_slots[1:])
         monkeypatch.setattr(gene, "gene_table", lambda n: broken)
         code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "1")
         assert code == 1
@@ -1013,16 +1011,28 @@ class TestValidateCommand:
         assert out.splitlines()[0] == (
             "FAIL gene-closed-form (quadrant 0: reverse (1, 1), the closed form gives (0, 0))")
 
-    def test_refuses_a_level_above_the_walk_guard_up_front(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("n, level, top", [(5, 5, 4), (2, 11, 10), (21, 1, 0)])
+    def test_refuses_a_level_above_the_walk_guard_up_front(
+            self, capsys, monkeypatch, n, level, top):
+        # A walk of 2**20 points takes seconds and hundreds of MB; past that, GB.
         def walk(*args, **kwargs):
             raise AssertionError("no curve may be walked")
 
         monkeypatch.setattr(oracle, "enumerate_recursive", walk)
-        code, out, err = run(capsys, "validate", "--dim", "5", "--max-level", "5")
+        code, out, err = run(capsys, "validate", "--dim", str(n), "--max-level", str(level))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --max-level 5 is above 4, the largest allowed")
+        assert err.startswith(f"error: --max-level {level} is above {top}, the largest allowed")
         assert err.count("\n") == 1
+
+    def test_refuses_a_negative_level(self, capsys):
+        code, out, err = run(capsys, "validate", "--dim", "2", "--max-level", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: level must be a non-negative integer, got -1\n"
+
+    def test_level_zero_checks_the_table_only(self, capsys):
+        code, out, _ = run(capsys, "validate", "--dim", "2", "--max-level", "0")
+        assert (code, out) == (0, "PASS gene-closed-form\nPASS\n")
 
     def test_checks_the_decoder_decode_runs(self, capsys, monkeypatch):
         def broken(params, digits, count):
@@ -1051,8 +1061,7 @@ class TestValidateCommand:
         real = oracle.enumerate_recursive
 
         def walk(params, table):
-            enumeration = real(params, table)
-            return dataclasses.replace(enumeration, points=change(enumeration.points, params.m))
+            return change(real(params, table), params.m)
 
         monkeypatch.setattr(oracle, "enumerate_recursive", walk)
 
@@ -1477,7 +1486,7 @@ class TestModuleEntryPoint:
         exec("from hilbertorder import *", namespace)
         for name in hilbertorder.__all__:
             assert getattr(hilbertorder, name) is namespace[name]
-        assert len(hilbertorder.__all__) == len(set(hilbertorder.__all__)) == 47
+        assert len(hilbertorder.__all__) == len(set(hilbertorder.__all__)) == 45
         assert hilbertorder.__version__ == "0.1.0"
         with pytest.raises(AttributeError, match="no attribute 'curve_key'"):
             hilbertorder.curve_key

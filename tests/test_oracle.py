@@ -14,6 +14,8 @@ from hilbertorder.oracle import (
     table3_update,
 )
 
+from conftest import bit_vectors
+
 TABLES = {n: gene_table(n) for n in (2, 3, 4)}
 
 
@@ -27,9 +29,7 @@ def stepwise_update(q, x, y, m):
     Independent of both the encoder and the fused rule it is checked
     against.  (x, y) = (x2, x1); commands are read off the table.
     """
-    exchange, reverse = [
-        (e.exchange, e.reverse) for e in TABLES[2].entries
-    ][q]
+    exchange, reverse = bit_vectors(TABLES[2])[q]
     half = 1 << (m - 1)
     components = [y, x]  # slot order: component 1 first
     for i in range(2):
@@ -45,43 +45,45 @@ def stepwise_update(q, x, y, m):
 
 class TestEnumeration:
     def test_level_one_square(self):
-        enum = enumerate_recursive(CurveParams(2, 1), TABLES[2])
-        assert [display(p) for p in enum.points] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        walk = enumerate_recursive(CurveParams(2, 1), TABLES[2])
+        assert [display(p) for p in walk] == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
     def test_level_two_square_fixtures(self):
-        enum = enumerate_recursive(CurveParams(2, 2), TABLES[2])
-        assert len(enum.points) == 16
-        assert display(enum.points[2]) == (1, 1)
-        assert display(enum.points[13]) == (2, 1)
-        assert display(enum.points[15]) == (3, 0)
+        walk = enumerate_recursive(CurveParams(2, 2), TABLES[2])
+        assert len(walk) == 16
+        assert display(walk[2]) == (1, 1)
+        assert display(walk[13]) == (2, 1)
+        assert display(walk[15]) == (3, 0)
 
     def test_level_one_cube_adjacency(self):
-        enum = enumerate_recursive(CurveParams(3, 1), TABLES[3])
-        assert len(enum.points) == 8
-        for prev, point in zip(enum.points, enum.points[1:]):
+        walk = enumerate_recursive(CurveParams(3, 1), TABLES[3])
+        assert len(walk) == 8
+        for prev, point in zip(walk, walk[1:]):
             assert sum(abs(a - b) for a, b in zip(prev, point)) == 1
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bijection_and_adjacency(self, n, m):
-        enum = enumerate_recursive(CurveParams(n, m), TABLES[n])
-        assert len(set(enum.points)) == 2 ** (n * m)
-        assert all(0 <= c < 2**m for p in enum.points for c in p)
-        for prev, point in zip(enum.points, enum.points[1:]):
+        walk = enumerate_recursive(CurveParams(n, m), TABLES[n])
+        assert len(set(walk)) == 2 ** (n * m)
+        assert all(0 <= c < 2**m for p in walk for c in p)
+        for prev, point in zip(walk, walk[1:]):
             assert sum(abs(a - b) for a, b in zip(prev, point)) == 1
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_decoder_everywhere(self, n, m):
         params = CurveParams(n, m)
-        enum = enumerate_recursive(params, TABLES[n])
-        for z, point in enumerate(enum.points):
+        walk = enumerate_recursive(params, TABLES[n])
+        for z, point in enumerate(walk):
             decoded, _ = decode_arith(integer_to_index(z, params), params, TABLES[n])
             assert decoded == point
 
     def test_size_guard(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_recursive(CurveParams(3, 9), TABLES[3])
+        # A walk past 2**20 points takes GB: 2**21 points are refused.
+        for m in (7, 9):
+            with pytest.raises(ResourceLimitError):
+                enumerate_recursive(CurveParams(3, m), TABLES[3])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
