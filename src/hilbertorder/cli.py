@@ -27,7 +27,7 @@ from operator import sub
 from pathlib import Path
 from typing import Sequence
 
-from .curve import CurveParams, curve_keys, unchecked_keys, unchecked_points
+from .curve import CurveParams, curve_keys, field_width, pack_bytes, unchecked_keys, unchecked_points
 from .errors import DomainError, HilbertError, ResourceLimitError
 from .pointio import (
     check_bit_count, format_flat, format_indices, parse_decimal, parse_index, parse_point,
@@ -157,7 +157,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         digits, count = read_indices(args.input, params)
     else:
         rows = [parse_index(token, params) for token in args.indices]
-        digits, count = list(chain.from_iterable(rows)), len(rows)
+        digits, count = pack_bytes(list(chain(*rows)), field_width(params.n)), len(rows)
     sys.stdout.write(format_flat(unchecked_points(params, digits, count), params.n))
     return 0
 
@@ -215,9 +215,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _walk_matches_codecs(walk, params: CurveParams) -> tuple[bool, str]:
     """Hold the recursive enumeration ``walk`` to unit steps and the codecs the CLI
     runs to it; a fault names the first bad step, else the first wrong index or point."""
-    n = params.n
-    # The digits of the indices 0..N-1 in turn: every run of m digits, in order.
-    digits = list(chain.from_iterable(product(range(1 << n), repeat=params.m)))
+    n, width = params.n, field_width(params.n)
+    # The digits of the indices 0..N-1 in turn, packed: every run of m digits, in order.
+    digits = chain.from_iterable(product(range(1 << n), repeat=params.m))
+    digits = bytes(digits) if width == 8 else pack_bytes(list(digits), width)
     flat = unchecked_points(params, digits, len(walk))
     records = list(chain.from_iterable(map(reversed, walk)))
     keys = curve_keys(params, records)

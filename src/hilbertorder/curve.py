@@ -332,8 +332,8 @@ def curve_points(
     types, least and greatest digit) is checked index by index by
     :func:`check_index`, which raises for the first bad index and names a
     wrong digit count before a bad digit; a batch of one with the wrong
-    count is named by its whole digit count.
-    """
+    count is named by its whole digit count.  :func:`pack_bytes` packs the
+    digits once for :func:`unchecked_points`."""
     n, m = params.n, params.m
     if count is None:
         count = -(-len(digits) // m) if m else 0
@@ -344,23 +344,23 @@ def curve_points(
             check_index(digits[j * m:(j + 1) * m if j + 1 < count else None], params)
         if len(digits) != count * m:  # only where count is 0
             raise DomainError(f"{len(digits)} digits given for {count} indices at level {m}")
-    return unchecked_points(params, digits, count)
+    return unchecked_points(params, pack_bytes(digits, field_width(n)), count)
 
 
-def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> tuple[int, ...]:
-    """:func:`curve_points` of ``count`` indices whose digits are checked.
+def unchecked_points(params: CurveParams, data: bytes | memoryview, count: int) -> tuple[int, ...]:
+    """:func:`curve_points` of ``count`` checked indices, packed: ``data`` holds
+    their digits, read in place, ``field_width(n) // 8`` bytes each, little-endian.
 
     The walk places every index bottom up, on fields ``field_width(n)``
     bits wide that :func:`_spread` widens to ``field_width(W + 1)`` when
     the ``W`` placed levels fill them.  Per level ``v``, :func:`_spread`
-    lays the level's digits, written once as bytes, in one column; then
-    :func:`exchange_step` and :func:`reverse_step` apply every digit's
-    quadrant ``r`` to the low ``v`` bits, and ``gray(r)`` becomes bit ``v``."""
+    lays the level's digits in one column; then :func:`exchange_step` and
+    :func:`reverse_step` apply every digit's quadrant ``r`` to the low
+    ``v`` bits, and ``gray(r)`` becomes bit ``v``."""
     n, m = params.n, params.m
     if not m:
         return (0,) * (n * count)
-    size = field_width(n) // 8  # bytes per digit
-    data = memoryview(bytes(digits) if size == 1 else pack_bytes(digits, 8 * size))
+    size, data = field_width(n) // 8, memoryview(data)  # bytes per digit; read in place
     c, width = [0] * n, 8 * size
     column, ones = bytearray(count * size), field_ones(count, width)
     for v in range(m):
@@ -381,7 +381,7 @@ def unchecked_points(params: CurveParams, digits: Sequence[int], count: int) -> 
         # Set bit v, zero in every field so far, to gray(r): bit i is r_i ^ r_(i+1).
         for i in range(n):
             c[i] ^= top[i] ^ top[i + 1]
-    del data, column, packed, r, top  # the output reuses their memory
+    del column, packed, r, top  # the output reuses their memory
     return unpack_columns(c[::-1], count, width)
 
 

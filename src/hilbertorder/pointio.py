@@ -11,7 +11,7 @@ else as ``digits:`` and their radix ``2**n`` digits, most significant first.
 A reader opens its file once and takes the format from its bytes, so a
 pipe works as an input.  :func:`read_points` gives the components packed,
 in file order, as :func:`curve.unchecked_keys` takes them, and
-:func:`read_indices` the digits of every index flat, as
+:func:`read_indices` the digits of every index packed the same way, as
 :func:`curve.unchecked_points` takes them; each checks its values once per
 file, so the codec that follows need not check them again.  A binary
 file (its payload as it is), a plain text point file
@@ -205,27 +205,26 @@ def _digit_values(n: int) -> dict[bytes, int] | None:
     return {string.encode(): value for value, string in enumerate(_digit_strings(n, 1))}
 
 
-def read_indices(path: Path, params: CurveParams) -> tuple[Sequence[int], int]:
-    """The digits of every index of a text index file, flat and in file order
-    (``m`` per index, most significant first), and the number of indices.
+def read_indices(path: Path, params: CurveParams) -> tuple[bytes | bytearray, int]:
+    """The digits of every index of a text index file, packed in file order
+    as :func:`curve.unchecked_points` takes them, and the number of indices.
 
     A file of ``digits:`` tokens alone is read by :func:`_digit_token_values`,
     any other by the row loop through :func:`parse_index`, which names the
     first bad row."""
     data = path.read_bytes()
-    found = _digit_token_values(data, params)
-    if found is not None:
+    if (found := _digit_token_values(data, params)) is not None:
         return found
     rows = _text_rows(path, data, parse_index, params)
-    return list(chain.from_iterable(rows)), len(rows)
+    return pack_bytes(list(chain.from_iterable(rows)), field_width(params.n)), len(rows)
 
 
-def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int], int] | None:
-    """The digits of an index file, flat, and its index count, if each line
-    :func:`_plain_lines` leaves is ``digits:`` and ``m > 0`` digits below
-    ``2**n <= _DIGIT_TABLE_STRINGS``, written as ``str`` writes them; else
-    ``None``.  The digits are a ``bytearray`` while ``n <= 8``, one byte
-    each as the decoder lays them, and a list of ints above.
+def _digit_token_values(data: bytes, params: CurveParams) -> tuple[bytes | bytearray, int] | None:
+    """The digits of an index file, packed as :func:`read_indices` gives them,
+    and its index count, if each line :func:`_plain_lines` leaves is
+    ``digits:`` and ``m > 0`` digits below ``2**n <= _DIGIT_TABLE_STRINGS``,
+    written as ``str`` writes them; else ``None``.  One-byte digits collect
+    in a ``bytearray``, wider ones in a list that is packed once at the end.
 
     One ``translate`` that drops the digits checks that every line is the
     prefix and ``m - 1`` dots; a digit inside a prefix leaves its colon in a
@@ -241,8 +240,8 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int]
     if data.translate(None, b"0123456789") != (
             b"\n".join([prefix + b"." * (m - 1)] * count) + data[end:]):  # freed before the split
         return None
-    digits: bytearray | list[int] = bytearray() if params.n <= 8 else []
-    start = 0
+    width, start = field_width(params.n), 0
+    digits: bytearray | list[int] = bytearray() if width == 8 else []
     while start < end:
         stop = data.find(b"\n" + prefix, start + _DIGIT_BLOCK_BYTES, end)
         stop = end if stop < 0 else stop
@@ -252,7 +251,7 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[Sequence[int]
         except KeyError:  # an empty digit, a leading zero or one of 2**n or more
             return None
         start = stop + 1
-    return digits, count
+    return (digits if width == 8 else pack_bytes(digits, width)), count
 
 
 def read_points(

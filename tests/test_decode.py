@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder.core_bits import HilbertIndex, integer_to_index
-from hilbertorder.curve import CurveParams, curve_keys, curve_points, integer_digits
+from hilbertorder.curve import (
+    CurveParams, curve_keys, curve_points, field_width, integer_digits, pack_bytes,
+    unchecked_points,
+)
 from hilbertorder.decode import (
     decode_arith,
     decode_arith_fast,
@@ -347,6 +350,30 @@ class TestCurvePoint:
         assert curve_points(params, [d for i in indices for d in i]) == (
             reference_points(indices, params))
         assert curve_points(params, []) == ()
+
+
+class TestUncheckedPoints:
+    """The kernel takes its digits packed, ``field_width(n) // 8`` little-endian
+    bytes each, from any buffer, and reads them in place."""
+
+    @pytest.mark.parametrize("count", [1, 257])
+    @pytest.mark.parametrize("m", [0, 1, 7, 64, 65])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 12, 13, 16])
+    def test_equals_decode_arith_on_every_buffer(self, n, m, count):
+        params = CurveParams(n, m)
+        rng = random.Random(n * 1000 + m * 10 + count)
+        indices = [[2**n - 1] * m] + [[rng.getrandbits(n) for _ in range(m)]
+                                      for _ in range(count - 1)]
+        expected = reference_points(indices, params)
+        packed = pack_bytes([d for index in indices for d in index], field_width(n))
+        buffers = {
+            "bytes": packed,
+            "bytearray": bytearray(packed),
+            "memoryview": memoryview(packed),
+            "memoryview-at-an-offset": memoryview(b"\1" + packed + b"\1")[1:-1],
+        }
+        for kind, data in buffers.items():
+            assert unchecked_points(params, data, count) == expected, kind
 
 
 class TestCurvePoints:

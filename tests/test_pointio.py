@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hilbertorder import pointio
 from hilbertorder.cli import main
-from hilbertorder.curve import CurveParams, curve_keys
+from hilbertorder.curve import CurveParams, curve_keys, field_width, pack_bytes
 from hilbertorder.encode import encode_arith
 from hilbertorder.errors import DomainError, PointFileError
 from hilbertorder.gene import gene_table
@@ -643,8 +643,7 @@ class TestDigitBlockReader:
         """``read_indices`` with the block reader out of the way."""
         with monkeypatch.context() as patch:
             patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
-            digits, count = pointio.read_indices(path, params)
-        return list(digits), count
+            return pointio.read_indices(path, params)
 
     @pytest.mark.parametrize("blob", [b"# x\n5\n12\n", b"# x\r\n5\r\n", b"# \xff\n5\n"])
     def test_no_line_rule_for_a_file_without_the_prefix(self, monkeypatch, blob):
@@ -692,7 +691,7 @@ class TestDigitBlockReader:
         if n > 12:  # past the digit table the row loop reads it
             assert taken is None
         else:
-            assert (list(taken[0]), taken[1]) == self.row_loop(monkeypatch, path, params)
+            assert taken == self.row_loop(monkeypatch, path, params)
 
     @pytest.mark.parametrize("full, extra", [(0, 0), (1, 0), (1, 1)],
                              ids=["first-line", "block-start", "in-block"])
@@ -736,15 +735,30 @@ class TestDigitBlockReader:
                for kind in REJECTIONS}
         for budget in range(1, len(lines[0]) + len(lines[1]) + 3):
             monkeypatch.setattr(pointio, "_DIGIT_BLOCK_BYTES", budget)
-            digits, count = pointio._digit_token_values(data, params)
-            assert (list(digits), count) == expected
+            assert pointio._digit_token_values(data, params) == expected
             assert run(capsys, *argv) == rows
             for kind, (other, digits_and_count, output) in good.items():
-                digits, count = pointio._digit_token_values(other.read_bytes(), params)
-                assert (list(digits), count) == digits_and_count, kind
+                taken = pointio._digit_token_values(other.read_bytes(), params)
+                assert taken == digits_and_count, kind
                 assert run(capsys, *argv[:-1], other) == output, kind
             for kind, other in bad.items():
                 assert pointio._digit_token_values(other, params) is None, kind
+
+    @pytest.mark.parametrize("n, kind", [(8, None), (10, None), (8, "padded"), (10, "padded"),
+                                         (13, None), (8, "decimal-token")])
+    def test_every_path_gives_the_digits_packed(self, tmp_path, n, kind):
+        # The block reader at n = 8 and 10; the row loop through a padded
+        # line, past the digit table (n = 13), and for a decimal token.
+        lines = digit_lines(n, 5, seed=n)
+        if kind:
+            lines = REJECTIONS[kind](lines, 2, n)
+        path = tmp_path / "indices.txt"
+        path.write_text("\n".join(lines) + "\n")
+        params = CurveParams(n, DIGIT_LEVEL)
+        flat = [d for line in lines for d in pointio.parse_index(line.strip(), params)]
+        assert pointio.read_indices(path, params) == (pack_bytes(flat, field_width(n)), 5)
+        taken = pointio._digit_token_values(path.read_bytes(), params)
+        assert (taken is None) == (kind is not None or n > 12)
 
     @pytest.mark.parametrize("text", ["", "\n", "digits:\n", "digits:\ndigits:", "0\ndigits:\n",
                                       "5digits:\n", "digits:0\n", "digits:.\n"])
