@@ -22,8 +22,7 @@ import contextlib
 import gc
 import os
 import sys
-from itertools import chain, product
-from operator import sub
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -167,7 +166,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     records, size, k, source = read_points(args.input, params)
     keys = unchecked_keys(params, records, size, k)
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties keep input order
-    write_points(args.output, params.n, order, records if source is None else source)
+    write_points(args.output, params.n, order, source)
     return 0
 
 
@@ -184,7 +183,7 @@ def _cmd_gene(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .gene import gene_table, validate_gene_table
-    from .oracle import WALK_MAX_BITS, enumerate_recursive
+    from .oracle import WALK_MAX_BITS, check_curve
 
     params = CurveParams(args.dim, args.max_level)
     top = WALK_MAX_BITS // params.n
@@ -194,47 +193,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{params.n}: a curve walk is capped at 2**{WALK_MAX_BITS} points"
         )
     table = gene_table(params.n)
-    check = validate_gene_table(table)
-    results = [(f"gene-{check.name}", check.passed, check.detail)]
-    for m in range(1, args.max_level + 1):
-        params = CurveParams(args.dim, m)
-        ok, detail = _walk_matches_codecs(enumerate_recursive(params, table), params)
-        results.append((f"curve-n{args.dim}-m{m}", ok, detail))
-    for name, passed, detail in results:
+    checks = [validate_gene_table(table)]
+    checks += [check_curve(CurveParams(params.n, m), table) for m in range(1, params.m + 1)]
+    for check in checks:
         if args.records:
-            print(f"check={name} passed={'1' if passed else '0'}"
-                  + (f" detail={detail!r}" if detail else ""))
+            print(f"check={check.name} passed={check.passed:d}"
+                  + (f" detail={check.detail!r}" if check.detail else ""))
         else:
-            print(f"{'PASS' if passed else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-    failed = any(not passed for _, passed, _ in results)
+            print(f"{'PASS' if check.passed else 'FAIL'} {check.name}"
+                  + (f" ({check.detail})" if check.detail else ""))
+    failed = not all(check.passed for check in checks)
     if not args.records:
         print("FAIL" if failed else "PASS")
     return 1 if failed else 0
-
-
-def _walk_matches_codecs(walk, params: CurveParams) -> tuple[bool, str]:
-    """Hold the recursive enumeration ``walk`` to unit steps and the codecs the CLI
-    runs to it; a fault names the first bad step, else the first wrong index or point."""
-    n, width = params.n, field_width(params.n)
-    # The digits of the indices 0..N-1 in turn, packed: every run of m digits, in order.
-    digits = chain.from_iterable(product(range(1 << n), repeat=params.m))
-    digits = bytes(digits) if width == 8 else pack_bytes(list(digits), width)
-    flat = unchecked_points(params, digits, len(walk))
-    records = list(chain.from_iterable(map(reversed, walk)))
-    keys = curve_keys(params, records)
-    # Keys 0..N-1 make the points distinct, so each of the N - 1 steps is 1
-    # or more, and a walk N - 1 long makes every one 1.
-    length = sum(map(abs, map(sub, flat[n:], flat)))
-    if list(flat) != records or keys != list(range(len(walk))) or length != len(walk) - 1:
-        decoded = [point[::-1] for point in zip(*[iter(flat)] * n)]
-        for z, expected in enumerate(walk):
-            if z and (step := sum(map(abs, map(sub, walk[z - 1], expected)))) != 1:
-                return False, f"indices {z - 1} and {z} are {step} apart"
-            if decoded[z] != expected:
-                return False, f"index {z} decodes to {decoded[z]}, enumeration holds {expected}"
-            if keys[z] != z:
-                return False, f"point {expected} encodes to {keys[z]}, expected index {z}"
-    return True, f"{len(walk)} points"
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -122,11 +122,11 @@ def quadrant_commands(n: int, r: int) -> tuple[int, tuple[int, int] | None]:
 def validate_gene_table(table: GeneTable) -> ValidationCheck:
     """Hold the table to the closed forms of :func:`quadrant_commands`.
 
-    The ``closed-form`` check passes only for a table of ``2**n``
+    The ``gene-closed-form`` check passes only for a table of ``2**n``
     quadrants, each holding the commands of the closed forms; a failure
     names the first quadrant that does not.  No curve is walked here.
     """
-    name, n, size = "closed-form", table.n, 1 << table.n
+    name, n, size = "gene-closed-form", table.n, 1 << table.n
     exchanges, reverses = len(table.swap_pairs), len(table.reverse_slots)
     if (exchanges, reverses) != (size, size):
         return ValidationCheck(name, False, f"{exchanges} exchange and {reverses} reverse "

@@ -2,24 +2,27 @@
 
 ``enumerate_recursive`` rebuilds the whole visit order by geometric
 expansion (transform whole sub-curves, then concatenate) instead of the
-per-point digit loop, so a codec bug cannot confirm itself.
-``table3_update`` is the fused two-dimensional per-level update; the
-tests replay it against the stepwise encoder.  The counter benchmark
-records loop passes and wall time per encoder variant across levels.
+per-point digit loop, so a codec bug cannot confirm itself, and
+``check_curve`` holds the production codecs to it.  ``table3_update`` is
+the fused two-dimensional per-level update; the tests replay it against
+the stepwise encoder.  The counter benchmark records loop passes and wall
+time per encoder variant across levels.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from itertools import chain, islice, product
+from operator import sub
 from time import perf_counter
 from typing import Sequence
 
 from .core_bits import Coordinate, gray_code
-from .curve import CurveParams
+from .curve import CurveParams, curve_keys, field_width, pack_bytes, unchecked_points
 from .encode import ENCODERS, effective_level
 from .errors import DomainError, ResourceLimitError
-from .gene import GeneTable
+from .gene import GeneTable, ValidationCheck
 
 _LINEAR_VARIANTS = frozenset({"arith", "bits"})
 # A full curve walk visits 2**(n * m) points.  enumerate_recursive refuses,
@@ -35,10 +38,6 @@ class BenchmarkRow:
     expected_iterations: int
     median_seconds: float
 
-    @property
-    def counter_ok(self) -> bool:
-        return self.iterations == self.expected_iterations
-
 
 @dataclass(frozen=True)
 class BenchmarkReport:
@@ -49,7 +48,7 @@ class BenchmarkReport:
 
     @property
     def counters_ok(self) -> bool:
-        return all(row.counter_ok for row in self.rows)
+        return all(row.iterations == row.expected_iterations for row in self.rows)
 
 
 def enumerate_recursive(params: CurveParams, table: GeneTable) -> tuple[Coordinate, ...]:
@@ -90,6 +89,39 @@ def enumerate_recursive(params: CurveParams, table: GeneTable) -> tuple[Coordina
                 grown.append(tuple(y))
         points = grown
     return tuple(points)
+
+
+def check_curve(params: CurveParams, table: GeneTable) -> ValidationCheck:
+    """Hold the production codecs and unit steps to the curve that
+    :func:`enumerate_recursive` walks: index ``z`` must decode to point ``z``,
+    which must encode to ``z``.  A fault names the first bad step, index or point."""
+    n, m, width = params.n, params.m, field_width(params.n)
+    name = f"curve-n{n}-m{m}"
+    # The walk's points flat, x_n .. x_1 each, as the codecs give and take them.
+    flat = tuple(chain.from_iterable(map(reversed, enumerate_recursive(params, table))))
+    count = len(flat) // n
+    # The digits of the indices 0..N-1 in turn, packed: every run of m digits, in order.
+    digits = chain.from_iterable(product(range(1 << n), repeat=m))
+    digits = bytes(digits) if width == 8 else pack_bytes(list(digits), width)
+    decoded = unchecked_points(params, digits, count)
+    decoded = flat if decoded == flat else decoded  # one tuple, not two, while keying
+    keys = curve_keys(params, flat)
+    # Keys 0..N-1 make the points distinct, so each of the N - 1 steps is 1
+    # or more, and a walk N - 1 long makes every one 1.
+    length = sum(map(abs, map(sub, islice(flat, n, None), flat)))
+    if decoded is not flat or keys != list(range(count)) or length != count - 1:
+        for z in range(count):
+            here = slice(z * n, z * n + n)
+            expected = flat[here][::-1]
+            if z and (step := sum(map(abs, map(sub, flat[z * n - n:z * n], flat[here])))) != 1:
+                return ValidationCheck(name, False, f"indices {z - 1} and {z} are {step} apart")
+            if (point := decoded[here][::-1]) != expected:
+                return ValidationCheck(
+                    name, False, f"index {z} decodes to {point}, enumeration holds {expected}")
+            if keys[z] != z:
+                return ValidationCheck(
+                    name, False, f"point {expected} encodes to {keys[z]}, expected index {z}")
+    return ValidationCheck(name, True, f"{count} points")
 
 
 def table3_update(quadrant: int, x: int, y: int, m: int) -> tuple[int, int]:
@@ -170,10 +202,6 @@ def format_benchmark_text(report: BenchmarkReport) -> str:
 
 def benchmark_records(report: BenchmarkReport) -> list[str]:
     """Machine-readable form: one ``key=value`` record per row."""
-    records = []
-    for row in report.rows:
-        records.append(
-            f"algo={row.algorithm} level={row.level} iterations={row.iterations} "
+    return [f"algo={row.algorithm} level={row.level} iterations={row.iterations} "
             f"expected={row.expected_iterations} median_s={row.median_seconds:.9e}"
-        )
-    return records
+            for row in report.rows]

@@ -256,13 +256,13 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[bytes | bytea
 
 def read_points(
     path: Path, params: CurveParams
-) -> tuple[bytes | memoryview, int, int, bytes | tuple[int, ...] | None]:
+) -> tuple[bytes | memoryview, int, int, memoryview | bytes | tuple[int, ...]]:
     """The points of a text or binary point file as :func:`curve.unchecked_keys`
     takes them: the components packed little-endian in file order (``x_n ..
     x_1`` per row), the bytes per component and the largest one's bit length;
-    then what :func:`write_points` takes for the rows: ``None`` for a binary
-    file, whose payload is handed over as it is, a text file's bytes when its
-    lines are as :func:`format_flat` writes them, else its components.
+    then what :func:`write_points` takes for the rows: a binary file's payload
+    ``memoryview``, the first item again, a text file's bytes when its lines
+    are as :func:`format_flat` writes them, else its components.
     A parse error or a component of ``2**m`` or more is named by its row."""
     n, m = params.n, params.m
     data = path.read_bytes()
@@ -270,7 +270,7 @@ def read_points(
         records = _binary_records(path, data, n)
         k = _payload_bits(data, _POINT_HEADER)
         if k <= m:
-            return records, 8, k, None
+            return records, 8, k, records
         # A component is out of range: name the first record that holds one.
         for record, row in enumerate(struct.iter_unpack(f"<{n}Q", records)):
             try:
@@ -287,9 +287,9 @@ def read_points(
 
 
 def write_points(path: Path, n: int, order: Sequence[int], source: Sequence) -> None:
-    """Write the rows of ``source`` to ``path`` in ``order``, replacing it whole:
-    the ``8 * n``-byte records of an ``HPTS`` payload after a new header, else
-    the lines of text in output form, or of the components' :func:`format_flat`."""
+    """Write the rows of ``source``, as :func:`read_points` gives it, to ``path``
+    in ``order``, replacing it whole: an ``HPTS`` payload's ``8 * n``-byte records
+    after a new header, else text lines in output form or the components' :func:`format_flat`."""
     if isinstance(source, memoryview):
         rows = [source[i:i + 8 * n] for i in range(0, len(source), 8 * n)]
         payload = POINT_MAGIC + _POINT_FIELDS.pack(POINT_FORMAT_VERSION, n, len(rows))

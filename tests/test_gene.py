@@ -119,7 +119,7 @@ class TestQuadrantCommands:
 class TestValidation:
     @pytest.mark.parametrize("n", range(2, 14))
     def test_built_tables_hold_the_closed_form(self, n):
-        assert validate_gene_table(gene_table(n)) == ValidationCheck("closed-form", True)
+        assert validate_gene_table(gene_table(n)) == ValidationCheck("gene-closed-form", True)
 
     @pytest.mark.parametrize("table, detail", [
         (changed(2, slots={0: (0, 1)}),
@@ -148,13 +148,13 @@ class TestValidation:
             "reverse-slot-out-of-range", "pair-out-of-order", "slot-repeated",
             "quadrants-swapped"])
     def test_closed_form_violation_reported(self, table, detail):
-        assert validate_gene_table(table) == ValidationCheck("closed-form", False, detail)
+        assert validate_gene_table(table) == ValidationCheck("gene-closed-form", False, detail)
 
     def test_walks_no_curve(self, monkeypatch):
         # The closed form alone holds the table; the curves are walked once,
         # by ``hilbert validate`` through the enumeration oracle.
         monkeypatch.setattr(decode, "decode_bits", lambda *args: pytest.fail("curve walked"))
-        assert validate_gene_table(gene_table(13)) == ValidationCheck("closed-form", True)
+        assert validate_gene_table(gene_table(13)) == ValidationCheck("gene-closed-form", True)
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3)])
     def test_full_curve_walk_beyond_validator_levels(self, n, m):

@@ -5,9 +5,10 @@ from hilbertorder.curve import CurveParams
 from hilbertorder.decode import decode_arith
 from hilbertorder.encode import encode_arith
 from hilbertorder.errors import DimensionMismatchError, DomainError, ResourceLimitError
-from hilbertorder.gene import gene_table
+from hilbertorder.gene import GeneTable, ValidationCheck, gene_table
 from hilbertorder.oracle import (
     benchmark_records,
+    check_curve,
     enumerate_recursive,
     format_benchmark_text,
     run_counter_benchmark,
@@ -88,6 +89,18 @@ class TestEnumeration:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             enumerate_recursive(CurveParams(2, 1), TABLES[3])
+
+
+class TestCheckCurve:
+    @pytest.mark.parametrize("table, passed, detail", [
+        (TABLES[2], True, "16 points"),
+        # Quadrant 0 without its exchange: the walk leaves the curve the codecs trace.
+        (GeneTable(2, (None,) + TABLES[2].swap_pairs[1:], TABLES[2].reverse_slots), False,
+         "index 1 decodes to (0, 1), enumeration holds (1, 0)"),
+    ], ids=["pinned", "quadrant-0-unswapped"])
+    def test_returns_the_level_as_a_validation_check(self, table, passed, detail):
+        check = check_curve(CurveParams(2, 2), table)
+        assert check == ValidationCheck("curve-n2-m2", passed, detail)
 
 
 class TestTable3Update:
