@@ -146,7 +146,7 @@ def pack_bytes(values: Sequence[int], width: int) -> bytes:
     ``struct.pack``, above that one ``int.to_bytes`` per value."""
     code = _FIELD_CODES.get(width)
     if code:
-        return struct.pack(f"<{len(values)}{code}", *values)
+        return struct.Struct(f"<{len(values)}{code}").pack(*values)  # a tuple reaches it uncopied
     return b"".join([v.to_bytes(width // 8, "little") for v in values])
 
 

@@ -13,18 +13,20 @@ pipe works as an input.  :func:`read_points` gives the components packed,
 in file order, as :func:`curve.unchecked_keys` takes them, and
 :func:`read_indices` the digits of every index packed the same way, as
 :func:`curve.unchecked_points` takes them; each checks its values once per
-file, so the codec that follows need not check them again.  A binary
-file (its payload as it is), a plain text point file
-(:func:`_plain_text_values`) and a file of ``digits:`` index tokens alone
-(:func:`_digit_token_values`) are read with no Python loop per row, the
-text ones after the row loop's line ends (:func:`_plain_lines`).  Any other
-file, and any with a component out of range, goes through a row loop, which
-checks a row by its largest value and names the first bad row in file order
-(``line N`` or ``record N``) with the same message either way.  The writer
-moves each row's record, an ``HPTS`` row or a text line, into the new order,
-formatting only text not yet as it writes it; it writes stdout's own file
-through stdout and replaces any other regular output whole, so a failed run
-leaves it intact.
+file, so the codec that follows need not check them again.  With no Python
+loop per row: a binary file (its payload as it is); a text file of ``n``
+tokens a line between single spaces or commas, and a decimal index file of
+keys below ``2**64``, by one ``json.loads`` (:func:`_json_values`); other
+plain text point files by one ``split`` (:func:`_plain_text_values`); and a
+file of ``digits:`` tokens alone in blocks (:func:`_digit_token_values`).
+The text readers first take the row loop's line ends (:func:`_plain_lines`).
+Any other file, and any with a component out of range, goes through a row
+loop, which checks a row by its largest value and names the first bad row
+in file order (``line N`` or ``record N``) with the same message either
+way.  The writer moves each row's record, an ``HPTS`` row or a text line,
+into the new order, formatting only text not yet as it writes it; it writes
+stdout's own file through stdout and replaces any other regular output
+whole, so a failed run leaves it intact.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .curve import (
-    CurveParams, check_index, check_point, field_width, integer_digits, pack_bytes,
+    CurveParams, check_index, check_point, field_ones, field_width, integer_digits, pack_bytes,
 )
 from .errors import DomainError, PointFileError
 
@@ -209,14 +211,28 @@ def read_indices(path: Path, params: CurveParams) -> tuple[bytes | bytearray, in
     """The digits of every index of a text index file, packed in file order
     as :func:`curve.unchecked_points` takes them, and the number of indices.
 
-    A file of ``digits:`` tokens alone is read by :func:`_digit_token_values`,
-    any other by the row loop through :func:`parse_index`, which names the
-    first bad row."""
+    A file of ``digits:`` tokens alone is read by :func:`_digit_token_values`;
+    one of keys below ``2**(n * m) <= 2**64`` by :func:`_plain_text_values` at
+    one component a line, each level's digits then one shift, mask and strided
+    copy of one key column; any other by the row loop through
+    :func:`parse_index`, which names the first bad row."""
     data = path.read_bytes()
     if (found := _digit_token_values(data, params)) is not None:
         return found
+    n, m = params.n, params.m
+    decimal = 0 < n * m <= 64 and DIGIT_PREFIX.encode() not in data
+    if decimal and (keys := _plain_text_values(data, 1)) and not max(keys[0], default=0) >> n * m:
+        width, size, count = field_width(n * m), field_width(n) // 8, len(keys[0])
+        column = int.from_bytes(pack_bytes(keys[0], width), "little")
+        low = field_ones(count, width) * ((1 << n) - 1)
+        digits = bytearray(count * m * size)
+        fields = memoryview(digits).cast("BHIQ"[size.bit_length() - 1])
+        for v in range(m):
+            level = ((column >> n * (m - 1 - v)) & low).to_bytes(count * width // 8, "little")
+            fields[v::m] = memoryview(level).cast(fields.format)[::width // (8 * size)]
+        return digits, count
     rows = _text_rows(path, data, parse_index, params)
-    return pack_bytes(list(chain.from_iterable(rows)), field_width(params.n)), len(rows)
+    return pack_bytes(list(chain.from_iterable(rows)), field_width(n)), len(rows)
 
 
 def _digit_token_values(data: bytes, params: CurveParams) -> tuple[bytes | bytearray, int] | None:
@@ -232,7 +248,7 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[bytes | bytea
     end ``_DIGIT_BLOCK_BYTES`` or more past its start, one ``replace`` and one
     ``split`` give the digit strings, read through :func:`_digit_values`."""
     m, table, prefix = params.m, _digit_values(params.n), DIGIT_PREFIX.encode()
-    data = _plain_lines(data) if m and table is not None and prefix in data else None
+    data = _plain_lines(data)[0] if m and table is not None and prefix in data else None
     if data is None:
         return None
     end = len(data) - data.endswith(b"\n")  # the end of the last line
@@ -277,7 +293,7 @@ def read_points(
                 check_point(row[::-1], params)
             except DomainError as exc:
                 raise PointFileError(f"{path}: record {record}: {exc}") from exc
-    values, source = _plain_text_values(data, n) or (None, None)
+    values, source = _plain_text_values(data, n, b"," if b"," in data else b" ") or (None, None)
     k = m + 1 if values is None else max(values, default=0).bit_length()
     if k > m:  # the row loop reads the file, and names its first bad row
         source = values = tuple(chain.from_iterable(_text_rows(path, data, _checked_row, params)))
@@ -327,47 +343,70 @@ def _payload_bits(data: bytes, start: int) -> int:
     return 0
 
 
-def _plain_lines(data: bytes) -> bytes | None:
-    r"""A text file's bytes as both whole-file readers take them: every line
-    end the row loop takes (``\r\n`` or a lone ``\r``) made ``\n``; empty lines
-    and, if the file is UTF-8, ``#`` lines gone, the last line ending as it did;
-    ``None`` for a file with a ``#`` that is not UTF-8, which the row loop reads."""
+def _plain_lines(data: bytes) -> tuple[bytes | None, bool]:
+    r"""A text file's bytes as both whole-file readers take them, and whether
+    no blank was stripped: every line end the row loop takes (``\r\n`` or a
+    lone ``\r``) made ``\n``; blanks at line ends stripped; empty lines and, if
+    the file is UTF-8, ``#`` lines gone, the last line ending as it did; ``None``
+    for a file with a ``#`` that is not UTF-8, which the row loop reads."""
     if b"\r" in data:  # a replace that finds nothing costs a pass of its own
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
-            return None
+            return None, False
         lines = data.split(b"\n")
         data = b"\n".join([line for line in lines if not line.lstrip().startswith(b"#")])
+    # One-byte searches first, so a file with no blank (a digits: file) pays no two-byte one.
+    held = b" " not in data and b"\t" not in data or not (
+        b" \n" in data or b"\t\n" in data or data.endswith((b" ", b"\t")))
+    if not held:
+        data = b"\n".join([line.rstrip(b" \t") for line in data.split(b"\n")])
     if b"\n\n" in data or data.startswith(b"\n"):
         lines = data.split(b"\n")
         data = b"\n".join([line for line in lines[:-1] if line] + lines[-1:])
-    return data
+    return data, held
 
 
-def _plain_text_values(data: bytes, n: int) -> tuple[tuple[int, ...], Sequence] | None:
-    """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
-    only once :func:`_plain_lines` has read it, with ``n`` components on each
-    line that is not blank, none past the digit-count cap; ``None`` for any
-    other file, which the row loop reads.  One split and one ``map(int, ...)``
-    read it whole, and the caller checks the largest value.  Then the file's
-    bytes if they are what :func:`format_flat` writes, give or take the last
-    line end, else the components again."""
-    data = _plain_lines(data)
-    if data is None or data.translate(None, _PLAIN_TEXT_BYTES):
+def _json_values(data: bytes, n: int, sep: bytes) -> tuple[int, ...] | None:
+    """The tokens of ``data``, ``n`` a line between single ``sep`` (blanks may
+    flank a comma), by one ``json.loads`` with ``sep`` and line ends made commas;
+    ``None`` for any other layout, or an empty token, a leading zero or one past
+    the digit-count cap, which JSON's integers, the output form's, refuse."""
+    gaps = data.translate(None, b"0123456789" + b" \t" * (sep == b","))
+    shape = (sep * (n - 1) + b"\n") * -(-len(gaps) // n)  # n bytes a line
+    if gaps not in (shape, shape[:-1]):
         return None
+    import json  # loaded for a plain text file only
+    try:
+        values = tuple(json.loads(b"[%s]" % data.rstrip(b"\n").translate(
+            bytes.maketrans(sep + b"\n", b",,"))))
+    except ValueError:
+        return None
+    return values if len(values) == len(shape) else None  # else a last line of one token
+
+
+def _plain_text_values(data: bytes, n: int, sep: bytes = b" ") -> tuple[tuple, Sequence] | None:
+    """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
+    and ``sep`` only once :func:`_plain_lines` has read it, ``n`` on each line
+    not blank, none past the digit-count cap; else ``None``, for the row loop.
+    Then its lines if they are what :func:`format_flat` writes, give or take
+    the last line end, and no blank was stripped, else the components again.
+    :func:`_json_values` reads it as it stands, else after the line rule, else
+    one ``split`` and one ``map(int, ...)`` do."""
+    held, values = True, _json_values(data, n, sep)
+    if values is None:
+        data, held = _plain_lines(data)
+        if data is None or data.translate(None, _PLAIN_TEXT_BYTES + sep):
+            return None
+        values = _json_values(data, n, sep)
+    if values is not None:
+        return values, (data if held and sep == b" " else values)
     try:
         values = tuple(map(int, data.split()))
-    except ValueError:  # a component past the digit-count cap
+    except ValueError:  # a comma, or a component past the digit-count cap
         return None
-    shape = (b" " * (n - 1) + b"\n") * (len(values) // n)  # then every line holds n tokens
-    if len(values) % n == 0 and data.translate(None, b"0123456789") in (shape, shape[:-1]):
-        # Line ends made spaces, 1-9 made 1: a token with a leading zero starts " 00" or " 01".
-        starts = (b" " + data).translate(bytes.maketrans(b"\n23456789", b" 11111111"))
-        if b" 00" not in starts and b" 01" not in starts:
-            return values, data
     rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
     if len(values) != n * rows:  # some token is on a line of fewer or more than n
         return None

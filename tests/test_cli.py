@@ -1459,8 +1459,13 @@ class TestModuleEntryPoint:
         # statistics pulls in fractions and decimal, and dataclasses costs more
         # than a one-point codec call; only `gene`, `validate` and `bench` load
         # these modules.  The child checks after the import and after the calls.
+        # json is loaded by the plain text readers alone: not by the import, an
+        # HPTS point file or a file of digits: tokens.
         source, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
         source.write_text("1 2\n0 3\n")
+        binary, indices = tmp_path / "points.bin", tmp_path / "indices.txt"
+        binary.write_bytes(b"HPTS\x01" + struct.pack("<HQ2Q", 2, 1, 1, 2))  # the point 1 2
+        indices.write_text("digits:3.1\n")
         # n = 32 is past the gene table's cap, so only the codec path runs it.
         wide = [str(i % 8) for i in range(32)]
         params = CurveParams(32, 3)
@@ -1471,7 +1476,11 @@ class TestModuleEntryPoint:
             import hilbertorder.cli
             unwanted = {{"dataclasses", "statistics"}} | {{"hilbertorder." + name for name in
                 ("core_bits", "encode", "decode", "gene", "oracle")}}
-            print(sorted(unwanted & set(sys.modules)))
+            print(sorted(unwanted & set(sys.modules)), "json" in sys.modules)
+            for argv in (["encode", "-n", "2", "-m", "2", "--input", {str(binary)!r}],
+                         ["decode", "-n", "2", "-m", "2", "--input", {str(indices)!r}]):
+                assert hilbertorder.cli.main(argv) == 0
+            print("json" in sys.modules)
             for argv in (["encode", "-n", "2", "-m", "2", "1", "1"],
                          ["decode", "-n", "2", "-m", "2", "2"],
                          ["sort", "-n", "2", "-m", "2", {str(source)!r}, {str(target)!r}],
@@ -1482,7 +1491,7 @@ class TestModuleEntryPoint:
         """
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         lines = f"2\n1 1\n{token}\n{' '.join(wide)}\n"
-        assert (result.returncode, result.stdout) == (0, f"[]\n{lines}[]\n")
+        assert (result.returncode, result.stdout) == (0, f"[] False\n7\n2 1\nFalse\n{lines}[]\n")
         assert target.read_text() == "0 3\n1 2\n"  # keys 5 and 7
 
     def test_package_resolves_every_public_name(self):

@@ -767,3 +767,99 @@ class TestDigitBlockReader:
         path.write_text(text)
         blocks, rows = self.both_readers(capsys, monkeypatch, path, 2, 0)
         assert blocks == rows
+
+
+SCAN_LEVEL = 70  # components of 2**64 and more are in range, 2**70 is not
+# Tokens of a scanned file: JSON takes the plain ones and refuses a leading
+# zero and one past the digit cap, which the row loop reads or refuses.
+SCAN_TOKENS = ["0", "5", "12", "1048575", str(2**64 - 1), str(2**64), str(2**69 + 3)]
+SCAN_ODD = ["007", "00", str(2**70), LONG]
+
+
+@st.composite
+def scanned_files(draw, n, tokens):
+    """A text file of rows of ``n`` tokens, each drawn from ``tokens``: most
+    are as ``format_flat`` writes them or as one comma separator per file
+    writes them; the rest add padded, blank, ``#`` and comma-only lines,
+    mixed or doubled separators, rows of another length, ``\\r\\n`` ends, a
+    sign, a ``digits:`` token and no final line end."""
+    sep = draw(st.sampled_from([" ", " ", ",", ", ", " ,\t"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    odd = draw(st.integers(0, 3))  # how often a line is not a plain row
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) < odd:
+            lines.append(draw(st.sampled_from(
+                ["", "  ", "\t", "# x_2, x_1", " #", ",", "+1", "digits:1.2", " ".join(["1"] * n),
+                 ",".join(["1"] * n), "1,," + "1," * n])))
+            continue
+        count = draw(st.sampled_from([n] * 8 + [n - 1, n + 1]))
+        row = sep.join(draw(tokens) for _ in range(count))
+        if draw(st.integers(0, 9)) < odd:
+            row = draw(st.sampled_from(["", " ", "\t "])) + row + draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(row)
+    return newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
+
+
+def row_loop(read, path, params, parse):
+    """``read(path, params)`` and the row loop's reading of ``path``, each as
+    its flat values or its error message."""
+    def rows():
+        return list(itertools.chain.from_iterable(
+            pointio._text_rows(path, path.read_bytes(), parse, params)))
+    return outcome(read, path, params), outcome(rows)
+
+
+class TestScanReader:
+    """The scanned text readers give what the row loop gives, value for value
+    and message for message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), scanned_files(
+        n, st.sampled_from(SCAN_TOKENS * 4 + SCAN_ODD)))))
+    @example((2, "0 \n0"))  # a line end where a blank was: two rows of one
+    @example((2, "0 1\n2"))
+    @example((3, ""))
+    @example((2, "1, 2\n3 ,4\n"))
+    @example((2, "1,2\n,\n3,4\n"))
+    def test_read_points_equals_the_row_loop(self, tmp_path_factory, drawn):
+        n, text = drawn
+        path = tmp_path_factory.mktemp("points") / "points.txt"
+        path.write_bytes(text.encode())
+        params = CurveParams(n, SCAN_LEVEL)
+
+        def read(path, params):
+            packed, size, k, source = pointio.read_points(path, params)
+            values = written_values(source, n)
+            assert packed == pack_bytes(values, 8 * size) and size == field_width(k) // 8
+            assert k == max(values, default=0).bit_length()
+            return values
+
+        got, expected = row_loop(read, path, params, pointio._checked_row)
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(2, 3), (3, 20), (2, 32), (8, 8), (16, 4)]).flatmap(
+        lambda nm: st.tuples(st.just(nm), scanned_files(1, st.sampled_from(
+            [str(z) for z in (0, 1, 2**(nm[0] * nm[1]) - 1, 2**(nm[0] * nm[1]), 12345)] * 3
+            + ["007", "00", LONG])))))
+    @example(((3, 20), "5\r\n+1\r\n"))
+    @example(((2, 3), "63\n64\n"))
+    @example(((2, 3), "1\ndigits:0.0.1\n"))
+    @example(((2, 3), ""))
+    def test_read_indices_equals_the_row_loop(self, tmp_path_factory, drawn):
+        (n, m), text = drawn
+        path = tmp_path_factory.mktemp("indices") / "indices.txt"
+        path.write_bytes(text.encode())
+        params = CurveParams(n, m)
+
+        def read(path, params):
+            digits, count = pointio.read_indices(path, params)
+            size = field_width(n) // 8
+            values = list(struct.unpack(f"<{len(digits) // size}{'BHIQ'[size.bit_length() - 1]}",
+                                        digits))
+            assert len(values) == count * m
+            return values
+
+        got, expected = row_loop(read, path, params, pointio.parse_index)
+        assert got == expected
