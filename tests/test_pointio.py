@@ -796,12 +796,13 @@ def scanned_files(draw, n, tokens):
         count = draw(st.sampled_from([n] * 8 + [n - 1, n + 1]))
         row = sep.join(draw(tokens) for _ in range(count))
         if draw(st.integers(0, 9)) < odd:
-            row = draw(st.sampled_from(["", " ", "\t "])) + row + draw(st.sampled_from(["", " ", "\t"]))
+            row = draw(st.sampled_from(["", " ", "\t "])) + row
+            row += draw(st.sampled_from(["", " ", "\t"]))
         lines.append(row)
     return newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
 
 
-def row_loop(read, path, params, parse):
+def readings(read, path, params, parse):
     """``read(path, params)`` and the row loop's reading of ``path``, each as
     its flat values or its error message."""
     def rows():
@@ -835,7 +836,7 @@ class TestScanReader:
             assert k == max(values, default=0).bit_length()
             return values
 
-        got, expected = row_loop(read, path, params, pointio._checked_row)
+        got, expected = readings(read, path, params, pointio._checked_row)
         assert got == expected
 
     @settings(max_examples=300, deadline=None)
@@ -861,5 +862,5 @@ class TestScanReader:
             assert len(values) == count * m
             return values
 
-        got, expected = row_loop(read, path, params, pointio.parse_index)
+        got, expected = readings(read, path, params, pointio.parse_index)
         assert got == expected
