@@ -15,11 +15,11 @@ in file order, as :func:`curve.unchecked_keys` takes them, and
 :func:`curve.unchecked_points` takes them; each checks its values once per
 file, so the codec that follows need not check them again.  With no Python
 loop per row: a binary file (its payload as it is); a text file of ``n``
-tokens a line between single spaces or commas, and a decimal index file of
-keys below ``2**64``, by one ``json.loads`` (:func:`_json_values`); other
-plain text point files by one ``split`` (:func:`_plain_text_values`); and a
-file of ``digits:`` tokens alone in blocks (:func:`_digit_token_values`).
-The text readers first take the row loop's line ends (:func:`_plain_lines`).
+tokens a line between single blanks or commas, and a decimal index file of
+keys below ``2**64``, by one ``json.loads`` (:func:`_plain_text_values`);
+and a file of ``digits:`` tokens alone in blocks (:func:`_digit_token_values`).
+Both take the row loop's line ends and one space for each run of blanks
+(:func:`_plain_lines`), and check their layout alike (:func:`_line_count`).
 Any other file, and any with a component out of range, goes through a row
 loop, which checks a row by its largest value and names the first bad row
 in file order (``line N`` or ``record N``) with the same message either
@@ -50,9 +50,6 @@ POINT_MAGIC = b"HPTS"
 POINT_FORMAT_VERSION = 1
 _POINT_FIELDS = struct.Struct("<BHQ")  # version, dimension, record count
 _POINT_HEADER = len(POINT_MAGIC) + _POINT_FIELDS.size
-# The bytes of a text point file the whole-file reader takes: with these
-# only, a line is a row, and its tokens are what the row parser reads.
-_PLAIN_TEXT_BYTES = b"0123456789 \t\n"
 # The bit length of every byte value, for bytes.translate.
 _BIT_LENGTHS = bytes(b.bit_length() for b in range(256))
 
@@ -242,21 +239,16 @@ def _digit_token_values(data: bytes, params: CurveParams) -> tuple[bytes | bytea
     written as ``str`` writes them; else ``None``.  One-byte digits collect
     in a ``bytearray``, wider ones in a list that is packed once at the end.
 
-    One ``translate`` that drops the digits checks that every line is the
-    prefix and ``m - 1`` dots; a digit inside a prefix leaves its colon in a
-    digit string, which no lookup takes.  Per block, cut at the first line
+    :func:`_line_count` checks that every line is the prefix and ``m - 1``
+    dots once its digits are dropped; a digit inside a prefix leaves its colon
+    in a digit string, which no lookup takes.  Per block, cut at the first line
     end ``_DIGIT_BLOCK_BYTES`` or more past its start, one ``replace`` and one
     ``split`` give the digit strings, read through :func:`_digit_values`."""
     m, table, prefix = params.m, _digit_values(params.n), DIGIT_PREFIX.encode()
-    data = _plain_lines(data)[0] if m and table is not None and prefix in data else None
-    if data is None:
+    data = _plain_lines(data) if m and table is not None and prefix in data else None
+    if data is None or (count := _line_count(data, prefix + b"." * (m - 1) + b"\n")) is None:
         return None
-    end = len(data) - data.endswith(b"\n")  # the end of the last line
-    count = data.count(b"\n", 0, end) + 1
-    if data.translate(None, b"0123456789") != (
-            b"\n".join([prefix + b"." * (m - 1)] * count) + data[end:]):  # freed before the split
-        return None
-    width, start = field_width(params.n), 0
+    width, start, end = field_width(params.n), 0, len(data) - data.endswith(b"\n")
     digits: bytearray | list[int] = bytearray() if width == 8 else []
     while start < end:
         stop = data.find(b"\n" + prefix, start + _DIGIT_BLOCK_BYTES, end)
@@ -343,74 +335,67 @@ def _payload_bits(data: bytes, start: int) -> int:
     return 0
 
 
-def _plain_lines(data: bytes) -> tuple[bytes | None, bool]:
-    r"""A text file's bytes as both whole-file readers take them, and whether
-    no blank was stripped: every line end the row loop takes (``\r\n`` or a
-    lone ``\r``) made ``\n``; blanks at line ends stripped; empty lines and, if
-    the file is UTF-8, ``#`` lines gone, the last line ending as it did; ``None``
-    for a file with a ``#`` that is not UTF-8, which the row loop reads."""
+def _plain_lines(data: bytes) -> bytes | None:
+    r"""A text file's bytes as both whole-file readers take them: every line
+    end the row loop takes (``\r\n`` or a lone ``\r``) made ``\n``; each run of
+    blanks made one space, with none at either end of a line; empty lines and,
+    if the file is UTF-8, ``#`` lines gone, the last line ending as it did;
+    ``None`` for a file with a ``#`` that is not UTF-8, which the row loop reads."""
     if b"\r" in data:  # a replace that finds nothing costs a pass of its own
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
-            return None, False
+            return None
         lines = data.split(b"\n")
         data = b"\n".join([line for line in lines if not line.lstrip().startswith(b"#")])
-    # One-byte searches first, so a file with no blank (a digits: file) pays no two-byte one.
-    held = b" " not in data and b"\t" not in data or not (
-        b" \n" in data or b"\t\n" in data or data.endswith((b" ", b"\t")))
-    if not held:
-        data = b"\n".join([line.rstrip(b" \t") for line in data.split(b"\n")])
+    if b"\t" in data:
+        data = data.replace(b"\t", b" ")
+    if b" " in data:  # one-byte searches first, so a digits: file pays no two-byte one
+        while b"  " in data:
+            data = data.replace(b"  ", b" ")
+        data = data.replace(b" \n", b"\n").strip(b" ")
+    if b" " in data:  # none left where the only blanks ended lines
+        data = data.replace(b"\n ", b"\n")
     if b"\n\n" in data or data.startswith(b"\n"):
         lines = data.split(b"\n")
         data = b"\n".join([line for line in lines[:-1] if line] + lines[-1:])
-    return data, held
+    return data
 
 
-def _json_values(data: bytes, n: int, sep: bytes) -> tuple[int, ...] | None:
-    """The tokens of ``data``, ``n`` a line between single ``sep`` (blanks may
-    flank a comma), by one ``json.loads`` with ``sep`` and line ends made commas;
-    ``None`` for any other layout, or an empty token, a leading zero or one past
-    the digit-count cap, which JSON's integers, the output form's, refuse."""
-    gaps = data.translate(None, b"0123456789" + b" \t" * (sep == b","))
-    shape = (sep * (n - 1) + b"\n") * -(-len(gaps) // n)  # n bytes a line
-    if gaps not in (shape, shape[:-1]):
-        return None
-    import json  # loaded for a plain text file only
-    try:
-        values = tuple(json.loads(b"[%s]" % data.rstrip(b"\n").translate(
-            bytes.maketrans(sep + b"\n", b",,"))))
-    except ValueError:
-        return None
-    return values if len(values) == len(shape) else None  # else a last line of one token
+def _line_count(data: bytes, line: bytes, drop: bytes = b"") -> int | None:
+    r"""How many lines ``data`` has if, with its digits and the bytes ``drop``
+    gone, each is ``line``, which ends in ``\n``, the last one with or without
+    its end; else ``None``."""
+    gaps = data.translate(None, b"0123456789" + drop)
+    unended = bool(data) and not data.endswith(b"\n")
+    count = (len(gaps) + unended) // len(line)
+    return count if gaps + b"\n" * unended == line * count else None
 
 
 def _plain_text_values(data: bytes, n: int, sep: bytes = b" ") -> tuple[tuple, Sequence] | None:
-    """The components of a text point file, flat, if it is ``_PLAIN_TEXT_BYTES``
-    and ``sep`` only once :func:`_plain_lines` has read it, ``n`` on each line
-    not blank, none past the digit-count cap; else ``None``, for the row loop.
-    Then its lines if they are what :func:`format_flat` writes, give or take
-    the last line end, and no blank was stripped, else the components again.
-    :func:`_json_values` reads it as it stands, else after the line rule, else
-    one ``split`` and one ``map(int, ...)`` do."""
-    held, values = True, _json_values(data, n, sep)
-    if values is None:
-        data, held = _plain_lines(data)
-        if data is None or data.translate(None, _PLAIN_TEXT_BYTES + sep):
+    """The components of a text point file, flat, by one ``json.loads`` with
+    ``sep`` and line ends made commas, if as it stands or after
+    :func:`_plain_lines` its lines hold ``n`` tokens between single ``sep``
+    (blanks may flank a comma) and no token JSON refuses: an empty one, a
+    leading zero, one past the digit-count cap; else ``None``, for the row
+    loop.  Then, for a space, those lines, which are what :func:`format_flat`
+    writes, give or take the last line end; for a comma, the components again."""
+    line, drop = sep * (n - 1) + b"\n", b" \t" * (sep == b",")
+    for lines in (data, None):  # None: the file after the line rule
+        if lines is None and (lines := _plain_lines(data)) is None:
             return None
-        values = _json_values(data, n, sep)
-    if values is not None:
-        return values, (data if held and sep == b" " else values)
-    try:
-        values = tuple(map(int, data.split()))
-    except ValueError:  # a comma, or a component past the digit-count cap
-        return None
-    rows = list(map(len, map(bytes.split, data.split(b"\n")))).count(n)
-    if len(values) != n * rows:  # some token is on a line of fewer or more than n
-        return None
-    return values, values
+        if _line_count(lines, line, drop) is None:
+            continue
+        import json  # loaded for a plain text file only
+        try:
+            values = tuple(json.loads(b"[%s]" % lines.removesuffix(b"\n").translate(
+                bytes.maketrans(sep + b"\n", b",,"))))
+        except ValueError:
+            continue
+        return values, (lines if sep == b" " else values)
+    return None
 
 
 def _checked_row(line: str, params: CurveParams) -> list[int]:

@@ -471,30 +471,35 @@ class TestWholeFileReader:
         assert pointio.format_flat(tuple(c for p in points for c in p[::-1]), n) == expected
 
     def test_plain_digit_file_takes_the_whole_file_path(self):
+        # Tabs, blank runs and blanks at line ends are scanned; the source is
+        # the lines the line rule leaves, one space between their tokens.
         data = b"1 2 3\n\n4\t5  6\n 7 8 9 \n10 11 12"
-        values = tuple(range(1, 13))
-        assert pointio._plain_text_values(data, 3) == (values, values)
+        values, lines = tuple(range(1, 13)), b"1 2 3\n4 5 6\n7 8 9\n10 11 12"
+        assert pointio._plain_text_values(data, 3) == (values, lines)
         for same in (data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r"),
                      b"# x_3 x_2 x_1\n" + data, b" \t#1 2 \xc3\xa9\r\n\n" + data + b"\n#"):
-            assert pointio._plain_text_values(same, 3) == (values, values)
+            assert pointio._plain_text_values(same, 3) == (values, lines)
         assert pointio._plain_text_values(b"1 2 3\r", 3) == ((1, 2, 3), b"1 2 3\n")
 
     def test_lines_in_output_form_are_handed_over_as_bytes(self):
-        # Single spaces, n tokens a line and no leading zero: the file's own
-        # lines, after the line rule, are what format_flat would write.
-        # Empty lines go, and the last line keeps its end, or its lack of one.
+        # n tokens a line and no leading zero: the file's own lines, after the
+        # line rule, are what format_flat would write.  Empty lines go, each
+        # run of blanks is one space and none ends a line, and the last line
+        # keeps its end, or its lack of one.
         for data, lines in ((b"1 2 3\n40 0 6", None), (b"1 2 3\r\n40 0 6\r\n", b"1 2 3\n40 0 6\n"),
                             (b"# c\n0 0 0\n", b"0 0 0\n"), (b"", None), (b"\n", b""),
                             (b"1 2 3\n\n4 5 6\n", b"1 2 3\n4 5 6\n"), (b"1 2 3\n\n", b"1 2 3\n"),
                             (b"\n\n1 2 3\n\n\n4 5 6", b"1 2 3\n4 5 6"),
-                            (b"1 2 3\n4 5 6\n\n\n", b"1 2 3\n4 5 6\n")):
+                            (b"1 2 3\n4 5 6\n\n\n", b"1 2 3\n4 5 6\n"), (b" 1 2 3\n", b"1 2 3\n"),
+                            (b"1 2 3 \n", b"1 2 3\n"), (b"1  2 3\n", b"1 2 3\n"), (b"1\t2 3", b"1 2 3"),
+                            (b"1 2 3\n \n4 5 6\n", b"1 2 3\n4 5 6\n"),
+                            (b"\t 1 \t 2\t\t3 \r\n  4 5    6\t", b"1 2 3\n4 5 6")):
             values, source = pointio._plain_text_values(data, 3)
             assert source == (data if lines is None else lines)
-        for data in (b"007 1 2\n", b"1 01 2\n", b"1 2 00", b" 1 2 3\n", b"1 2 3 \n", b"1  2 3\n",
-                     b"1\t2 3\n", b"1 2 3\n \n4 5 6\n"):
-            values, source = pointio._plain_text_values(data, 3)
-            assert source is values
-        for other in (b"# a\rb\n1 2 3\n", b"#\xff\n1 2 3\n", b"\xc2\xa0# a\n",
+            assert values == tuple(map(int, source.split()))
+        # A leading zero (JSON refuses it) and any other layout: the row loop.
+        for other in (b"007 1 2\n", b"1 01 2\n", b"1 2 00", b"\t007 1 2\n",
+                      b"# a\rb\n1 2 3\n", b"#\xff\n1 2 3\n", b"\xc2\xa0# a\n",
                       b"1 2 3 # c\n", b"1,2,3\n", b"1 2\n", b"1  2\n3 4 5\n", b"7", b"1 2"):
             assert pointio._plain_text_values(other, 3) is None
 
@@ -601,6 +606,8 @@ ACCEPTED = {
     "lone-cr": lambda lines, j, n: _put(lines[:j + 1] + lines[j + 2:], j,
                                         lines[j] + "\r" + lines[j + 1]),
     "blank-line": lambda lines, j, n: _put(lines, j, "", lines[j]),
+    "padded": lambda lines, j, n: _put(lines, j, f" \t{lines[j]} "),
+    "tab-before": lambda lines, j, n: _put(lines, j, f"\t{lines[j]}"),
 }
 # Files the block reader does not take, as such a change; the row loop reads
 # them, and accepts or refuses each.  A file is written with surrogateescape,
@@ -608,7 +615,6 @@ ACCEPTED = {
 REJECTIONS = {
     "non-utf8-comment": lambda lines, j, n: _put(lines, j, "# \udcff", lines[j]),
     "commented-decimal": lambda lines, j, n: _put(lines, j, "# x", "5"),
-    "padded": lambda lines, j, n: _put(lines, j, f" \t{lines[j]} "),
     "leading-zero": lambda lines, j, n: _put(lines, j, lines[j].replace(":", ":00", 1)),
     "empty-digit": lambda lines, j, n: _put(lines, j, _with_digit(lines[j], "")),
     "digit-too-large": lambda lines, j, n: _put(lines, j, _with_digit(lines[j], 1 << n)),
@@ -747,18 +753,18 @@ class TestDigitBlockReader:
     @pytest.mark.parametrize("n, kind", [(8, None), (10, None), (8, "padded"), (10, "padded"),
                                          (13, None), (8, "decimal-token")])
     def test_every_path_gives_the_digits_packed(self, tmp_path, n, kind):
-        # The block reader at n = 8 and 10; the row loop through a padded
-        # line, past the digit table (n = 13), and for a decimal token.
+        # The block reader at n = 8 and 10, also through a padded line; the
+        # row loop past the digit table (n = 13) and for a decimal token.
         lines = digit_lines(n, 5, seed=n)
         if kind:
-            lines = REJECTIONS[kind](lines, 2, n)
+            lines = {**ACCEPTED, **REJECTIONS}[kind](lines, 2, n)
         path = tmp_path / "indices.txt"
         path.write_text("\n".join(lines) + "\n")
         params = CurveParams(n, DIGIT_LEVEL)
         flat = [d for line in lines for d in pointio.parse_index(line.strip(), params)]
         assert pointio.read_indices(path, params) == (pack_bytes(flat, field_width(n)), 5)
         taken = pointio._digit_token_values(path.read_bytes(), params)
-        assert (taken is None) == (kind is not None or n > 12)
+        assert (taken is None) == (kind in REJECTIONS or n > 12)
 
     @pytest.mark.parametrize("text", ["", "\n", "digits:\n", "digits:\ndigits:", "0\ndigits:\n",
                                       "5digits:\n", "digits:0\n", "digits:.\n"])
@@ -779,13 +785,15 @@ SCAN_ODD = ["007", "00", str(2**70), LONG]
 @st.composite
 def scanned_files(draw, n, tokens):
     """A text file of rows of ``n`` tokens, each drawn from ``tokens``: most
-    are as ``format_flat`` writes them or as one comma separator per file
-    writes them; the rest add padded, blank, ``#`` and comma-only lines,
-    mixed or doubled separators, rows of another length, ``\\r\\n`` ends, a
-    sign, a ``digits:`` token and no final line end."""
-    sep = draw(st.sampled_from([" ", " ", ",", ", ", " ,\t"]))
+    are as ``format_flat`` writes them or as one separator per file (a comma,
+    or blanks) writes them; the rest add padded, blank, ``#`` and comma-only
+    lines, blank runs around a row's separators, mixed or doubled separators,
+    rows of another length, ``\\r\\n`` ends, a sign, a ``digits:`` token and
+    no final line end."""
+    sep = draw(st.sampled_from([" ", " ", ",", ", ", " ,\t", "\t", "  ", " \t "]))
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     odd = draw(st.integers(0, 3))  # how often a line is not a plain row
+    blanks = st.sampled_from(["", " ", "\t", "  ", " \t "])
     lines = []
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 9)) < odd:
@@ -794,7 +802,10 @@ def scanned_files(draw, n, tokens):
                  ",".join(["1"] * n), "1,," + "1," * n])))
             continue
         count = draw(st.sampled_from([n] * 8 + [n - 1, n + 1]))
-        row = sep.join(draw(tokens) for _ in range(count))
+        row = draw(tokens) if count else ""
+        for _ in range(count - 1):
+            gap = sep if draw(st.integers(0, 9)) >= odd else draw(blanks) + sep + draw(blanks)
+            row += gap + draw(tokens)
         if draw(st.integers(0, 9)) < odd:
             row = draw(st.sampled_from(["", " ", "\t "])) + row
             row += draw(st.sampled_from(["", " ", "\t"]))

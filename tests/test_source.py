@@ -37,23 +37,30 @@ def test_finds_an_unused_import():
 
 
 def unused_definitions(source: str, package: list[str], exported: set[str]) -> list[str]:
-    """The module-level functions and classes of ``source`` that no module of
-    ``package`` uses in code (as a name, an attribute or an imported name) and
-    that ``exported`` does not name; dunder hooks such as a module's
-    ``__getattr__``, which Python itself calls, count as used."""
+    """The module-level functions, classes and assigned names of ``source``
+    that no module of ``package`` uses in code (as a name it reads, an
+    attribute or an imported name) and that ``exported`` does not name; dunder
+    hooks such as a module's ``__getattr__``, which Python itself calls, count
+    as used."""
     used = set(exported)
     for text in package:
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    defined = [node.name for node in ast.parse(source).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not (node.name.startswith("__") and node.name.endswith("__"))]
-    return [name for name in defined if name not in used]
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)]
+    return [name for name in defined
+            if name not in used and not (name.startswith("__") and name.endswith("__"))]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -69,6 +76,7 @@ def test_no_unused_definition(path):
 def test_finds_an_unused_definition():
     source = ("import m\n\nclass A:\n    def b(self):\n        return m.c(d)\n\n"
               "def c():\n    pass\n\ndef d():\n    pass\n\ndef e():\n    pass\n\n"
-              "def f():\n    pass\n\nclass G:\n    pass\n\ndef __getattr__(name):\n    pass\n")
+              "def f():\n    pass\n\nclass G:\n    pass\n\ndef __getattr__(name):\n    pass\n\n"
+              "H = 1\nI: int = H\n_J, K = L = (1, 2)\n__all__ = ['A']\nM = m.K\n")
     other = "from x import e as y\n"
-    assert unused_definitions(source, [source, other], {"A"}) == ["f", "G"]
+    assert unused_definitions(source, [source, other], {"A"}) == ["f", "G", "I", "_J", "L", "M"]
