@@ -14,12 +14,11 @@ in file order, as :func:`curve.unchecked_keys` takes them, and
 :func:`read_indices` the digits of every index packed the same way, as
 :func:`curve.unchecked_points` takes them; each checks its values once per
 file, so the codec that follows need not check them again.  With no Python
-loop per row: a binary file (its payload as it is); a text file of ``n``
-tokens a line between single blanks or commas, and a decimal index file of
-keys below ``2**64``, by one ``json.loads`` (:func:`_plain_text_values`);
-and a file of ``digits:`` tokens alone in blocks (:func:`_digit_token_values`).
-Both take the row loop's line ends and one space for each run of blanks
-(:func:`_plain_lines`), and check their layout alike (:func:`_line_count`).
+loop per row: a binary file (its payload as it is); and a text file of one
+block or more (:func:`_plain_text_values`) of ``n`` tokens a line between
+single blanks or commas, of decimal keys below ``2**64``, or of ``digits:``
+tokens alone, by ``json.loads`` once per block, after the row loop's line
+ends and one space for each run of blanks (:func:`_plain_lines`).
 Any other file, and any with a component out of range, goes through a row
 loop, which checks a row by its largest value and names the first bad row
 in file order (``line N`` or ``record N``) with the same message either
@@ -56,13 +55,13 @@ _BIT_LENGTHS = bytes(b.bit_length() for b in range(256))
 DIGIT_PREFIX = "digits:"
 # Strings one digit table of format_indices may hold.  It holds 2**(n * L)
 # strings for L digits per lookup, so L = 6, 4, 3 at n = 2, 3, 4 and 1 up
-# to n = 12; from n = 13 no table fits.  The block reader reads digits
-# through a bytes-keyed dict of the L = 1 table under the same cap.
+# to n = 12; from n = 13 no table fits, and each digit is one ``str``.
 _DIGIT_TABLE_STRINGS = 4096
-# Bytes per block of the digits: reader.  A block and its digit list stay below
-# glibc malloc's 128 KiB mmap threshold, so the next one reuses their pages: 10k
-# n = 8, m = 32 tokens take 1,600 minor faults, 5,000 in 1,024-line blocks.
-_DIGIT_BLOCK_BYTES = 16384
+# Bytes per block where the plain text scan packs its values, and the least it
+# reads: a block, its text and its value list stay below glibc malloc's 128 KiB
+# mmap threshold, so the next block reuses their pages; on a shorter file the
+# scan saves less than the 2.6 ms ``json`` import costs, so the row loop reads it.
+_TEXT_BLOCK_BYTES = 16384
 
 # CPython's cap on decimal digits per int <-> str conversion; 0 means no
 # cap, as on interpreters that predate it.
@@ -195,32 +194,26 @@ def _digit_strings(n: int, count: int) -> tuple[str, ...]:
     return tuple(f"{a}.{b}" for a in _digit_strings(n, 1) for b in _digit_strings(n, count - 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_values(n: int) -> dict[bytes, int] | None:
-    """Each radix ``2**n`` digit's decimal string, as bytes, to its value,
-    while ``2**n <= _DIGIT_TABLE_STRINGS``; else ``None``."""
-    if 1 << n > _DIGIT_TABLE_STRINGS:
-        return None
-    return {string.encode(): value for value, string in enumerate(_digit_strings(n, 1))}
-
-
 def read_indices(path: Path, params: CurveParams) -> tuple[bytes | bytearray, int]:
     """The digits of every index of a text index file, packed in file order
     as :func:`curve.unchecked_points` takes them, and the number of indices.
 
-    A file of ``digits:`` tokens alone is read by :func:`_digit_token_values`;
-    one of keys below ``2**(n * m) <= 2**64`` by :func:`_plain_text_values` at
-    one component a line, each level's digits then one shift, mask and strided
-    copy of one key column; any other by the row loop through
-    :func:`parse_index`, which names the first bad row."""
-    data = path.read_bytes()
-    if (found := _digit_token_values(data, params)) is not None:
-        return found
-    n, m = params.n, params.m
-    decimal = 0 < n * m <= 64 and DIGIT_PREFIX.encode() not in data
-    if decimal and (keys := _plain_text_values(data, 1)) and not max(keys[0], default=0) >> n * m:
-        width, size, count = field_width(n * m), field_width(n) // 8, len(keys[0])
-        column = int.from_bytes(pack_bytes(keys[0], width), "little")
+    :func:`_plain_text_values` scans a file of one block or more of
+    ``digits:`` tokens alone as its digits, or of keys below ``2**(n * m) <=
+    2**64`` at one a line, each level's digits then one shift, mask and strided
+    copy of the key column.  Any other file, and any with a value out of
+    range, goes to the row loop through :func:`parse_index`, which names the
+    first bad row."""
+    data, n, m = path.read_bytes(), params.n, params.m
+    prefix = DIGIT_PREFIX.encode()
+    prefix, per, bits = (prefix, m, n) if prefix in data else (b"", 1, n * m)  # m digits or a key
+    if m and bits <= 64 and len(data) >= _TEXT_BLOCK_BYTES and (
+            found := _plain_text_values(data, per, b".", prefix, bits)):
+        values, width = found[0], field_width(bits)
+        count = len(values) * 8 // width // per
+        if prefix:
+            return values, count
+        column, size = int.from_bytes(values, "little"), field_width(n) // 8
         low = field_ones(count, width) * ((1 << n) - 1)
         digits = bytearray(count * m * size)
         fields = memoryview(digits).cast("BHIQ"[size.bit_length() - 1])
@@ -230,36 +223,6 @@ def read_indices(path: Path, params: CurveParams) -> tuple[bytes | bytearray, in
         return digits, count
     rows = _text_rows(path, data, parse_index, params)
     return pack_bytes(list(chain.from_iterable(rows)), field_width(n)), len(rows)
-
-
-def _digit_token_values(data: bytes, params: CurveParams) -> tuple[bytes | bytearray, int] | None:
-    """The digits of an index file, packed as :func:`read_indices` gives them,
-    and its index count, if each line :func:`_plain_lines` leaves is
-    ``digits:`` and ``m > 0`` digits below ``2**n <= _DIGIT_TABLE_STRINGS``,
-    written as ``str`` writes them; else ``None``.  One-byte digits collect
-    in a ``bytearray``, wider ones in a list that is packed once at the end.
-
-    :func:`_line_count` checks that every line is the prefix and ``m - 1``
-    dots once its digits are dropped; a digit inside a prefix leaves its colon
-    in a digit string, which no lookup takes.  Per block, cut at the first line
-    end ``_DIGIT_BLOCK_BYTES`` or more past its start, one ``replace`` and one
-    ``split`` give the digit strings, read through :func:`_digit_values`."""
-    m, table, prefix = params.m, _digit_values(params.n), DIGIT_PREFIX.encode()
-    data = _plain_lines(data) if m and table is not None and prefix in data else None
-    if data is None or (count := _line_count(data, prefix + b"." * (m - 1) + b"\n")) is None:
-        return None
-    width, start, end = field_width(params.n), 0, len(data) - data.endswith(b"\n")
-    digits: bytearray | list[int] = bytearray() if width == 8 else []
-    while start < end:
-        stop = data.find(b"\n" + prefix, start + _DIGIT_BLOCK_BYTES, end)
-        stop = end if stop < 0 else stop
-        block = data[start + len(prefix):stop].replace(b"\n" + prefix, b".")
-        try:
-            digits.extend(map(table.__getitem__, block.split(b".")))
-        except KeyError:  # an empty digit, a leading zero or one of 2**n or more
-            return None
-        start = stop + 1
-    return (digits if width == 8 else pack_bytes(digits, width)), count
 
 
 def read_points(
@@ -285,7 +248,8 @@ def read_points(
                 check_point(row[::-1], params)
             except DomainError as exc:
                 raise PointFileError(f"{path}: record {record}: {exc}") from exc
-    values, source = _plain_text_values(data, n, b"," if b"," in data else b" ") or (None, None)
+    sep = b"," if b"," in data else b" "
+    values, source = len(data) >= _TEXT_BLOCK_BYTES and _plain_text_values(data, n, sep) or (None, None)
     k = m + 1 if values is None else max(values, default=0).bit_length()
     if k > m:  # the row loop reads the file, and names its first bad row
         source = values = tuple(chain.from_iterable(_text_rows(path, data, _checked_row, params)))
@@ -324,11 +288,11 @@ def _binary_records(path: Path, data: bytes, n: int) -> memoryview:
     return memoryview(data)[_POINT_HEADER:]
 
 
-def _payload_bits(data: bytes, start: int) -> int:
-    """The bit length of the largest 8-byte component of the payload at
-    ``data[start:]``, from the highest byte column that is not all zero."""
-    for column in range(7, -1, -1):
-        lengths = data[start + column::8].translate(_BIT_LENGTHS)
+def _payload_bits(data: bytes, start: int, size: int = 8) -> int:
+    """The bit length of the largest little-endian ``size``-byte field of the
+    payload at ``data[start:]``, from the highest byte column not all zero."""
+    for column in range(size - 1, -1, -1):
+        lengths = data[start + column::size].translate(_BIT_LENGTHS)
         for bits in range(8, 0, -1):
             if bits in lengths:
                 return 8 * column + bits
@@ -374,26 +338,46 @@ def _line_count(data: bytes, line: bytes, drop: bytes = b"") -> int | None:
     return count if gaps + b"\n" * unended == line * count else None
 
 
-def _plain_text_values(data: bytes, n: int, sep: bytes = b" ") -> tuple[tuple, Sequence] | None:
-    """The components of a text point file, flat, by one ``json.loads`` with
-    ``sep`` and line ends made commas, if as it stands or after
-    :func:`_plain_lines` its lines hold ``n`` tokens between single ``sep``
-    (blanks may flank a comma) and no token JSON refuses: an empty one, a
-    leading zero, one past the digit-count cap; else ``None``, for the row
-    loop.  Then, for a space, those lines, which are what :func:`format_flat`
-    writes, give or take the last line end; for a comma, the components again."""
-    line, drop = sep * (n - 1) + b"\n", b" \t" * (sep == b",")
-    for lines in (data, None):  # None: the file after the line rule
-        if lines is None and (lines := _plain_lines(data)) is None:
+def _plain_text_values(
+    data: bytes, n: int, sep: bytes = b" ", prefix: bytes = b"", bits: int = 0
+) -> tuple[Sequence, Sequence] | None:
+    """The values of a text file, flat, if as it stands or after
+    :func:`_plain_lines` each line is ``prefix`` and ``n`` tokens between
+    single ``sep`` (blanks may flank a comma), and JSON takes every token: not
+    an empty one, a leading zero or one past the digit-count cap; else ``None``,
+    for the row loop.  Blocks of ``_TEXT_BLOCK_BYTES`` or more, cut at a line
+    end, each take one ``json.loads`` with ``prefix`` dropped and ``sep`` and
+    line ends made commas.  With ``bits`` the values are packed a block at a
+    time, in fields ``field_width(bits)`` wide, each below ``2**bits``;
+    without, every value is kept, as one tuple, so the file is one block.
+    Then, for a space, the lines, which are what :func:`format_flat` writes,
+    give or take the last line end; else the values."""
+    line, drop = prefix + sep * (n - 1) + b"\n", b" \t" * (sep == b",")
+    table, size = bytes.maketrans(sep + b"\n", b",,"), field_width(bits) // 8
+    for lines in (data, None):  # None: the file after the line rule, if it changed it
+        if lines is None and ((lines := _plain_lines(data)) is None or lines is data):
             return None
         if _line_count(lines, line, drop) is None:
             continue
         import json  # loaded for a plain text file only
+        found, values, start, end = bytearray(), [], 0, len(lines) - lines.endswith(b"\n")
         try:
-            values = tuple(json.loads(b"[%s]" % lines.removesuffix(b"\n").translate(
-                bytes.maketrans(sep + b"\n", b",,"))))
-        except ValueError:
+            while start < end:  # values kept unpacked are read in one block
+                stop = lines.find(b"\n", start + (_TEXT_BLOCK_BYTES if bits else end))
+                stop = end if stop < 0 else stop
+                block = lines[start:stop]
+                if prefix:  # one with a digit in or before it stays, and JSON refuses it
+                    block = block.removeprefix(prefix).replace(b"\n" + prefix, b"\n")
+                values = json.loads(b"[%s]" % block.translate(table))
+                if bits:
+                    values = pack_bytes(values, 8 * size)
+                    if _payload_bits(values, 0, size) > bits:
+                        return None
+                    found += values
+                start = stop + 1
+        except (ValueError, struct.error):  # struct refuses a value of 2**(8 * size) or more
             continue
+        values = found if bits else tuple(values)
         return values, (lines if sep == b" " else values)
     return None
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hilbertorder import cli, curve, decode, gene, oracle, pointio
 from hilbertorder.cli import main
-from hilbertorder.core_bits import index_to_integer, integer_to_index
+from hilbertorder.core_bits import HilbertIndex, index_to_integer, integer_to_index
 from hilbertorder.curve import (
     CurveParams, curve_keys, integer_digits, unchecked_keys, unchecked_points,
 )
@@ -486,10 +486,6 @@ class TestParseIndex:
         with pytest.raises(DomainError) as caught:
             pointio.parse_index(token, CurveParams(n, 3))
         assert str(caught.value) == message
-
-    def test_digit_dicts_stop_at_the_table_cap(self):
-        built = [n for n in range(2, 21) if pointio._digit_values(n) is not None]
-        assert built == list(range(2, 13))
 
     def test_leading_zeros_decode_as_the_digit(self, capsys):
         code, out, err = run(capsys, "decode", "--dim", "8", "--level", "2",
@@ -1459,13 +1455,19 @@ class TestModuleEntryPoint:
         # statistics pulls in fractions and decimal, and dataclasses costs more
         # than a one-point codec call; only `gene`, `validate` and `bench` load
         # these modules.  The child checks after the import and after the calls.
-        # json is loaded by the plain text readers alone: not by the import, an
-        # HPTS point file or a file of digits: tokens.
+        # json is loaded by the plain text scan alone, which reads files of one
+        # block or more: not by the import, an HPTS point file or a one-line
+        # text or digits: file.
         source, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
         source.write_text("1 2\n0 3\n")
+        single = tmp_path / "point.txt"
+        single.write_text("1 2\n")
         binary, indices = tmp_path / "points.bin", tmp_path / "indices.txt"
         binary.write_bytes(b"HPTS\x01" + struct.pack("<HQ2Q", 2, 1, 1, 2))  # the point 1 2
         indices.write_text("digits:3.1\n")
+        blocks = tmp_path / "blocks.txt"
+        count = 2 * pointio._TEXT_BLOCK_BYTES // len("digits:3.1\n") + 1
+        blocks.write_text("digits:3.1\n" * count)
         # n = 32 is past the gene table's cap, so only the codec path runs it.
         wide = [str(i % 8) for i in range(32)]
         params = CurveParams(32, 3)
@@ -1478,7 +1480,8 @@ class TestModuleEntryPoint:
                 ("core_bits", "encode", "decode", "gene", "oracle")}}
             print(sorted(unwanted & set(sys.modules)), "json" in sys.modules)
             for argv in (["encode", "-n", "2", "-m", "2", "--input", {str(binary)!r}],
-                         ["decode", "-n", "2", "-m", "2", "--input", {str(indices)!r}]):
+                         ["decode", "-n", "2", "-m", "2", "--input", {str(indices)!r}],
+                         ["sort", "-n", "2", "-m", "2", {str(single)!r}, {str(single)!r}]):
                 assert hilbertorder.cli.main(argv) == 0
             print("json" in sys.modules)
             for argv in (["encode", "-n", "2", "-m", "2", "1", "1"],
@@ -1487,12 +1490,16 @@ class TestModuleEntryPoint:
                          ["encode", "-n", "32", "-m", "3", *{wide!r}],
                          ["decode", "-n", "32", "-m", "3", {token!r}]):
                 assert hilbertorder.cli.main(argv) == 0
-            print(sorted(unwanted & set(sys.modules)))
+            print(sorted(unwanted & set(sys.modules)), "json" in sys.modules)
+            assert hilbertorder.cli.main(["decode", "-n", "2", "-m", "2", "--input", {str(blocks)!r}]) == 0
+            print("json" in sys.modules)
         """
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        lines = f"2\n1 1\n{token}\n{' '.join(wide)}\n"
-        assert (result.returncode, result.stdout) == (0, f"[] False\n7\n2 1\nFalse\n{lines}[]\n")
+        lines, decoded = f"2\n1 1\n{token}\n{' '.join(wide)}\n", "2 1\n" * count
+        assert (result.returncode, result.stdout) == (
+            0, f"[] False\n7\n2 1\nFalse\n{lines}[] False\n{decoded}True\n")
         assert target.read_text() == "0 3\n1 2\n"  # keys 5 and 7
+        assert single.read_text() == "1 2\n"
 
     def test_package_resolves_every_public_name(self):
         import hilbertorder
@@ -1505,3 +1512,53 @@ class TestModuleEntryPoint:
         assert hilbertorder.__version__ == "0.1.0"
         with pytest.raises(AttributeError, match="no attribute 'curve_key'"):
             hilbertorder.curve_key
+
+
+class TestBenchShapedFiles:
+    """``sort``, ``encode --input`` and ``decode --input``, each run as a
+    child process on a file shaped as the benchmark's inputs but of 2,000
+    records, two blocks or more of text, give what the reference codecs give."""
+
+    RECORDS = 2000
+
+    @staticmethod
+    def child(*argv):
+        result = subprocess.run([sys.executable, "-m", "hilbertorder", *map(str, argv)],
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        return result.stdout
+
+    @staticmethod
+    def line(point):
+        return " ".join(map(str, reversed(point)))
+
+    def test_sort_of_a_text_file(self, tmp_path):
+        rng, params = random.Random(1), CurveParams(3, 20)
+        points = [tuple(rng.getrandbits(20) for _ in range(3)) for _ in range(self.RECORDS)]
+        source, target = tmp_path / "points.txt", tmp_path / "sorted.txt"
+        source.write_text("".join(self.line(p) + "\n" for p in points))
+        assert len(source.read_bytes()) >= 2 * pointio._TEXT_BLOCK_BYTES
+        assert self.child("sort", "--dim", 3, "--level", 20, source, target) == ""
+        keys = [encode_arith(p, params, gene_table(3))[0].digits for p in points]
+        order = sorted(range(self.RECORDS), key=keys.__getitem__)
+        assert target.read_text() == "".join(self.line(points[i]) + "\n" for i in order)
+
+    def test_encode_of_an_hpts_file(self, tmp_path):
+        rng, params = random.Random(2), CurveParams(4, 40)
+        points = [tuple(rng.getrandbits(10) for _ in range(4)) for _ in range(self.RECORDS)]
+        source = tmp_path / "points.bin"
+        source.write_bytes(b"HPTS\x01" + struct.pack("<HQ", 4, len(points)) + b"".join(
+            struct.pack("<4Q", *reversed(p)) for p in points))
+        out = self.child("encode", "--dim", 4, "--level", 40, "--input", source)
+        assert out == "".join("digits:" + ".".join(map(str, encode_arith(
+            p, params, gene_table(4))[0].digits)) + "\n" for p in points)
+
+    def test_decode_of_a_digits_file(self, tmp_path):
+        rng, params = random.Random(3), CurveParams(8, 32)
+        indices = [[rng.getrandbits(8) for _ in range(32)] for _ in range(self.RECORDS)]
+        source = tmp_path / "indices.txt"
+        source.write_text("".join("digits:" + ".".join(map(str, d)) + "\n" for d in indices))
+        assert len(source.read_bytes()) >= 2 * pointio._TEXT_BLOCK_BYTES
+        out = self.child("decode", "--dim", 8, "--level", 32, "--input", source)
+        assert out == "".join(self.line(decode_arith(
+            HilbertIndex(8, d), params, gene_table(8))[0]) + "\n" for d in indices)

@@ -8,6 +8,7 @@ layout of the reading and writing code.  The property tests hold
 
 import contextlib
 import itertools
+import json
 import os
 import random
 import stat
@@ -442,6 +443,15 @@ def written_values(source, n):
     return list(values)
 
 
+@contextlib.contextmanager
+def blocks_of_a_third(data):
+    """``_TEXT_BLOCK_BYTES`` set down, so that the scan reads ``data``
+    however short it is, and packs its values in about three blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pointio, "_TEXT_BLOCK_BYTES", len(data) // 3 or 1)
+        yield
+
+
 def outcome(read, *args):
     try:
         return read(*args)
@@ -458,7 +468,8 @@ class TestWholeFileReader:
         data = text.encode()
         path.write_bytes(data)
         expected = outcome(reference_values, path, data, n)
-        got = outcome(lambda: written_values(pointio.read_points(path, CurveParams(n, LEVEL))[3], n))
+        with blocks_of_a_third(data):
+            got = outcome(lambda: written_values(pointio.read_points(path, CurveParams(n, LEVEL))[3], n))
         assert got == expected
 
     @settings(max_examples=200, deadline=None)
@@ -564,8 +575,25 @@ class TestNamedRows:
         assert path.with_suffix(".out").read_bytes() == b"0 0\n3 0\n"
 
 
-BUDGET = pointio._DIGIT_BLOCK_BYTES
-DIGIT_LEVEL = 3  # digits per index in the block reader's files
+BUDGET = pointio._TEXT_BLOCK_BYTES
+DIGIT_LEVEL = 3  # digits per index in the scanned digits: files
+
+
+class _RowLoop(Exception):
+    pass
+
+
+def scanned(monkeypatch, read, path, params):
+    """``read(path, params)`` if the scan takes the file; ``None`` where
+    the row loop would read it."""
+    def row_loop(*args):
+        raise _RowLoop
+    with monkeypatch.context() as patch:
+        patch.setattr(pointio, "_text_rows", row_loop)
+        try:
+            return read(path, params)
+        except _RowLoop:
+            return None
 
 
 def digit_lines(n, count, seed=0):
@@ -577,7 +605,7 @@ def digit_lines(n, count, seed=0):
 
 def block_lines(n):
     """Lines of ``digits:`` tokens at dimension ``n``, and ``B``, how many of
-    them the block reader's first block holds: it ends at the first line end
+    them the scan's first block holds: it ends at the first line end
     ``BUDGET`` bytes or more into the file.  Every line is 13 bytes or more,
     so the lines hold more than ``2 * B + 3``."""
     lines = digit_lines(n, 3 * BUDGET // 13, seed=n)
@@ -597,8 +625,8 @@ def _with_digit(line, digit):
     return "digits:" + ".".join(digits)
 
 
-# Files the block reader takes after its line rule, as a change at line j
-# of a file of digits: tokens.
+# Files the scan takes after the line rule, as a change at line j of a
+# file of digits: tokens.
 ACCEPTED = {
     "crlf": lambda lines, j, n: _put(lines, j, lines[j] + "\r"),
     "comment": lambda lines, j, n: _put(lines, j, "# x", lines[j]),
@@ -609,7 +637,7 @@ ACCEPTED = {
     "padded": lambda lines, j, n: _put(lines, j, f" \t{lines[j]} "),
     "tab-before": lambda lines, j, n: _put(lines, j, f"\t{lines[j]}"),
 }
-# Files the block reader does not take, as such a change; the row loop reads
+# Files the scan does not take, as such a change; the row loop reads
 # them, and accepts or refuses each.  A file is written with surrogateescape,
 # so "\udcff" is the byte 0xff.
 REJECTIONS = {
@@ -627,44 +655,50 @@ REJECTIONS = {
     "no-prefix": lambda lines, j, n: _put(lines, j, lines[j][len("digits:"):]),
     "prefix-twice": lambda lines, j, n: _put(lines, j, "digits:" + lines[j]),
     "digit-in-prefix": lambda lines, j, n: _put(lines, j, "di5" + lines[j][2:]),
+    "digit-before-prefix": lambda lines, j, n: _put(lines, j, "5" + lines[j]),
     "decimal-token": lambda lines, j, n: _put(lines, j, "5"),
 }
 
 
 class TestDigitBlockReader:
     """decode --input gives the same stdout, stderr and exit code whether the
-    block reader takes a file or the row loop reads it."""
+    scan takes a file of digits: tokens or the row loop reads it."""
 
     @staticmethod
     def both_readers(capsys, monkeypatch, path, n, m=DIGIT_LEVEL):
         argv = ["decode", "--dim", n, "--level", m, "--input", path]
         blocks = run(capsys, *argv)
         with monkeypatch.context() as patch:
-            patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+            patch.setattr(pointio, "_plain_text_values", lambda *args: None)
             rows = run(capsys, *argv)
         return blocks, rows
 
     @staticmethod
     def row_loop(monkeypatch, path, params):
-        """``read_indices`` with the block reader out of the way."""
+        """``read_indices`` with the scan out of the way."""
         with monkeypatch.context() as patch:
-            patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+            patch.setattr(pointio, "_plain_text_values", lambda *args: None)
             return pointio.read_indices(path, params)
 
     @pytest.mark.parametrize("blob", [b"# x\n5\n12\n", b"# x\r\n5\r\n", b"# \xff\n5\n"])
-    def test_no_line_rule_for_a_file_without_the_prefix(self, monkeypatch, blob):
-        # A decimal index file is refused before the line rule, which the row
-        # loop then runs once; so are level 0 and n past the digit table.
+    def test_no_line_rule_where_the_scan_cannot_take_the_file(self, monkeypatch, tmp_path, blob):
+        # A file under one block, level 0 and digits wider than 64 bits go to
+        # the row loop, which runs the line rule once itself.
         monkeypatch.setattr(pointio, "_plain_lines", lambda data: pytest.fail("line rule run"))
-        for n, m in ((3, 2), (3, 0), (13, 2)):
-            assert pointio._digit_token_values(blob, CurveParams(n, m)) is None
-        blob = blob.replace(b"5", b"digits:5")
-        assert pointio._digit_token_values(blob, CurveParams(13, 1)) is None
+        path = tmp_path / "indices.txt"
+        for text in (blob, blob.replace(b"5", b"digits:5")):
+            path.write_bytes(text)
+            for n, m in ((3, 2), (3, 0), (13, 2), (65, 1)):
+                assert scanned(monkeypatch, pointio.read_indices, path, CurveParams(n, m)) is None
+            monkeypatch.setattr(pointio, "_TEXT_BLOCK_BYTES", 1)
+            for n, m in ((3, 0), (65, 1)):
+                assert scanned(monkeypatch, pointio.read_indices, path, CurveParams(n, m)) is None
+            monkeypatch.setattr(pointio, "_TEXT_BLOCK_BYTES", BUDGET)
 
     @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
     @pytest.mark.parametrize("full, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
                              ids=["0", "1", "B-1", "B", "B+1", "2B+3"])
-    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13, 16, 20])
     def test_takes_a_file_of_digit_tokens(self, capsys, monkeypatch, tmp_path, n, full, extra, end):
         # full * B + extra lines: B fill the first block, B + 1 start a second.
         path = tmp_path / "indices.txt"
@@ -675,14 +709,22 @@ class TestDigitBlockReader:
         blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
         assert blocks == rows
         assert blocks[0] == 0 and len(blocks[1].splitlines()) == count
-        taken = pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL))
-        # Past the digit table (n > 12), and for an empty file, the row loop reads it.
-        assert (taken and taken[1]) == (count if n <= 12 and count else None)
+        params = CurveParams(n, DIGIT_LEVEL)
+        texts, loads = [], json.loads
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "loads", lambda text: texts.append(text) or loads(text))
+            taken = scanned(monkeypatch, pointio.read_indices, path, params)
+        # A file under one block, the empty one too, the row loop reads.
+        assert (taken and taken[1]) == (count if len(path.read_bytes()) >= BUDGET else None)
+        assert taken in (None, self.row_loop(monkeypatch, path, params))
+        # One json.loads per block: B lines fill the first, line B + 1 starts a second.
+        assert len(texts) >= (taken is not None) + (count > B)
+        assert all(len(text) < BUDGET + 2 * max(map(len, lines)) for text in texts)
 
     @pytest.mark.parametrize("full, extra", [(0, 0), (1, 0), (1, 1)],
                              ids=["first-line", "block-start", "in-block"])
     @pytest.mark.parametrize("kind", sorted(ACCEPTED))
-    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13, 16, 20])
     def test_takes_crlf_ends_and_comment_lines(
             self, capsys, monkeypatch, tmp_path, n, kind, full, extra):
         # The change is at line full * B + extra: line B starts the second block.
@@ -693,16 +735,13 @@ class TestDigitBlockReader:
         blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
         assert blocks == rows and blocks[0] == 0
         params = CurveParams(n, DIGIT_LEVEL)
-        taken = pointio._digit_token_values(path.read_bytes(), params)
-        if n > 12:  # past the digit table the row loop reads it
-            assert taken is None
-        else:
-            assert taken == self.row_loop(monkeypatch, path, params)
+        taken = scanned(monkeypatch, pointio.read_indices, path, params)
+        assert taken == self.row_loop(monkeypatch, path, params)
 
     @pytest.mark.parametrize("full, extra", [(0, 0), (1, 0), (1, 1)],
                              ids=["first-line", "block-start", "in-block"])
     @pytest.mark.parametrize("kind", sorted(REJECTIONS))
-    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13])
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 13, 16, 20])
     def test_other_files_read_as_the_row_passes_read_them(
             self, capsys, monkeypatch, tmp_path, n, kind, full, extra):
         # The change is at line full * B + extra: line B starts the second block.
@@ -712,10 +751,11 @@ class TestDigitBlockReader:
         path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
         blocks, rows = self.both_readers(capsys, monkeypatch, path, n)
         assert blocks == rows
-        assert pointio._digit_token_values(path.read_bytes(), CurveParams(n, DIGIT_LEVEL)) is None
+        params = CurveParams(n, DIGIT_LEVEL)
+        assert scanned(monkeypatch, pointio.read_indices, path, params) is None
 
     @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
-    @pytest.mark.parametrize("n", [2, 8, 12])
+    @pytest.mark.parametrize("n", [2, 8, 12, 16, 20])
     def test_blocks_of_a_few_bytes(self, capsys, monkeypatch, tmp_path, n, end):
         # Budgets of 1 byte up to two lines: the first block's search for a
         # line end starts at every byte of the first two lines (in the
@@ -723,10 +763,10 @@ class TestDigitBlockReader:
         lines = digit_lines(n, 4, seed=n)
         path = tmp_path / "indices.txt"
         path.write_text("\n".join(lines) + end)
-        data, params = path.read_bytes(), CurveParams(n, DIGIT_LEVEL)
+        params = CurveParams(n, DIGIT_LEVEL)
         argv = ["decode", "--dim", n, "--level", DIGIT_LEVEL, "--input", path]
         with monkeypatch.context() as patch:  # the row loop
-            patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+            patch.setattr(pointio, "_plain_text_values", lambda *args: None)
             rows = run(capsys, *argv)
         expected = self.row_loop(monkeypatch, path, params)
         good = {}
@@ -734,27 +774,31 @@ class TestDigitBlockReader:
             other = tmp_path / f"{kind}.txt"
             other.write_text("\n".join(change(lines, 1, n)) + end)
             with monkeypatch.context() as patch:
-                patch.setattr(pointio, "_digit_token_values", lambda data, params: None)
+                patch.setattr(pointio, "_plain_text_values", lambda *args: None)
                 output = run(capsys, *argv[:-1], other)
             good[kind] = (other, self.row_loop(monkeypatch, other, params), output)
-        bad = {kind: "\n".join(REJECTIONS[kind](lines, 1, n)).encode(errors="surrogateescape")
-               for kind in REJECTIONS}
+        bad = []
+        for kind, change in REJECTIONS.items():
+            other = tmp_path / f"{kind}.txt"
+            other.write_text("\n".join(change(lines, 1, n)) + end, errors="surrogateescape")
+            bad.append(other)
         for budget in range(1, len(lines[0]) + len(lines[1]) + 3):
-            monkeypatch.setattr(pointio, "_DIGIT_BLOCK_BYTES", budget)
-            assert pointio._digit_token_values(data, params) == expected
+            monkeypatch.setattr(pointio, "_TEXT_BLOCK_BYTES", budget)
+            assert scanned(monkeypatch, pointio.read_indices, path, params) == expected
             assert run(capsys, *argv) == rows
             for kind, (other, digits_and_count, output) in good.items():
-                taken = pointio._digit_token_values(other.read_bytes(), params)
+                taken = scanned(monkeypatch, pointio.read_indices, other, params)
                 assert taken == digits_and_count, kind
                 assert run(capsys, *argv[:-1], other) == output, kind
-            for kind, other in bad.items():
-                assert pointio._digit_token_values(other, params) is None, kind
+            for other in bad:
+                assert scanned(monkeypatch, pointio.read_indices, other, params) is None, other
 
     @pytest.mark.parametrize("n, kind", [(8, None), (10, None), (8, "padded"), (10, "padded"),
-                                         (13, None), (8, "decimal-token")])
-    def test_every_path_gives_the_digits_packed(self, tmp_path, n, kind):
-        # The block reader at n = 8 and 10, also through a padded line; the
-        # row loop past the digit table (n = 13) and for a decimal token.
+                                         (13, None), (16, None), (20, None), (8, "decimal-token")])
+    def test_every_path_gives_the_digits_packed(self, monkeypatch, tmp_path, n, kind):
+        # The scan at n = 8 up to 20, also through a padded line, in blocks
+        # of a line or two; the row loop for a decimal token.
+        monkeypatch.setattr(pointio, "_TEXT_BLOCK_BYTES", 16)
         lines = digit_lines(n, 5, seed=n)
         if kind:
             lines = {**ACCEPTED, **REJECTIONS}[kind](lines, 2, n)
@@ -763,12 +807,13 @@ class TestDigitBlockReader:
         params = CurveParams(n, DIGIT_LEVEL)
         flat = [d for line in lines for d in pointio.parse_index(line.strip(), params)]
         assert pointio.read_indices(path, params) == (pack_bytes(flat, field_width(n)), 5)
-        taken = pointio._digit_token_values(path.read_bytes(), params)
-        assert (taken is None) == (kind in REJECTIONS or n > 12)
+        taken = scanned(monkeypatch, pointio.read_indices, path, params)
+        assert (taken is None) == (kind in REJECTIONS)
 
     @pytest.mark.parametrize("text", ["", "\n", "digits:\n", "digits:\ndigits:", "0\ndigits:\n",
                                       "5digits:\n", "digits:0\n", "digits:.\n"])
     def test_level_zero(self, capsys, monkeypatch, tmp_path, text):
+        monkeypatch.setattr(pointio, "_TEXT_BLOCK_BYTES", 1)  # no file is under one block
         path = tmp_path / "indices.txt"
         path.write_text(text)
         blocks, rows = self.both_readers(capsys, monkeypatch, path, 2, 0)
@@ -813,6 +858,22 @@ def scanned_files(draw, n, tokens):
     return newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
 
 
+def sized_text(lines, size, tokens, sep, prefix=""):
+    """``lines``, cut where fewer than 64 bytes are left to ``size``, then
+    lines of ``prefix`` and ``tokens`` ones between ``sep``, a few of them
+    written ``10``, so that the text is ``size`` bytes, each line ended."""
+    text = ""
+    for line in lines:
+        if len(text) + len(line) + 1 > size - 64:
+            break
+        text += line + "\n"
+    left, width = size - len(text), len(prefix) + 2 * tokens  # a filler line and its end
+    rows = [["1"] * tokens for _ in range(left // width)]
+    for i in range(left % width):
+        rows[i % len(rows)][i // len(rows)] = "10"
+    return text + "".join(prefix + sep.join(row) + "\n" for row in rows)
+
+
 def readings(read, path, params, parse):
     """``read(path, params)`` and the row loop's reading of ``path``, each as
     its flat values or its error message."""
@@ -847,7 +908,8 @@ class TestScanReader:
             assert k == max(values, default=0).bit_length()
             return values
 
-        got, expected = readings(read, path, params, pointio._checked_row)
+        with blocks_of_a_third(text.encode()):
+            got, expected = readings(read, path, params, pointio._checked_row)
         assert got == expected
 
     @settings(max_examples=300, deadline=None)
@@ -873,5 +935,49 @@ class TestScanReader:
             assert len(values) == count * m
             return values
 
-        got, expected = readings(read, path, params, pointio.parse_index)
+        with blocks_of_a_third(text.encode()):
+            got, expected = readings(read, path, params, pointio.parse_index)
         assert got == expected
+
+    def test_a_file_the_line_rule_keeps_is_not_scanned_twice(self, monkeypatch):
+        # JSON refuses a leading zero; where the line rule would hand back the
+        # same bytes, the file goes to the row loop after one json.loads.  A
+        # file that only the line rule lays out is scanned once, after it; one
+        # laid out before and changed by it (an empty line at n = 1), twice.
+        import json
+        calls, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+        for data, n, count in ((b"007 1 2\n3 4 5\n", 3, 1), (b"007\n1\n", 1, 1),
+                               (b"007 1 2\r\n3 4 5\r\n", 3, 1), (b"1 2 3\n\n007 1 2", 3, 1),
+                               (b"007\n\n1\n", 1, 2)):
+            calls.clear()
+            assert pointio._plain_text_values(data, n) is None
+            assert len(calls) == count, data
+
+    @pytest.mark.parametrize("size", [BUDGET - 1, BUDGET, BUDGET + 1], ids=["B-1", "B", "B+1"])
+    @pytest.mark.parametrize("kind", ["points", "keys", "digits"])
+    def test_one_block_is_the_least_the_scan_reads(self, capsys, monkeypatch, tmp_path, kind, size):
+        # A file of one block or more is scanned, a shorter one read by the
+        # row loop; sort and decode give the same either way.
+        n, m, bits, tokens, sep, prefix = {
+            "points": (3, 20, 20, 3, " ", ""), "keys": (3, 20, 60, 1, ".", ""),
+            "digits": (8, 3, 8, 3, ".", "digits:")}[kind]
+        rng = random.Random(size)
+        lines = [prefix + sep.join(str(rng.getrandbits(bits)) for _ in range(tokens))
+                 for _ in range(size // 8)]
+        path, target = tmp_path / "in.txt", tmp_path / "out.txt"
+        path.write_text(sized_text(lines, size, tokens, sep, prefix))
+        assert len(path.read_bytes()) == size
+        params = CurveParams(n, m)
+        if kind == "points":
+            read, argv = pointio.read_points, ["sort", "--dim", n, "--level", m, path, target]
+        else:
+            read, argv = pointio.read_indices, ["decode", "--dim", n, "--level", m, "--input", path]
+        assert (scanned(monkeypatch, read, path, params) is None) == (size < BUDGET)
+        outputs = []
+        for scan in (pointio._plain_text_values, lambda *args: None):
+            with monkeypatch.context() as patch:
+                patch.setattr(pointio, "_plain_text_values", scan)
+                outputs.append((run(capsys, *argv), target.exists() and target.read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[0][0][0] == 0
+
