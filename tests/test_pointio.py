@@ -1,5 +1,5 @@
 """Point and index files: read once, written whole, and read the same way
-by the whole-file or block readers and the row loop.
+by the plain text scan and the row loop.
 
 The command-line tests drive ``cli.main`` only, so they hold for any
 layout of the reading and writing code.  The property tests hold
